@@ -298,6 +298,7 @@ def spectral_cluster(
     laplacian: str = "standard",
     epoch: int = 0,
     init_labels: np.ndarray | None = None,
+    max_iter: int = 100,
 ) -> ClusterPartition:
     """Partition BSs by unnormalized spectral clustering on `similarity`.
 
@@ -307,7 +308,7 @@ def spectral_cluster(
     BSs). Heads are elected by estimated load (`loads`, default all-zero,
     which degrades to lowest-id heads). init_labels (aligned with ids)
     warm-starts k-means from a previous partition when its group count still
-    matches the selected k.
+    matches the selected k. max_iter caps the k-means Lloyd iterations.
     """
     s = np.asarray(similarity, dtype=float)
     n = s.shape[0]
@@ -337,7 +338,7 @@ def spectral_cluster(
         lead = int(np.argmax(np.abs(embedding[:, j])))
         if embedding[lead, j] < 0:
             embedding[:, j] = -embedding[:, j]
-    labels = kmeans(embedding, k, rng, init_labels=init_labels)
+    labels = kmeans(embedding, k, rng, max_iter=max_iter, init_labels=init_labels)
 
     groups: dict[int, list[int]] = {}
     for idx, lab in enumerate(labels):

@@ -171,6 +171,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         (run.seed >= 0, "run.seed must be >= 0"),
         (0.0 <= run.burn_in_frac < 1.0, "run.burn_in_frac must be in [0, 1)"),
         (0.0 < run.load_gamma <= 1.0, "run.load_gamma must be in (0, 1]"),
+        (run.load_tol > 0, "run.load_tol must be positive"),
+        (run.load_max_iter >= 1, "run.load_max_iter must be >= 1"),
         (lay.side_m > 0, "layout.side_m must be positive"),
         (lay.n_small >= 0, "layout.n_small must be >= 0"),
         (lay.n_ues >= 0, "layout.n_ues must be >= 0"),
@@ -181,6 +183,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
         ),
         (cfg.traffic.mean_rate_bps > 0, "traffic.mean_rate_bps must be positive"),
         (cfg.clustering.recluster_every >= 1, "clustering.recluster_every must be >= 1"),
+        (cfg.clustering.kmeans_iters >= 1, "clustering.kmeans_iters must be >= 1"),
+        (cfg.clustering.sigma_d_m > 0, "clustering.sigma_d_m must be positive"),
+        (cfg.clustering.sigma_l > 0, "clustering.sigma_l must be positive"),
+        (cfg.learning.kappa >= 0, "learning.kappa must be >= 0"),
         (cfg.learning.max_actions >= 2, "learning.max_actions must be >= 2"),
         (cfg.association.delta >= 0, "association.delta must be >= 0"),
     ]

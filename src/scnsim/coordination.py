@@ -95,6 +95,21 @@ def solve_cluster_schedule(
     )
 
 
+def rebalance(
+    costs: np.ndarray, label: np.ndarray, serving: np.ndarray, active: np.ndarray
+) -> np.ndarray:
+    """solve_cluster_schedule for every cluster at once: new serving BS per UE.
+
+    costs is (n_bs, n_ue); label[b] is BS b's cluster index (-1: none). A UE
+    served by a clustered BS moves to the cheapest active member of that
+    cluster, ties to the lowest id; other UEs keep their station.
+    """
+    lab = label[serving]
+    members = (label[:, None] == lab[None, :]) & active[:, None]
+    choice = np.argmin(np.where(members, costs, np.inf), axis=0)
+    return np.where(lab >= 0, choice, serving)
+
+
 def relaxed_lp_arrays(
     costs: np.ndarray, active: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[float, float]]]:

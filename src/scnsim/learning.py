@@ -146,12 +146,11 @@ class ClusterLearner:
         eps = 1.0 / self.t**self.policy_exp
         utility = float(utility)
 
-        util_old = self.utility_est.copy()
-        regret_old = self.regret_est.copy()
-
-        self.utility_est[played] += tau * (utility - util_old[played])
-        self.regret_est += iota * (util_old - self.prev_utility - regret_old)
-        self.pi += eps * (bg_distribution(regret_old, self.kappa) - self.pi)
+        # the target and the regret step read the pre-update estimates
+        target = bg_distribution(self.regret_est, self.kappa)
+        self.regret_est += iota * (self.utility_est - self.prev_utility - self.regret_est)
+        self.utility_est[played] += tau * (utility - self.utility_est[played])
+        self.pi += eps * (target - self.pi)
         np.clip(self.pi, 0.0, None, out=self.pi)
         self.pi /= self.pi.sum()
 

@@ -13,8 +13,8 @@ All powers are in watts, distances in metres, rates in bit/s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class UserEquipment:
     id: int
     position: tuple[float, float]  # metres
     traffic_rate: float  # bit/s demanded on the downlink
-    serving_bs: int | None = None
 
 
 @dataclass
@@ -91,8 +90,6 @@ class ChannelModel:
     small_slope_db: float = 37.6
     min_dist_macro_m: float = 35.0
     min_dist_small_m: float = 10.0
-    # optional multiplicative fading hook: (kind, distance_m) -> linear factor
-    fading: Callable[[str, np.ndarray], np.ndarray] | None = field(default=None)
 
     @property
     def noise_w(self) -> float:
@@ -110,10 +107,7 @@ class ChannelModel:
         raise ValueError(f"unknown BS kind {kind!r}")
 
     def gain(self, kind: str, distance_m: np.ndarray | float) -> np.ndarray:
-        g = 10.0 ** (-self.pathloss_db(kind, distance_m) / 10.0)
-        if self.fading is not None:
-            g = g * self.fading(kind, np.asarray(distance_m, dtype=float))
-        return g
+        return 10.0 ** (-self.pathloss_db(kind, distance_m) / 10.0)
 
     def gain_matrix(
         self, stations: Sequence[BaseStation], ue_positions: np.ndarray
@@ -136,6 +130,7 @@ class NetworkConfiguration:
     load: np.ndarray  # duty cycle in [0, 1]
     load_raw: np.ndarray  # unclamped load, for cost accounting
     converged: bool = True
+    iterations: int = 0  # load fixed-point iterations that produced `load`
 
     @classmethod
     def all_active(cls, stations: Sequence[BaseStation]) -> "NetworkConfiguration":
@@ -150,7 +145,7 @@ class NetworkConfiguration:
     def copy(self) -> "NetworkConfiguration":
         return NetworkConfiguration(
             self.power.copy(), self.state.copy(), self.load.copy(),
-            self.load_raw.copy(), self.converged,
+            self.load_raw.copy(), self.converged, self.iterations,
         )
 
 
@@ -217,7 +212,7 @@ def compute_loads(
     cfg: NetworkConfiguration,
     assignment: np.ndarray,
     traffic: np.ndarray,
-    clusters: Sequence[Sequence[int]] | None = None,
+    excl: np.ndarray | None = None,
     gamma: float = 0.5,
     tol: float = 1e-6,
     max_iter: int = 200,
@@ -231,29 +226,33 @@ def compute_loads(
     which). Pass max_iter=1, gamma=1.0 with an explicit init for a single
     frozen-interference sweep. Returns a new configuration carrying the
     clamped load, the raw (unclamped) load at the converged interference
-    state, and the convergence flag.
+    state, the convergence flag and the number of iterations run.
 
     assignment is binary (n_bs, n_ue); every assigned BS must be active.
+    excl is rate_matrix's exclusion matrix (None: each BS excludes only
+    itself). Iterations evaluate rate_matrix at the serving entries only.
     """
     n_bs = len(stations)
-    serving = np.argmax(assignment, axis=0)
-    assigned_any = assignment.sum(axis=0) > 0
-    if np.any((cfg.state[serving] == 0) & assigned_any):
-        bad = np.where((cfg.state[serving] == 0) & assigned_any)[0]
+    cols = np.flatnonzero(assignment.sum(axis=0) > 0)  # assigned UEs
+    srv = np.argmax(assignment, axis=0)[cols]
+    if np.any(cfg.state[srv] == 0):
+        bad = cols[cfg.state[srv] == 0]
         raise InactiveServerError(f"UEs {bad.tolist()} assigned to sleeping BSs")
 
-    excl = exclusion_matrix(n_bs, clusters)
+    excl = np.eye(n_bs, dtype=bool) if excl is None else excl
+    signal = (cfg.power * cfg.state)[srv] * gains[srv, cols]
+    demand = traffic[cols]
     x = np.zeros(n_bs) if init is None else np.clip(np.asarray(init, dtype=float), 0.0, 1.0)
     raw = np.zeros(n_bs)
-    converged = False
-    for _ in range(max_iter):
-        rates = rate_matrix(stations, cfg, gains, channel, excl, interference_load=x)
-        serving_rate = rates[serving, np.arange(len(serving))]
-        per_ue = np.divide(
-            traffic, serving_rate,
-            out=np.zeros_like(traffic, dtype=float), where=assigned_any,
-        )
-        raw = np.bincount(serving[assigned_any], weights=per_ue[assigned_any], minlength=n_bs)
+    converged, iterations = False, 0
+    for iterations in range(1, max_iter + 1):
+        # full-size matmuls keep rate_matrix's rounding bit for bit
+        w = x * cfg.power * cfg.state
+        total = w @ gains
+        excluded = (excl * w[None, :]) @ gains
+        denom = total[cols] - excluded[srv, cols] + channel.noise_w
+        serving_rate = channel.bandwidth_hz * np.log2(1.0 + signal / denom)
+        raw = np.bincount(srv, weights=demand / serving_rate, minlength=n_bs)
         x_new = (1.0 - gamma) * x + gamma * np.minimum(raw, 1.0)
         if np.max(np.abs(x_new - x)) < tol:
             x = x_new
@@ -265,6 +264,7 @@ def compute_loads(
     out.load = np.minimum(x, 1.0)
     out.load_raw = raw
     out.converged = converged
+    out.iterations = iterations
     return out
 
 

@@ -159,6 +159,7 @@ class World:
             [ue.position for ue in self.ues], dtype=float
         ).reshape(-1, 2)
         self.traffic = np.array([ue.traffic_rate for ue in self.ues], dtype=float)
+        self.p_max = np.array([bs.p_max for bs in self.stations], dtype=float)
         self.gains = self.channel.gain_matrix(self.stations, self.positions)
         self.net = netmodel.NetworkConfiguration.all_active(self.stations)
         self.estimate = assoc.LoadEstimate(np.zeros(self.n_bs))
@@ -166,6 +167,9 @@ class World:
         self.learner_rng = learner_rng
         self.cost = cfg.cost_params()
         self.partition: clust.ClusterPartition | None = None
+        # per-partition caches: exclusion matrix, cluster index per BS (-1: none)
+        self.excl: np.ndarray | None = None
+        self.label = np.full(self.n_bs, -1, dtype=int)
         self.learners: dict[tuple[int, ...], learn.ClusterLearner] = {}
         self.cluster_events: list[ClusterEvent] = []
         # serving station per UE after the last step (-1 = uncovered)
@@ -191,6 +195,9 @@ class World:
                 )
         self.learners = kept
         self.partition = partition
+        self.excl = netmodel.exclusion_matrix(self.n_bs, partition.clusters)
+        of = partition.cluster_of()
+        self.label = np.array([of.get(b, -1) for b in range(self.n_bs)], dtype=int)
         self.cluster_events.append(ClusterEvent(step, partition))
 
     def _recluster(self, t: int) -> None:
@@ -203,16 +210,9 @@ class World:
         graph = clust.build_similarity(
             pos, loads, self.cfg.similarity_config(), self.cfg.clustering.laplacian
         )
-        init_labels = None
-        if self.partition is not None and self.partition.n_clusters:
-            group_of = {
-                b: j
-                for j, members in enumerate(self.partition.clusters)
-                for b in members
-            }
-            init_labels = np.array([group_of.get(int(b), -1) for b in ids])
-            if np.any(init_labels < 0):
-                init_labels = None
+        init_labels = self.label[ids]  # warm start from the current partition
+        if np.any(init_labels < 0):
+            init_labels = None
         part = clust.spectral_cluster(
             graph.s_joint,
             [int(b) for b in ids],
@@ -221,6 +221,7 @@ class World:
             laplacian=self.cfg.clustering.laplacian,
             epoch=t,
             init_labels=init_labels,
+            max_iter=self.cfg.clustering.kmeans_iters,
         )
         self._set_partition(part, t)
 
@@ -250,7 +251,7 @@ class World:
                 self._singletons(t)
 
         # (3) clusters draw sleep/wake (and level) actions; classical stays on
-        power = np.array([bs.p_max for bs in self.stations], dtype=float)
+        power = self.p_max.copy()
         state = np.ones(self.n_bs, dtype=np.int64)
         played: dict[tuple[int, ...], int] = {}
         for key, learner in self.learners.items():
@@ -284,47 +285,26 @@ class World:
                 serving = np.full(n_ue, -1, dtype=int)
         else:
             serving = np.zeros(0, dtype=int)
+
+        # (5) each cluster head rebalances the UEs attached to its members,
+        # with interference frozen at the previous step's loads; a UE
+        # enters only when attached to an active member, so it stays covered
+        if self.partition is not None and n_ue and not no_coverage:
+            rates = netmodel.rate_matrix(
+                self.stations, net, self.gains, self.channel, self.excl,
+                interference_load=prev_load,
+            )
+            with np.errstate(divide="ignore"):
+                costs = self.traffic[None, :] / rates
+            serving = coord.rebalance(costs, self.label, serving, state == 1)
         z = np.zeros((self.n_bs, n_ue))
         if n_ue and not no_coverage:
             z[serving, np.arange(n_ue)] = 1.0
 
-        # (5) each cluster head rebalances the UEs attached to its members,
-        # with interference frozen at the previous step's loads
-        penalized: set[tuple[int, ...]] = set()
-        if self.partition is not None and n_ue and not no_coverage:
-            excl = netmodel.exclusion_matrix(self.n_bs, self.partition.clusters)
-            rates = netmodel.rate_matrix(
-                self.stations, net, self.gains, self.channel, excl,
-                interference_load=prev_load,
-            )
-            for members in self.partition.clusters:
-                midx = np.fromiter(members, dtype=int)
-                sel = np.flatnonzero(np.isin(serving, midx))
-                if sel.size == 0:
-                    continue
-                with np.errstate(divide="ignore"):
-                    costs = self.traffic[sel][None, :] / rates[np.ix_(midx, sel)]
-                try:
-                    sched = coord.solve_cluster_schedule(
-                        costs, members, sel.tolist(), state[midx] == 1
-                    )
-                except coord.UncoveredUEsError:
-                    # cluster slept on its UEs: they go unserved this step
-                    # and the cluster pays the worst-case penalty below
-                    penalized.add(tuple(members))
-                    z[:, sel] = 0.0
-                    serving[sel] = -1
-                    continue
-                choice = midx[np.argmax(sched.binary, axis=0)]
-                z[:, sel] = 0.0
-                z[choice, sel] = 1.0
-                serving[sel] = choice
-
         # (6) realized loads from the coupled fixed point, warm-started
-        clusters = self.partition.clusters if self.partition is not None else None
         self.net = netmodel.compute_loads(
             self.stations, self.channel, self.gains, net, z, self.traffic,
-            clusters=clusters, gamma=rc.load_gamma, tol=rc.load_tol,
+            excl=self.excl, gamma=rc.load_gamma, tol=rc.load_tol,
             max_iter=rc.load_max_iter, init=prev_load,
         )
 
@@ -333,11 +313,10 @@ class World:
         per_bs_cost = self.cost.alpha * totals + self.cost.beta * self.net.load_raw
 
         # (8) every learner observes the negated cost of its own members;
-        # clusters that left UEs uncovered observe the bounded penalty instead
+        # a step that left UEs uncovered charges the bounded penalty instead
         for key, learner in self.learners.items():
-            if no_coverage or key in penalized:
-                p_max = [self.stations[b].p_max for b in key]
-                utility = -learn.penalty_cost(p_max, self.cost)
+            if no_coverage:
+                utility = -learn.penalty_cost(self.p_max[list(key)], self.cost)
             else:
                 utility = -float(np.sum(per_bs_cost[list(key)]))
             learner.update(played[key], utility)

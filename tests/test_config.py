@@ -106,6 +106,12 @@ def test_bad_type(tmp_path):
         (lambda c: setattr(c.clustering, "laplacian", "magic"), "laplacian"),
         (lambda c: setattr(c.association, "delta", -0.5), "delta"),
         (lambda c: setattr(c.learning, "max_actions", 1), "max_actions"),
+        (lambda c: setattr(c.clustering, "sigma_l", 0.0), "sigma_l"),
+        (lambda c: setattr(c.clustering, "sigma_d_m", 0.0), "sigma_d_m"),
+        (lambda c: setattr(c.run, "load_max_iter", 0), "load_max_iter"),
+        (lambda c: setattr(c.run, "load_tol", 0.0), "load_tol"),
+        (lambda c: setattr(c.learning, "kappa", -1.0), "kappa"),
+        (lambda c: setattr(c.clustering, "kmeans_iters", 0), "kmeans_iters"),
     ],
 )
 def test_validation_rejects(mutate, message):

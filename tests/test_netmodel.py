@@ -253,6 +253,94 @@ def test_load_fixed_point_identity():
     assert np.max(np.abs(again.load - res.load)) < 1e-6
 
 
+def _reference_loads(stations, ch, gains, cfg, z, traffic, excl, gamma, tol,
+                     max_iter, init):
+    """The fixed point as a plain loop over full rate_matrix evaluations."""
+    n_bs = len(stations)
+    serving = np.argmax(z, axis=0)
+    assigned = z.sum(axis=0) > 0
+    x = np.zeros(n_bs) if init is None else np.clip(init, 0.0, 1.0)
+    raw = np.zeros(n_bs)
+    converged, iterations = False, 0
+    for iterations in range(1, max_iter + 1):
+        rates = rate_matrix(stations, cfg, gains, ch, excl, interference_load=x)
+        serving_rate = rates[serving, np.arange(len(serving))]
+        per_ue = np.divide(traffic, serving_rate, out=np.zeros_like(traffic),
+                           where=assigned)
+        raw = np.bincount(serving[assigned], weights=per_ue[assigned],
+                          minlength=n_bs)
+        x_new = (1.0 - gamma) * x + gamma * np.minimum(raw, 1.0)
+        if np.max(np.abs(x_new - x)) < tol:
+            x, converged = x_new, True
+            break
+        x = x_new
+    return np.minimum(x, 1.0), raw, converged, iterations
+
+
+@pytest.mark.parametrize("gamma, tol, max_iter, warm", [
+    (0.5, 1e-6, 200, False),
+    (0.5, 1e-6, 200, True),
+    (1.0, 1e-9, 200, True),
+    (0.5, 1e-12, 3, False),  # stops at max_iter unconverged
+    (1.0, 1e-6, 1, True),  # one frozen-interference sweep
+])
+def test_compute_loads_matches_rate_matrix_loop(gamma, tol, max_iter, warm):
+    # clustered exclusion, one sleeping SBS, one unassigned UE column and
+    # mixed transmit levels: the hoisted solver must equal the loop exactly
+    ch = ChannelModel()
+    rng = np.random.default_rng(17)
+    clusters = [(1, 2, 3), (4, 5)]
+    for _ in range(8):
+        stations = [make_bs(0, MACRO, (500.0, 500.0), p_max=39.8, p_idle=1.0,
+                            never_sleeps=True)]
+        stations += [make_bs(i, SMALL, tuple(rng.uniform(0, 1000, 2)))
+                     for i in range(1, 7)]
+        n_ue = 15
+        gains = ch.gain_matrix(stations, rng.uniform(0, 1000, size=(n_ue, 2)))
+        traffic = rng.exponential(3e5, size=n_ue)
+        cfg = NetworkConfiguration.all_active(stations)
+        cfg.power = np.where(rng.random(7) < 0.5, cfg.power, 0.6 * cfg.power)
+        cfg.state = np.array([1, 1, 0, 1, 1, 1, 1])
+        serving = rng.choice([0, 1, 3, 4, 5, 6], size=n_ue)
+        z = np.zeros((7, n_ue))
+        z[serving, np.arange(n_ue)] = 1.0
+        z[:, 4] = 0.0  # UE 4 goes unserved
+        init = rng.uniform(0, 1.2, size=7) if warm else None
+        excl = exclusion_matrix(7, clusters)
+
+        got = compute_loads(stations, ch, gains, cfg, z, traffic, excl=excl,
+                            gamma=gamma, tol=tol, max_iter=max_iter, init=init)
+        load, raw, converged, iterations = _reference_loads(
+            stations, ch, gains, cfg, z, traffic, excl, gamma, tol, max_iter,
+            init)
+        assert np.array_equal(got.load, load)
+        assert np.array_equal(got.load_raw, raw)
+        assert got.converged == converged
+        assert got.iterations == iterations
+        assert got.load_raw[2] == 0.0  # the sleeping SBS carries nothing
+
+
+def test_compute_loads_counts_iterations():
+    ch = ChannelModel()
+    stations = [make_bs(0), make_bs(1, pos=(300.0, 0.0))]
+    cfg = NetworkConfiguration.all_active(stations)
+    gains = np.array([[2e-12, 4e-14], [4e-14, 2e-12]])
+    z, traffic = np.eye(2), np.array([5e5, 5e5])
+    res = compute_loads(stations, ch, gains, cfg, z, traffic)
+    assert res.converged and 1 < res.iterations < 200
+    assert res.copy().iterations == res.iterations
+    capped = compute_loads(stations, ch, gains, cfg, z, traffic, max_iter=2)
+    assert not capped.converged and capped.iterations == 2
+    sweep = compute_loads(stations, ch, gains, cfg, z, traffic, gamma=1.0,
+                          max_iter=1, init=res.load)
+    assert sweep.iterations == 1
+    # no excl is the identity exclusion: every other BS interferes
+    assert np.array_equal(
+        compute_loads(stations, ch, gains, cfg, z, traffic,
+                      excl=exclusion_matrix(2, None)).load, res.load)
+    assert NetworkConfiguration.all_active(stations).iterations == 0
+
+
 def test_compute_loads_rejects_sleeping_server():
     ch = ChannelModel()
     stations = [make_bs(0), make_bs(1, pos=(100.0, 0.0))]

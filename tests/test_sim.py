@@ -1,11 +1,16 @@
 """Scenario generation, step loop, and Monte-Carlo aggregation tests."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
-from scnsim import netmodel
+from scnsim import clustering, netmodel
+from scnsim.cli import _fmt
 from scnsim.clustering import ClusterPartition
 from scnsim.config import default_config
+from scnsim.coordination import rebalance, solve_cluster_schedule
 from scnsim.sim import (
     World,
     burn_in_steps,
@@ -179,6 +184,69 @@ def test_learners_survive_unchanged_partition():
     assert world.learners[(1, 3)] is not kept  # membership changed: reset
 
 
+def test_rebalance_matches_per_cluster_schedules():
+    # the vectorised stage-(5) rebalance on World's cached labels equals one
+    # solve_cluster_schedule per cluster over the UEs of its members
+    cfg = small_cfg(n_small=7, n_ues=14)
+    stations, ues = generate_scenario(cfg, np.random.default_rng(4))
+    world = World(cfg, stations, ues, np.random.default_rng(1),
+                  np.random.default_rng(2))
+    rng = np.random.default_rng(99)
+    n_bs, n_ue = world.n_bs, len(ues)
+    for trial in range(300):
+        labels = rng.integers(0, 4, size=n_bs - 1)
+        clusters = tuple(
+            tuple(int(b) + 1 for b in np.flatnonzero(labels == j))
+            for j in range(4) if np.any(labels == j)
+        )
+        world._set_partition(ClusterPartition(clusters, (), epoch=trial), trial)
+        assert np.array_equal(world.excl,
+                              netmodel.exclusion_matrix(n_bs, clusters))
+        active = rng.random(n_bs) < 0.6
+        active[0] = True  # the macro never sleeps
+        # coarse costs so ties between members occur; sleepers cost inf
+        costs = np.where(active[:, None],
+                         rng.integers(1, 4, size=(n_bs, n_ue)) / 10.0, np.inf)
+        serving = rng.choice(np.flatnonzero(active), size=n_ue)
+
+        want = serving.copy()
+        for members in clusters:
+            midx = np.array(members)
+            sel = np.flatnonzero(np.isin(serving, midx))
+            if sel.size:
+                sched = solve_cluster_schedule(costs[np.ix_(midx, sel)], members,
+                                               sel.tolist(), active[midx])
+                want[sel] = midx[np.argmax(sched.binary, axis=0)]
+        got = rebalance(costs, world.label, serving, active)
+        assert np.array_equal(got, want)
+
+
+def test_kmeans_iters_reaches_kmeans(monkeypatch):
+    seen = []
+    real = clustering.kmeans
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["max_iter"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, "kmeans", spy)
+    cfg = small_cfg(steps=6)
+    cfg.clustering.kmeans_iters = 7
+    cfg.clustering.recluster_every = 5
+    run_once(cfg, 0)
+    assert seen == [7, 7]  # reclusters at steps 1 and 5
+
+
+def test_step_exposes_fixed_point_iterations():
+    cfg = small_cfg(steps=3)
+    stations, ues = generate_scenario(cfg, np.random.default_rng(6))
+    world = World(cfg, stations, ues, np.random.default_rng(1),
+                  np.random.default_rng(2))
+    for t in range(1, 4):
+        world.step(t)
+        assert 1 <= world.net.iterations <= cfg.run.load_max_iter
+
+
 def test_station_id_validation():
     cfg = small_cfg()
     stations, ues = generate_scenario(cfg, np.random.default_rng(3))
@@ -271,3 +339,37 @@ def test_sweep_emits_one_result_per_point():
     ]
     with pytest.raises(ValueError, match="sweep parameter"):
         sweep(cfg, "zeta", [1.0])
+
+
+# SHA-256 prefixes of every StepRecord field at 9 significant digits (the
+# CSV format), recorded before the per-step invariants were hoisted out of
+# World.step; a refactor that keeps the simulator's numbers keeps these.
+GOLDEN_STEP_DIGESTS = {
+    "classical": "58593ff92e741c78",
+    "learning_no_clusters": "fb28d3c258ce39e2",
+    "learning_clustered": "190690f970ff266b",
+}
+
+
+def _records_digest(records):
+    h = hashlib.sha256()
+    for rec in records:
+        for f in dataclasses.fields(rec):
+            value = getattr(rec, f.name)
+            items = value.ravel().tolist() if isinstance(value, np.ndarray) else [value]
+            h.update(f"{f.name}={','.join(_fmt(x) for x in items)};".encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_STEP_DIGESTS))
+def test_golden_step_records(mode):
+    cfg = default_config()
+    cfg.run.mode = mode
+    cfg.run.steps = 80
+    cfg.layout.n_ues = 32
+    cfg.clustering.eps_d_m = 400.0  # wide adjacency: multi-SBS clusters
+    cfg.clustering.recluster_every = 5
+    result = run_once(cfg, 0, keep_records=True)
+    if mode == "learning_clustered":
+        assert max(r.mean_cluster_size for r in result.records) > 1.0
+    assert _records_digest(result.records) == GOLDEN_STEP_DIGESTS[mode]
