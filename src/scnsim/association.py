@@ -13,7 +13,7 @@ association. Estimates follow a standard decreasing-gain recursion
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +33,9 @@ class LoadEstimate:
     """Per-station slow load tracker fed with one-step-delayed true loads."""
 
     rho_hat: np.ndarray
-    last_rho: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.rho_hat = np.asarray(self.rho_hat, dtype=float)
-        if self.last_rho is None:
-            self.last_rho = np.zeros_like(self.rho_hat)
 
 
 def associate(
@@ -103,4 +100,3 @@ def update_load_estimate(
     nu = 1.0 / t**nu_exponent
     rho_prev = np.asarray(rho_prev, dtype=float)
     estimate.rho_hat += nu * (rho_prev - estimate.rho_hat)
-    estimate.last_rho = rho_prev.copy()

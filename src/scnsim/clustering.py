@@ -11,6 +11,7 @@ BSs only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,10 +68,6 @@ class ClusterPartition:
 
     def mean_size(self) -> float:
         return float(np.mean(self.sizes())) if self.clusters else 0.0
-
-    def cluster_of(self) -> dict[int, int]:
-        """BS id -> cluster index."""
-        return {b: i for i, members in enumerate(self.clusters) for b in members}
 
 
 def build_adjacency(positions: np.ndarray, eps_d: float) -> np.ndarray:
@@ -163,6 +160,12 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> tupl
     Sweeps the upper triangle in fixed row order, so the result is
     deterministic. Returns (eigenvalues ascending, eigenvectors as columns).
     tol is relative to the Frobenius norm of the input.
+
+    Rotations run on Python floats (numpy dispatch per row costs more than
+    the arithmetic at these sizes): rows p, q of a and columns p, q of the
+    eigenvectors, then columns p, q of the row-rotated a, each element a
+    correctly rounded scalar operation, so the rotations do not depend on
+    the BLAS build.
     """
     a = np.array(a, dtype=float)
     n = a.shape[0]
@@ -170,38 +173,48 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> tupl
         raise ValueError("matrix must be square")
     if n > 1 and np.max(np.abs(a - a.T)) > 1e-8 * max(1.0, np.max(np.abs(a))):
         raise ValueError("matrix must be symmetric")
-    v = np.eye(n)
     if n <= 1:
-        return a.diagonal().copy(), v
+        return a.diagonal().copy(), np.eye(n)
     scale = np.linalg.norm(a)
     if scale == 0.0:
-        return np.zeros(n), v
+        return np.zeros(n), np.eye(n)
     thresh = tol * scale
+    skip = thresh / (n * n)
+    # rows[j] is row j of a followed by eigenvector column j, so one pair of
+    # list comprehensions rotates rows p, q of a and columns p, q of v
+    rows = np.hstack([a, np.eye(n)]).tolist()
     for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.triu(a, 1) ** 2) * 2.0)
+        # pairwise summation over the array keeps the stopping test's rounding
+        off = np.sqrt(np.sum(np.triu(np.array(rows)[:, :n], 1) ** 2) * 2.0)
         if off <= thresh:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= thresh / (n * n):
+                rp = rows[p]
+                apq = rp[q]
+                if abs(apq) <= skip:
                     continue
+                rq = rows[q]
                 # rotation angle zeroing a[p, q]
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                theta = (rq[q] - rp[p]) / (2.0 * apq)
                 if theta == 0.0:
                     t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                else:
+                    t = math.copysign(1.0, theta) / (
+                        abs(theta) + math.sqrt(theta * theta + 1.0)
+                    )
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rot_p, rot_q = a[p].copy(), a[q].copy()
-                a[p], a[q] = c * rot_p - s * rot_q, s * rot_p + c * rot_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p], a[:, q] = c * col_p - s * col_q, s * col_p + c * col_q
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p], v[:, q] = c * vec_p - s * vec_q, s * vec_p + c * vec_q
-    vals = a.diagonal().copy()
+                rows[p] = [c * x - s * y for x, y in zip(rp, rq)]
+                rows[q] = [s * x + c * y for x, y in zip(rp, rq)]
+                for row in rows:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+    av = np.array(rows)
+    vals = av.diagonal().copy()
     order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
+    return vals[order], av[:, n:].T[:, order]
 
 
 def select_k(eigenvalues: np.ndarray) -> int:
@@ -289,6 +302,43 @@ def kmeans(
     return labels
 
 
+def _canonical_signs(vecs: np.ndarray) -> np.ndarray:
+    """Copy of vecs with each column flipped so its largest-magnitude entry
+    is positive, so an embedding does not jump between +-v as the
+    underlying loads drift."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        lead = int(np.argmax(np.abs(out[:, j])))
+        if out[lead, j] < 0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+def _bisect(
+    similarity: np.ndarray,
+    members: list[int],
+    ids: np.ndarray,
+    laplacian: str,
+    max_size: int | None,
+) -> list[list[int]]:
+    """Recursive spectral bisection of one cluster (indices into similarity).
+
+    A cluster above max_size splits into halves of floor and ceil size by
+    the order of the Fiedler vector of its own sub-Laplacian, ties broken
+    by id; each half recurses until it fits.
+    """
+    if max_size is None or len(members) <= max_size:
+        return [members]
+    idx = np.asarray(members)
+    _, vecs = jacobi_eigh(laplacian_matrix(similarity[np.ix_(idx, idx)], laplacian))
+    fiedler = _canonical_signs(vecs[:, 1:2])[:, 0]
+    order = idx[np.lexsort((ids[idx], fiedler))].tolist()
+    half = len(order) // 2
+    return _bisect(similarity, order[:half], ids, laplacian, max_size) + _bisect(
+        similarity, order[half:], ids, laplacian, max_size
+    )
+
+
 def spectral_cluster(
     similarity: np.ndarray,
     ids: Sequence[int],
@@ -299,6 +349,7 @@ def spectral_cluster(
     epoch: int = 0,
     init_labels: np.ndarray | None = None,
     max_iter: int = 100,
+    max_size: int | None = None,
 ) -> ClusterPartition:
     """Partition BSs by unnormalized spectral clustering on `similarity`.
 
@@ -309,6 +360,9 @@ def spectral_cluster(
     which degrades to lowest-id heads). init_labels (aligned with ids)
     warm-starts k-means from a previous partition when its group count still
     matches the selected k. max_iter caps the k-means Lloyd iterations.
+    max_size (None: unbounded) caps the members per cluster: a larger
+    k-means cluster is split by recursive spectral bisection (`_bisect`)
+    before heads are elected.
     """
     s = np.asarray(similarity, dtype=float)
     n = s.shape[0]
@@ -318,6 +372,8 @@ def spectral_cluster(
         raise ValueError("ids must align with the similarity matrix")
     if n > 0 and (np.max(np.abs(s - s.T)) > 1e-10 * max(1.0, np.max(np.abs(s))) or np.min(s) < 0):
         raise ValueError("similarity must be symmetric and non-negative")
+    if max_size is not None and max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
     if loads is None:
         loads = np.zeros(n)
 
@@ -331,20 +387,22 @@ def spectral_cluster(
     if k is None:
         k = max(select_k(vals), zero_eigenvalue_count(vals))
     k = int(min(max(k, 1), n))
-    embedding = vecs[:, :k].copy()
-    # canonical column signs (largest-magnitude entry positive) so the
-    # embedding does not jump between +-v as the underlying loads drift
-    for j in range(k):
-        lead = int(np.argmax(np.abs(embedding[:, j])))
-        if embedding[lead, j] < 0:
-            embedding[:, j] = -embedding[:, j]
+    embedding = _canonical_signs(vecs[:, :k])
     labels = kmeans(embedding, k, rng, max_iter=max_iter, init_labels=init_labels)
 
     groups: dict[int, list[int]] = {}
     for idx, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(int(ids[idx]))
+        groups.setdefault(int(lab), []).append(idx)
+    id_arr = np.asarray(ids)
+    parts = [
+        part
+        for members in groups.values()
+        for part in _bisect(s, members, id_arr, laplacian, max_size)
+    ]
     # deterministic ordering: clusters sorted by their smallest member id
-    clusters = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+    clusters = tuple(
+        sorted((tuple(sorted(int(id_arr[i]) for i in g)) for g in parts), key=min)
+    )
     load_of = {int(b): float(loads[i]) for i, b in enumerate(ids)}
     heads = tuple(
         elect_head(members, [load_of[b] for b in members]) for members in clusters

@@ -149,18 +149,23 @@ class NetworkConfiguration:
         )
 
 
+def cluster_labels(n_bs: int, clusters: Sequence[Sequence[int]] | None) -> np.ndarray:
+    """Cluster index per BS (-1: in no cluster); clusters must be disjoint."""
+    label = np.full(n_bs, -1, dtype=int)
+    for i, members in enumerate(clusters or ()):
+        label[list(members)] = i
+    return label
+
+
 def exclusion_matrix(n_bs: int, clusters: Sequence[Sequence[int]] | None) -> np.ndarray:
     """Boolean (n_bs, n_bs); entry [b, b'] True when b' never interferes with b.
 
     The diagonal is always excluded. Members of a common cluster are mutually
     excluded because the cluster head time-orthogonalizes their transmissions.
     """
-    excl = np.eye(n_bs, dtype=bool)
-    if clusters is not None:
-        for members in clusters:
-            idx = np.fromiter(members, dtype=int)
-            excl[np.ix_(idx, idx)] = True
-    return excl
+    label = cluster_labels(n_bs, clusters)
+    same = (label[:, None] == label[None, :]) & (label >= 0)[:, None]
+    return same | np.eye(n_bs, dtype=bool)
 
 
 def rate_matrix(
@@ -281,12 +286,16 @@ def total_power(
     return load * level + bs.idle_scale_active * bs.p_idle
 
 
-def total_powers(stations: Sequence[BaseStation], cfg: NetworkConfiguration) -> np.ndarray:
-    """Vector of consumed powers, watts; uses each BS's configured level."""
-    idle = np.array([bs.p_idle for bs in stations])
-    scale = np.array([bs.idle_scale_active for bs in stations])
-    active = cfg.load * cfg.power + scale * idle
-    return np.where(cfg.state == 1, active, idle)
+def total_powers(
+    p_idle: np.ndarray, idle_scale_active: np.ndarray, cfg: NetworkConfiguration
+) -> np.ndarray:
+    """Vector of consumed powers, watts; uses each BS's configured level.
+
+    p_idle and idle_scale_active are the per-BS station parameters, aligned
+    with cfg.
+    """
+    active = cfg.load * cfg.power + idle_scale_active * p_idle
+    return np.where(cfg.state == 1, active, p_idle)
 
 
 def power_budget_ok(stations: Sequence[BaseStation], cfg: NetworkConfiguration) -> np.ndarray:
@@ -296,6 +305,10 @@ def power_budget_ok(stations: Sequence[BaseStation], cfg: NetworkConfiguration) 
     1 - idle_scale_active * p_idle / p_max; callers treat a False entry as a
     rejected (invalid) configuration rather than a physical state.
     """
-    totals = total_powers(stations, cfg)
+    totals = total_powers(
+        np.array([bs.p_idle for bs in stations]),
+        np.array([bs.idle_scale_active for bs in stations]),
+        cfg,
+    )
     p_max = np.array([bs.p_max for bs in stations])
     return totals <= p_max + 1e-12

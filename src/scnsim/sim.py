@@ -160,6 +160,13 @@ class World:
         ).reshape(-1, 2)
         self.traffic = np.array([ue.traffic_rate for ue in self.ues], dtype=float)
         self.p_max = np.array([bs.p_max for bs in self.stations], dtype=float)
+        self.p_idle = np.array([bs.p_idle for bs in self.stations], dtype=float)
+        self.idle_scale = np.array(
+            [bs.idle_scale_active for bs in self.stations], dtype=float
+        )
+        # each member plays one level or sleeps, so a cluster of s members
+        # has 2^s joint actions: bound s so the action set fits max_actions
+        self.max_cluster_size = int(cfg.learning.max_actions).bit_length() - 1
         self.gains = self.channel.gain_matrix(self.stations, self.positions)
         self.net = netmodel.NetworkConfiguration.all_active(self.stations)
         self.estimate = assoc.LoadEstimate(np.zeros(self.n_bs))
@@ -196,8 +203,7 @@ class World:
         self.learners = kept
         self.partition = partition
         self.excl = netmodel.exclusion_matrix(self.n_bs, partition.clusters)
-        of = partition.cluster_of()
-        self.label = np.array([of.get(b, -1) for b in range(self.n_bs)], dtype=int)
+        self.label = netmodel.cluster_labels(self.n_bs, partition.clusters)
         self.cluster_events.append(ClusterEvent(step, partition))
 
     def _recluster(self, t: int) -> None:
@@ -222,6 +228,7 @@ class World:
             epoch=t,
             init_labels=init_labels,
             max_iter=self.cfg.clustering.kmeans_iters,
+            max_size=self.max_cluster_size,
         )
         self._set_partition(part, t)
 
@@ -309,7 +316,7 @@ class World:
         )
 
         # (7) running cost per BS
-        totals = netmodel.total_powers(self.stations, self.net)
+        totals = netmodel.total_powers(self.p_idle, self.idle_scale, self.net)
         per_bs_cost = self.cost.alpha * totals + self.cost.beta * self.net.load_raw
 
         # (8) every learner observes the negated cost of its own members;

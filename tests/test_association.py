@@ -90,7 +90,6 @@ def test_estimator_first_step_snaps_to_load():
     update_load_estimate(est, np.array([0.6, 0.3]), t=1)
     # nu(1) = 1, so the estimate jumps straight onto the observed load
     assert np.array_equal(est.rho_hat, [0.6, 0.3])
-    assert np.array_equal(est.last_rho, [0.6, 0.3])
 
 
 def test_estimator_second_step_value():

@@ -20,6 +20,7 @@ from scnsim.clustering import (
     spectral_cluster,
     zero_eigenvalue_count,
 )
+from scnsim.netmodel import cluster_labels
 
 
 def test_adjacency_radius():
@@ -123,6 +124,84 @@ def test_jacobi_edge_cases():
         jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         jacobi_eigh(np.zeros((2, 3)))
+
+
+def reference_jacobi_eigh(a, tol=1e-12, max_sweeps=60):
+    """The cyclic Jacobi solver with numpy row/column rotations; the oracle
+    the Python-float rotations must match bit for bit."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    v = np.eye(n)
+    if n <= 1:
+        return a.diagonal().copy(), v
+    scale = np.linalg.norm(a)
+    if scale == 0.0:
+        return np.zeros(n), v
+    thresh = tol * scale
+    for _ in range(max_sweeps):
+        off = np.sqrt(np.sum(np.triu(a, 1) ** 2) * 2.0)
+        if off <= thresh:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= thresh / (n * n):
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rot_p, rot_q = a[p].copy(), a[q].copy()
+                a[p], a[q] = c * rot_p - s * rot_q, s * rot_p + c * rot_q
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p], a[:, q] = c * col_p - s * col_q, s * col_p + c * col_q
+                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
+                v[:, p], v[:, q] = c * vec_p - s * vec_q, s * vec_p + c * vec_q
+    vals = a.diagonal().copy()
+    order = np.argsort(vals, kind="stable")
+    return vals[order], v[:, order]
+
+
+def _oracle_matrices():
+    from scnsim.config import default_config
+    from scnsim.sim import generate_scenario
+
+    cfg = default_config()
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        stations, _ = generate_scenario(cfg, rng)
+        pos = np.array([bs.position for bs in stations[1:]])
+        loads = rng.uniform(0, 1, size=len(pos))
+        for eps_d in (150.0, 250.0, 400.0):
+            for variant in ("standard", "rowsum"):
+                graph = build_similarity(pos, loads, SimilarityConfig(eps_d=eps_d),
+                                         laplacian=variant)
+                yield f"drop{seed}-{eps_d}-{variant}", graph.laplacian
+    rng = np.random.default_rng(53)
+    for n in range(1, 21):
+        for rep in range(2):
+            m = rng.normal(size=(n, n))
+            yield f"random{n}-{rep}", (m + m.T) / 2.0
+    m = rng.normal(size=(7, 7))
+    m = (m + m.T) / 2.0
+    m[2, 5] += 5e-9  # asymmetric, inside the symmetry tolerance
+    yield "near-symmetric", m
+    # equal diagonal entries: the first rotation takes the theta == 0 branch
+    yield "theta0-2x2", np.array([[2.0, 1.0], [1.0, 2.0]])
+    yield "theta0-4x4", np.full((4, 4), 0.5) + np.eye(4)
+    yield "zero", np.zeros((5, 5))
+
+
+@pytest.mark.parametrize(
+    "a", [pytest.param(a, id=name) for name, a in _oracle_matrices()]
+)
+def test_jacobi_bitwise_equals_numpy_rotations(a):
+    vals, vecs = jacobi_eigh(a)
+    ref_vals, ref_vecs = reference_jacobi_eigh(a)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(vecs, ref_vecs)
 
 
 def test_select_k_examples():
@@ -263,12 +342,68 @@ def test_spectral_rowsum_variant_runs():
     assert sorted(b for c in part.clusters for b in c) == ids
 
 
+def _line_similarity(n, spacing=100.0):
+    """Path graph: n SBSs on a line, each adjacent to its neighbours only."""
+    pos = np.column_stack([np.arange(n) * spacing, np.zeros(n)])
+    return build_similarity(pos, np.zeros(n),
+                            SimilarityConfig(eps_d=1.5 * spacing, theta=1.0)).s_joint
+
+
+def test_bisection_splits_by_fiedler_order():
+    # one k-means cluster over a path: the Fiedler vector is monotone along
+    # the path, so each bisection cuts it into contiguous halves
+    s = _line_similarity(8)
+    ids = list(range(1, 9))
+    loads = np.linspace(0.1, 0.8, 8)
+    part = spectral_cluster(s, ids, np.random.default_rng(0), k=1, loads=loads,
+                            max_size=4)
+    assert part.clusters == ((1, 2, 3, 4), (5, 6, 7, 8))
+    assert part.heads == (4, 8)  # re-elected: max load in each half
+    part = spectral_cluster(s, ids, np.random.default_rng(0), k=1, max_size=2)
+    assert part.clusters == ((1, 2), (3, 4), (5, 6), (7, 8))
+    # a bound the clusters already meet changes nothing
+    free = spectral_cluster(s, ids, np.random.default_rng(0), k=1)
+    assert free.clusters == (tuple(ids),)
+    assert spectral_cluster(s, ids, np.random.default_rng(0), k=1,
+                            max_size=8) == free
+    with pytest.raises(ValueError, match="max_size"):
+        spectral_cluster(s, ids, np.random.default_rng(0), max_size=0)
+
+
+def test_bisection_ties_break_by_id():
+    # no edges: the sub-Laplacian is zero, its Fiedler vector is e_1, so
+    # every member but the second ties and the order falls back to ids
+    ids = [3, 9, 4, 7, 5, 8]
+    part = spectral_cluster(np.zeros((6, 6)), ids, np.random.default_rng(0),
+                            k=1, max_size=3)
+    assert part.clusters == ((3, 4, 5), (7, 8, 9))
+
+
+def test_bisection_bounds_random_partitions():
+    rng = np.random.default_rng(61)
+    for trial in range(20):
+        n = int(rng.integers(2, 16))
+        max_size = int(rng.integers(1, 6))
+        pos = rng.uniform(0, 1000, size=(n, 2))
+        loads = rng.uniform(0, 1, size=n)
+        ids = list(range(1, n + 1))
+        graph = build_similarity(pos, loads, SimilarityConfig(eps_d=600.0),
+                                 laplacian="rowsum" if trial % 2 else "standard")
+        part = spectral_cluster(graph.s_joint, ids, np.random.default_rng(trial),
+                                loads=loads, max_size=max_size,
+                                laplacian="rowsum" if trial % 2 else "standard")
+        assert sorted(b for c in part.clusters for b in c) == ids
+        assert all(1 <= len(c) <= max_size for c in part.clusters)
+        for head, cluster in zip(part.heads, part.clusters):
+            assert loads[head - 1] == max(loads[b - 1] for b in cluster)
+
+
 def test_partition_helpers():
     part = ClusterPartition(((1, 2), (3,), (4, 5, 6)), (2, 3, 6), epoch=50)
     assert part.n_clusters == 3
     assert part.sizes() == [2, 1, 3]
     assert part.mean_size() == pytest.approx(2.0)
-    assert part.cluster_of() == {1: 0, 2: 0, 3: 1, 4: 2, 5: 2, 6: 2}
+    assert cluster_labels(8, part.clusters).tolist() == [-1, 0, 0, 1, 2, 2, 2, -1]
 
 
 def test_build_similarity_bundle():

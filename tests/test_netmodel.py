@@ -358,6 +358,19 @@ def test_exclusion_matrix():
     assert excl[1, 2] and excl[2, 1]
     assert not excl[0, 1] and not excl[3, 2]
     assert np.array_equal(exclusion_matrix(3, None), np.eye(3, dtype=bool))
+    assert np.array_equal(exclusion_matrix(3, []), np.eye(3, dtype=bool))
+    # random partitions, some BSs left out, against the per-cluster loop
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n = int(rng.integers(1, 16))
+        label = rng.integers(-1, 4, size=n)  # -1: in no cluster
+        clusters = [tuple(np.flatnonzero(label == j).tolist())
+                    for j in rng.permutation(4) if np.any(label == j)]
+        want = np.eye(n, dtype=bool)
+        for members in clusters:
+            want[np.ix_(members, members)] = True
+        got = exclusion_matrix(n, clusters)
+        assert got.dtype == bool and np.array_equal(got, want)
 
 
 def test_total_power_branches():
@@ -377,7 +390,8 @@ def test_total_powers_vector_matches_scalar():
     cfg.power = np.array([39.8, 0.7, 1.0])
     cfg.state = np.array([1, 0, 1])
     cfg.load = rng.uniform(0, 1, 3)
-    vec = total_powers(stations, cfg)
+    vec = total_powers(np.array([bs.p_idle for bs in stations]),
+                       np.array([bs.idle_scale_active for bs in stations]), cfg)
     for i, bs in enumerate(stations):
         want = total_power(bs, int(cfg.state[i]), float(cfg.load[i]),
                            power=float(cfg.power[i]))

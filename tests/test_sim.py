@@ -5,11 +5,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scnsim import clustering, netmodel
 from scnsim.cli import _fmt
 from scnsim.clustering import ClusterPartition
-from scnsim.config import default_config
+from scnsim.config import default_config, validate_config
 from scnsim.coordination import rebalance, solve_cluster_schedule
 from scnsim.sim import (
     World,
@@ -245,6 +247,60 @@ def test_step_exposes_fixed_point_iterations():
     for t in range(1, 4):
         world.step(t)
         assert 1 <= world.net.iterations <= cfg.run.load_max_iter
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_dense_clusters_fit_the_action_cap(seed):
+    # 20 SBSs with a 400 m radius: k-means forms clusters of 12 (seed 1) and
+    # 14 (seed 3) SBSs, whose 2^12 and 2^14 joint actions exceed the
+    # default cap of 1024; bisection keeps every cluster at <= 10 members
+    cfg = default_config()
+    cfg.run.mode = "learning_clustered"
+    cfg.run.seed = seed
+    cfg.run.steps = 6
+    cfg.layout.n_small = 20
+    cfg.layout.n_ues = 30
+    cfg.clustering.eps_d_m = 400.0
+    cfg.clustering.recluster_every = 2
+    validate_config(cfg)
+    result = run_once(cfg, 0, keep_clusters=True)
+    for event in result.cluster_events:
+        assert sorted(b for c in event.partition.clusters for b in c) == list(range(1, 21))
+        assert max(event.partition.sizes()) <= 10
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    n_small=st.integers(0, 24),
+    eps_d_m=st.floats(50.0, 600.0),
+    max_actions=st.integers(2, 1024),
+    recluster_every=st.integers(1, 5),
+    n_ues=st.integers(0, 30),
+    steps=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_clustered_runs_keep_partition_invariants(
+    n_small, eps_d_m, max_actions, recluster_every, n_ues, steps, seed
+):
+    cfg = default_config()
+    cfg.run.mode = "learning_clustered"
+    cfg.run.seed = seed
+    cfg.run.steps = steps
+    cfg.layout.n_small = n_small
+    cfg.layout.n_ues = n_ues
+    cfg.clustering.eps_d_m = eps_d_m
+    cfg.clustering.recluster_every = recluster_every
+    cfg.learning.max_actions = max_actions
+    validate_config(cfg)
+    result = run_once(cfg, 0, keep_records=True, keep_clusters=True)
+    s_max = int(np.floor(np.log2(max_actions)))
+    assert result.cluster_events
+    for event in result.cluster_events:
+        members = sorted(b for c in event.partition.clusters for b in c)
+        assert members == list(range(1, n_small + 1))  # each SBS exactly once
+        assert all(len(c) <= s_max for c in event.partition.clusters)
+    for rec in result.records:
+        assert np.all((rec.sbs_load >= 0.0) & (rec.sbs_load <= 1.0))
 
 
 def test_station_id_validation():
