@@ -44,7 +44,6 @@ from .learning import (
     CostParams,
     bg_distribution,
     build_action_set,
-    cluster_cost,
     penalty_cost,
 )
 from .netmodel import (
@@ -54,7 +53,6 @@ from .netmodel import (
     NetworkConfiguration,
     UserEquipment,
     compute_loads,
-    rate,
     rate_matrix,
     total_power,
     total_powers,
@@ -79,9 +77,9 @@ __all__ = [
     "default_config", "load_config", "validate_config", "Schedule",
     "UncoveredUEsError", "elect_head", "solve_cluster_schedule",
     "ClusterAction", "ClusterLearner", "CostParams", "bg_distribution",
-    "build_action_set", "cluster_cost", "penalty_cost", "BaseStation",
+    "build_action_set", "penalty_cost", "BaseStation",
     "ChannelModel", "InactiveServerError", "NetworkConfiguration",
-    "UserEquipment", "compute_loads", "rate", "rate_matrix", "total_power",
+    "UserEquipment", "compute_loads", "rate_matrix", "total_power",
     "total_powers", "ExperimentResult", "RunResult", "World",
     "generate_scenario", "run_experiment", "run_once", "sweep",
 ]

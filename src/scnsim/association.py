@@ -73,7 +73,10 @@ def associate_all(
     rho_hat: np.ndarray,
     delta: float = 1.0,
 ) -> np.ndarray:
-    """Vectorized associate over columns of rx_power (stations x UEs)."""
+    """Vectorized associate over columns of rx_power (stations x UEs).
+
+    Picks what associate picks for every column, ties included.
+    """
     rx_power = np.asarray(rx_power, dtype=float)
     state = np.asarray(state)
     rho_hat = np.asarray(rho_hat, dtype=float)
@@ -82,13 +85,10 @@ def associate_all(
     weight = np.where(state != 0, np.power(1.0 - rho_hat, delta), -np.inf)
     scores = weight[:, None] * rx_power
     scores[state == 0, :] = -np.inf
-    serving = np.argmax(scores, axis=0)
-    # argmax keeps the lowest index on exact ties, but the tie rule prefers
-    # raw received power first, so re-check columns with ties
-    best = scores[serving, np.arange(scores.shape[1])]
-    for m in np.flatnonzero(np.sum(scores == best[None, :], axis=0) > 1):
-        serving[m] = associate(rx_power[:, m], state, rho_hat, delta)
-    return serving
+    # associate's tie rule per column: among the stations at the best score,
+    # the strongest raw signal; argmax then keeps the lowest index
+    tied = scores == scores.max(axis=0)
+    return np.argmax(np.where(tied, rx_power, -np.inf), axis=0)
 
 
 def update_load_estimate(

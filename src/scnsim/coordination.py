@@ -7,8 +7,7 @@ inside a cluster minimizes the summed member load
 
 subject to each UE's assignment fractions summing to 1. The relaxation has
 no coupling constraint, so it decouples into a per-UE argmin over c_bm; the
-LP form is still exposed (relaxed_lp_arrays) so tests can check equivalence
-against a generic solver.
+tests check that against a generic LP solver.
 """
 
 from __future__ import annotations
@@ -108,31 +107,3 @@ def rebalance(
     members = (label[:, None] == lab[None, :]) & active[:, None]
     choice = np.argmin(np.where(members, costs, np.inf), axis=0)
     return np.where(lab >= 0, choice, serving)
-
-
-def relaxed_lp_arrays(
-    costs: np.ndarray, active: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[float, float]]]:
-    """The scheduling relaxation in standard LP form over flattened z.
-
-    Returns (c, A_eq, b_eq, bounds) for min c.z s.t. A_eq z = b_eq,
-    bounds elementwise, with z flattened row-major (member-major). Sleeping
-    members are pinned to zero through their bounds.
-    """
-    costs = np.asarray(costs, dtype=float)
-    active = np.asarray(active, dtype=bool)
-    n_b, n_m = costs.shape
-    c = costs.flatten()
-    a_eq = np.zeros((n_m, n_b * n_m))
-    for m in range(n_m):
-        a_eq[m, m::n_m] = 1.0
-    b_eq = np.ones(n_m)
-    bounds = [
-        (0.0, 1.0 if active[b] else 0.0) for b in range(n_b) for _ in range(n_m)
-    ]
-    return c, a_eq, b_eq, bounds
-
-
-def served_rate_scale(cluster_load: float) -> float:
-    """Feasible time-share fraction: 1 when the cluster fits, 1/load when overloaded."""
-    return 1.0 if cluster_load <= 1.0 else 1.0 / cluster_load

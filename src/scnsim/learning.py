@@ -66,48 +66,49 @@ def build_action_set(
     return tuple(actions)
 
 
-def cluster_cost(
-    total_powers: np.ndarray, raw_loads: np.ndarray, params: CostParams
-) -> float:
-    """Summed member cost: alpha * consumed power + beta * unclamped load."""
-    return float(
-        params.alpha * np.sum(total_powers) + params.beta * np.sum(raw_loads)
-    )
+def penalty_cost(p_max: np.ndarray, params: CostParams) -> np.ndarray:
+    """Worst-case stand-in cost when an action leaves cluster UEs unserved.
 
-
-def penalty_cost(p_max: Sequence[float], params: CostParams) -> float:
-    """Worst-case stand-in cost when an action leaves cluster UEs unserved."""
+    p_max holds the members' transmit ceilings along its last axis, one
+    cluster per row, and the result holds one cost per row.
+    """
     p_max = np.asarray(p_max, dtype=float)
-    return float(params.alpha * np.sum(p_max) + params.beta * p_max.size)
+    return params.alpha * np.sum(p_max, axis=-1) + params.beta * p_max.shape[-1]
 
 
 def bg_distribution(regrets: np.ndarray, kappa: float) -> np.ndarray:
-    """Boltzmann-Gibbs mixing over positive regrets.
+    """Boltzmann-Gibbs mixing over positive regrets, along the last axis.
 
     All-nonpositive regrets give the uniform distribution; larger kappa
     concentrates mass on the largest positive regret.
     """
     r_plus = np.maximum(np.asarray(regrets, dtype=float), 0.0)
     z = kappa * r_plus
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     w = np.exp(z)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 class ClusterLearner:
-    """Regret learner for one cluster's joint action.
+    """Regret learners of the clusters that share one joint action set.
 
-    Keeps a utility estimate per action (updated only for the played
-    action), a regret estimate per action (updated for all actions against
-    the previously observed utility), and a mixed strategy tracked toward
-    the Boltzmann-Gibbs distribution. Updates are synchronous: each step
-    uses the previous step's estimates on the right-hand side.
+    Row i is one cluster's learner. It keeps a utility estimate per action
+    (updated only for the played action), a regret estimate per action
+    (updated for all actions against the previously observed utility), a
+    mixed strategy tracked toward the Boltzmann-Gibbs distribution, the
+    last observed utility and its own step count t. Updates are
+    synchronous: each step uses the previous step's estimates on the
+    right-hand side.
+
+    Rows are stacked only to batch the arithmetic. Every reduction runs
+    along one row, and the decreasing gains are computed per row from its
+    own t, so a row's numbers are those of a lone learner, bit for bit.
     """
 
     def __init__(
         self,
-        member_ids: Sequence[int],
         actions: Sequence[ClusterAction],
+        rows: int = 1,
         kappa: float = 10.0,
         utility_exp: float = 0.6,
         regret_exp: float = 0.7,
@@ -115,43 +116,70 @@ class ClusterLearner:
     ):
         if len(actions) == 0:
             raise ValueError("need at least one action")
-        self.member_ids = tuple(int(b) for b in member_ids)
         self.actions = tuple(actions)
         self.kappa = float(kappa)
         self.utility_exp = float(utility_exp)
         self.regret_exp = float(regret_exp)
         self.policy_exp = float(policy_exp)
+        # (n_actions, members) on/off states, for indexing by draw
+        self.states = np.array([a.states for a in self.actions], dtype=np.int64)
         n = len(self.actions)
-        self.pi = np.full(n, 1.0 / n)
-        self.utility_est = np.zeros(n)
-        self.regret_est = np.zeros(n)
-        self.prev_utility = 0.0
-        self.t = 0
+        self.pi = self.utility_est = self.regret_est = np.empty((0, n))
+        self.prev_utility = np.empty(0)
+        self.t = np.empty(0, dtype=np.int64)
+        self.restack([], rows)
 
     @property
     def n_actions(self) -> int:
         return len(self.actions)
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """Draw an action index from the current mixed strategy."""
-        cdf = np.cumsum(self.pi)
-        idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-        return min(idx, self.n_actions - 1)
+    @property
+    def n_rows(self) -> int:
+        return self.pi.shape[0]
 
-    def update(self, played: int, utility: float) -> None:
-        """Fold one observed (action, utility) pair into the estimates."""
+    def restack(self, keep: Sequence[int], fresh: int) -> None:
+        """Keep the listed rows, in that order, then append `fresh` new learners.
+
+        A new learner starts from the uniform policy, zero estimates and t = 0.
+        """
+        keep = np.asarray(keep, dtype=np.intp)
+        n = self.n_actions
+        self.pi = np.concatenate([self.pi[keep], np.full((fresh, n), 1.0 / n)])
+        self.utility_est = np.concatenate([self.utility_est[keep], np.zeros((fresh, n))])
+        self.regret_est = np.concatenate([self.regret_est[keep], np.zeros((fresh, n))])
+        self.prev_utility = np.concatenate([self.prev_utility[keep], np.zeros(fresh)])
+        self.t = np.concatenate([self.t[keep], np.zeros(fresh, dtype=np.int64)])
+
+    def sample(self, draws) -> np.ndarray:
+        """Action index per row from its mixed strategy and a uniform draw.
+
+        draws holds one uniform [0, 1) number per row. The index is the
+        first one whose cumulative probability exceeds the draw, or the
+        last one when no earlier one does (rounding may leave the total
+        below the draw).
+        """
+        cdf = self.pi[:, :-1].cumsum(axis=1)
+        return (cdf <= np.reshape(draws, (-1, 1))).sum(axis=1)
+
+    def update(self, played, utilities) -> None:
+        """Fold one observed (action, utility) pair per row into the estimates."""
         self.t += 1
-        tau = 1.0 / self.t**self.utility_exp
-        iota = 1.0 / self.t**self.regret_exp
-        eps = 1.0 / self.t**self.policy_exp
-        utility = float(utility)
+        # Python-float powers call C pow once per row, as a lone learner
+        # does; np.power may take a SIMD path that rounds differently
+        exps = (self.utility_exp, self.regret_exp, self.policy_exp)
+        gains = np.reshape([[1.0 / t**x for x in exps] for t in self.t.tolist()], (-1, 3))
+        tau, iota, eps = gains[:, 0], gains[:, 1:2], gains[:, 2:3]
+        rows = np.arange(self.n_rows)
 
         # the target and the regret step read the pre-update estimates
         target = bg_distribution(self.regret_est, self.kappa)
-        self.regret_est += iota * (self.utility_est - self.prev_utility - self.regret_est)
-        self.utility_est[played] += tau * (utility - self.utility_est[played])
+        self.regret_est += iota * (
+            self.utility_est - self.prev_utility[:, None] - self.regret_est
+        )
+        old = self.utility_est[rows, played]
+        self.utility_est[rows, played] = old + tau * (utilities - old)
         self.pi += eps * (target - self.pi)
-        np.clip(self.pi, 0.0, None, out=self.pi)
-        self.pi /= self.pi.sum()
+        np.maximum(self.pi, 0.0, out=self.pi)
+        self.pi /= self.pi.sum(axis=1, keepdims=True)
 
-        self.prev_utility = utility
+        self.prev_utility[:] = utilities

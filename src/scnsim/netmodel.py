@@ -30,10 +30,6 @@ def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watt_to_dbm(watt: float) -> float:
-    return 10.0 * np.log10(watt) + 30.0
-
-
 @dataclass(frozen=True)
 class BaseStation:
     """One base station; kind selects the path-loss law and defaults.
@@ -194,22 +190,6 @@ def rate_matrix(
     return channel.bandwidth_hz * np.log2(1.0 + sinr)
 
 
-def rate(
-    x: tuple[float, float],
-    serving: int,
-    stations: Sequence[BaseStation],
-    channel: ChannelModel,
-    cfg: NetworkConfiguration,
-    clusters: Sequence[Sequence[int]] | None = None,
-) -> float:
-    """Downlink rate (bit/s) from station index `serving` to a UE at x."""
-    if cfg.state[serving] == 0:
-        raise InactiveServerError(f"BS {serving} is sleeping and cannot serve")
-    gains = channel.gain_matrix(stations, np.array([x]))
-    excl = exclusion_matrix(len(stations), clusters)
-    return float(rate_matrix(stations, cfg, gains, channel, excl)[serving, 0])
-
-
 def compute_loads(
     stations: Sequence[BaseStation],
     channel: ChannelModel,
@@ -236,6 +216,9 @@ def compute_loads(
     assignment is binary (n_bs, n_ue); every assigned BS must be active.
     excl is rate_matrix's exclusion matrix (None: each BS excludes only
     itself). Iterations evaluate rate_matrix at the serving entries only.
+    Without excl the excluded term is the serving BS's own power times its
+    gain, the single nonzero product of rate_matrix's identity-matrix sum,
+    so the rounding is the same.
     """
     n_bs = len(stations)
     cols = np.flatnonzero(assignment.sum(axis=0) > 0)  # assigned UEs
@@ -244,8 +227,8 @@ def compute_loads(
         bad = cols[cfg.state[srv] == 0]
         raise InactiveServerError(f"UEs {bad.tolist()} assigned to sleeping BSs")
 
-    excl = np.eye(n_bs, dtype=bool) if excl is None else excl
-    signal = (cfg.power * cfg.state)[srv] * gains[srv, cols]
+    own_gain = gains[srv, cols]
+    signal = (cfg.power * cfg.state)[srv] * own_gain
     demand = traffic[cols]
     x = np.zeros(n_bs) if init is None else np.clip(np.asarray(init, dtype=float), 0.0, 1.0)
     raw = np.zeros(n_bs)
@@ -254,8 +237,11 @@ def compute_loads(
         # full-size matmuls keep rate_matrix's rounding bit for bit
         w = x * cfg.power * cfg.state
         total = w @ gains
-        excluded = (excl * w[None, :]) @ gains
-        denom = total[cols] - excluded[srv, cols] + channel.noise_w
+        if excl is None:
+            excluded = w[srv] * own_gain
+        else:
+            excluded = ((excl * w[None, :]) @ gains)[srv, cols]
+        denom = total[cols] - excluded + channel.noise_w
         serving_rate = channel.bandwidth_hz * np.log2(1.0 + signal / denom)
         raw = np.bincount(srv, weights=demand / serving_rate, minlength=n_bs)
         x_new = (1.0 - gamma) * x + gamma * np.minimum(raw, 1.0)
@@ -296,19 +282,3 @@ def total_powers(
     """
     active = cfg.load * cfg.power + idle_scale_active * p_idle
     return np.where(cfg.state == 1, active, p_idle)
-
-
-def power_budget_ok(stations: Sequence[BaseStation], cfg: NetworkConfiguration) -> np.ndarray:
-    """Boolean per BS: consumed power stays within p_max (constraint on totals).
-
-    With the transmit level at p_max this can only fail at duty cycles above
-    1 - idle_scale_active * p_idle / p_max; callers treat a False entry as a
-    rejected (invalid) configuration rather than a physical state.
-    """
-    totals = total_powers(
-        np.array([bs.p_idle for bs in stations]),
-        np.array([bs.idle_scale_active for bs in stations]),
-        cfg,
-    )
-    p_max = np.array([bs.p_max for bs in stations])
-    return totals <= p_max + 1e-12

@@ -174,37 +174,74 @@ class World:
         self.learner_rng = learner_rng
         self.cost = cfg.cost_params()
         self.partition: clust.ClusterPartition | None = None
-        # per-partition caches: exclusion matrix, cluster index per BS (-1: none)
-        self.excl: np.ndarray | None = None
+        # per-partition caches: cluster count and mean size, cluster index
+        # per BS (-1: none), exclusion matrix (None: only singletons, so
+        # each BS excludes only itself and stage (5) is the identity)
+        self.n_clusters = 0
+        self.mean_cluster_size = 0.0
         self.label = np.full(self.n_bs, -1, dtype=int)
-        self.learners: dict[tuple[int, ...], learn.ClusterLearner] = {}
+        self.excl: np.ndarray | None = None
+        # one stacked learner per action set, keyed by the members' levels;
+        # groups lists (learner, member ids per row, partition index per row)
+        # and slots maps a cluster's member ids to its (learner, row)
+        self.learners: dict[tuple[float, ...], learn.ClusterLearner] = {}
+        self.groups: list[tuple[learn.ClusterLearner, np.ndarray, np.ndarray]] = []
+        self.slots: dict[tuple[int, ...], tuple[learn.ClusterLearner, int]] = {}
         self.cluster_events: list[ClusterEvent] = []
         # serving station per UE after the last step (-1 = uncovered)
         self.last_serving = np.zeros(0, dtype=int)
 
     def _set_partition(self, partition: clust.ClusterPartition, step: int) -> None:
-        """Install a partition, keeping learners whose member set is unchanged."""
+        """Install a partition, keeping the learner row of every unchanged cluster.
+
+        Clusters whose members play the same action set share one stacked
+        learner; kept rows carry over by index and new clusters get fresh
+        rows. An unchanged cluster tuple only swaps in the new heads.
+        """
+        self.cluster_events.append(ClusterEvent(step, partition))
+        unchanged = (
+            self.partition is not None and partition.clusters == self.partition.clusters
+        )
+        self.partition = partition
+        if unchanged:
+            return
+        clusters = partition.clusters
+        self.n_clusters = partition.n_clusters
+        self.mean_cluster_size = partition.mean_size()
+        self.label = netmodel.cluster_labels(self.n_bs, clusters)
+        singletons = all(len(members) == 1 for members in clusters)
+        self.excl = None if singletons else netmodel.exclusion_matrix(self.n_bs, clusters)
+
+        # each member plays its p_max or sleeps, so the levels fix the action set
+        by_levels: dict[tuple[float, ...], list[int]] = {}
+        for i, members in enumerate(clusters):
+            key = tuple(self.p_max[list(members)].tolist())
+            by_levels.setdefault(key, []).append(i)
         lcfg = self.cfg.learning
-        kept: dict[tuple[int, ...], learn.ClusterLearner] = {}
-        for members in partition.clusters:
-            key = tuple(members)
-            if key in self.learners:
-                kept[key] = self.learners[key]
-            else:
-                levels = [[self.stations[b].p_max] for b in members]
-                kept[key] = learn.ClusterLearner(
-                    key,
-                    learn.build_action_set(levels, cap=lcfg.max_actions),
+        learners, groups, slots = {}, [], {}
+        for key, idx in by_levels.items():
+            kept = [i for i in idx if clusters[i] in self.slots]
+            order = kept + [i for i in idx if clusters[i] not in self.slots]
+            learner = self.learners.get(key)
+            if learner is None:  # then no cluster is kept either
+                learner = learn.ClusterLearner(
+                    learn.build_action_set([[p] for p in key], cap=lcfg.max_actions),
+                    rows=0,
                     kappa=lcfg.kappa,
                     utility_exp=lcfg.utility_exp,
                     regret_exp=lcfg.regret_exp,
                     policy_exp=lcfg.policy_exp,
                 )
-        self.learners = kept
-        self.partition = partition
-        self.excl = netmodel.exclusion_matrix(self.n_bs, partition.clusters)
-        self.label = netmodel.cluster_labels(self.n_bs, partition.clusters)
-        self.cluster_events.append(ClusterEvent(step, partition))
+            learner.restack(
+                [self.slots[clusters[i]][1] for i in kept], len(order) - len(kept)
+            )
+            for row, i in enumerate(order):
+                slots[clusters[i]] = (learner, row)
+            learners[key] = learner
+            groups.append(
+                (learner, np.array([clusters[i] for i in order]), np.array(order))
+            )
+        self.learners, self.groups, self.slots = learners, groups, slots
 
     def _recluster(self, t: int) -> None:
         ids = self.sbs_idx
@@ -257,18 +294,18 @@ class World:
             if t == 1:
                 self._singletons(t)
 
-        # (3) clusters draw sleep/wake (and level) actions; classical stays on
+        # (3) clusters draw sleep/wake actions; classical stays on. One
+        # uniform per cluster, drawn in partition order. Each member's only
+        # transmit level is its p_max, so an action sets states, not powers
         power = self.p_max.copy()
         state = np.ones(self.n_bs, dtype=np.int64)
-        played: dict[tuple[int, ...], int] = {}
-        for key, learner in self.learners.items():
-            idx = learner.sample(self.learner_rng)
-            played[key] = idx
-            act = learner.actions[idx]
-            for b, level, on in zip(key, act.powers, act.states):
-                state[b] = on
-                if on:
-                    power[b] = level
+        played = []
+        if self.groups:
+            draws = self.learner_rng.random(self.n_clusters)
+            for learner, members, order in self.groups:
+                idx = learner.sample(draws[order])
+                played.append(idx)
+                state[members] = learner.states[idx]
         net = netmodel.NetworkConfiguration(
             power=power,
             state=state,
@@ -295,8 +332,9 @@ class World:
 
         # (5) each cluster head rebalances the UEs attached to its members,
         # with interference frozen at the previous step's loads; a UE
-        # enters only when attached to an active member, so it stays covered
-        if self.partition is not None and n_ue and not no_coverage:
+        # enters only when attached to an active member, so it stays covered.
+        # A singleton's head can only keep its UEs where they are
+        if self.excl is not None and n_ue and not no_coverage:
             rates = netmodel.rate_matrix(
                 self.stations, net, self.gains, self.channel, self.excl,
                 interference_load=prev_load,
@@ -321,20 +359,20 @@ class World:
 
         # (8) every learner observes the negated cost of its own members;
         # a step that left UEs uncovered charges the bounded penalty instead
-        for key, learner in self.learners.items():
+        for (learner, members, _), idx in zip(self.groups, played):
             if no_coverage:
-                utility = -learn.penalty_cost(self.p_max[list(key)], self.cost)
+                utilities = -learn.penalty_cost(self.p_max[members], self.cost)
             else:
-                utility = -float(np.sum(per_bs_cost[list(key)]))
-            learner.update(played[key], utility)
+                utilities = -per_bs_cost[members].sum(axis=1)
+            learner.update(idx, utilities)
 
         # (9) SBS-scope bookkeeping
         self.last_serving = serving.copy()
         s = self.sbs_idx
         return StepRecord(
             step=t,
-            n_clusters=self.partition.n_clusters if self.partition else 0,
-            mean_cluster_size=self.partition.mean_size() if self.partition else 0.0,
+            n_clusters=self.n_clusters,
+            mean_cluster_size=self.mean_cluster_size,
             state_changes=int(np.sum(state[s] != prev_state[s])),
             converged=self.net.converged,
             sbs_state=state[s].copy(),

@@ -218,22 +218,22 @@ def test_criterion_5_spectral_oracle():
 
 def test_criterion_6_learner_sanity():
     utilities = np.array([-10.0, -5.0, 0.0])
-    learner = ClusterLearner([0], build_action_set([[1.0, 2.0]]))
+    learner = ClusterLearner(build_action_set([[1.0, 2.0]]))
     assert learner.n_actions == 3
     rng = np.random.default_rng(123)
     first_cross = None
     for t in range(1, 10001):
-        played = learner.sample(rng)
-        learner.update(played, float(utilities[played]))
-        assert abs(learner.pi.sum() - 1.0) <= 1e-9
-        assert np.all(learner.pi >= 0.0)
-        if first_cross is None and learner.pi[2] > 0.9:
+        played = learner.sample(rng.random())
+        learner.update(played, utilities[played])
+        assert abs(learner.pi[0].sum() - 1.0) <= 1e-9
+        assert np.all(learner.pi[0] >= 0.0)
+        if first_cross is None and learner.pi[0, 2] > 0.9:
             first_cross = t
     assert first_cross is not None, "pi never crossed 0.9 within 10000 steps"
-    assert learner.pi[2] > 0.9, f"final pi_best={learner.pi[2]:.3f}"
+    assert learner.pi[0, 2] > 0.9, f"final pi_best={learner.pi[0, 2]:.3f}"
     print(
         f"criterion 6: PASS - pi_best crossed 0.9 at step {first_cross}, "
-        f"final {learner.pi[2]:.3f}, simplex error <= 1e-9 throughout"
+        f"final {learner.pi[0, 2]:.3f}, simplex error <= 1e-9 throughout"
     )
 
 

@@ -85,6 +85,31 @@ def test_associate_all_matches_scalar():
             assert serving[m] == associate(rx[:, m], state, rho_hat, delta)
 
 
+def test_associate_all_planted_ties_match_scalar():
+    # exact score ties planted three ways: equal raw power at equal load,
+    # a weaker signal at a lighter load (delta = 1 halves 4.0 to 2.0), and
+    # ties on sleeping stations that must not count
+    rng = np.random.default_rng(8)
+    for trial in range(400):
+        n_bs, n_ue = int(rng.integers(1, 7)), int(rng.integers(1, 25))
+        rx = rng.integers(1, 5, size=(n_bs, n_ue)).astype(float)
+        rho_hat = rng.choice([0.0, 0.5, 0.75], size=n_bs)
+        state = (rng.random(n_bs) < 0.6).astype(int)
+        if not state.any():
+            state[int(rng.integers(n_bs))] = 1
+        delta = [0.0, 1.0, 2.0][trial % 3]
+        serving = associate_all(rx, state, rho_hat, delta=delta)
+        for m in range(n_ue):
+            assert serving[m] == associate(rx[:, m], state, rho_hat, delta)
+        assert np.all(state[serving] == 1)
+    # a sleeping station with the strongest tied signal is skipped
+    rx = np.array([[2.0], [4.0], [4.0], [2.0]])
+    state = np.array([1, 0, 1, 1])
+    rho_hat = np.array([0.0, 0.0, 0.5, 0.0])
+    assert associate_all(rx, state, rho_hat, delta=1.0).tolist() == [2]
+    assert associate(rx[:, 0], state, rho_hat, delta=1.0) == 2
+
+
 def test_estimator_first_step_snaps_to_load():
     est = LoadEstimate(np.zeros(2))
     update_load_estimate(est, np.array([0.6, 0.3]), t=1)

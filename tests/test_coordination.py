@@ -9,10 +9,29 @@ from scipy import optimize
 from scnsim.coordination import (
     UncoveredUEsError,
     elect_head,
-    relaxed_lp_arrays,
-    served_rate_scale,
     solve_cluster_schedule,
 )
+
+
+def relaxed_lp_arrays(costs, active):
+    """The scheduling relaxation in standard LP form over flattened z.
+
+    Returns (c, A_eq, b_eq, bounds) for min c.z s.t. A_eq z = b_eq,
+    bounds elementwise, with z flattened row-major (member-major). Sleeping
+    members are pinned to zero through their bounds.
+    """
+    costs = np.asarray(costs, dtype=float)
+    active = np.asarray(active, dtype=bool)
+    n_b, n_m = costs.shape
+    c = costs.flatten()
+    a_eq = np.zeros((n_m, n_b * n_m))
+    for m in range(n_m):
+        a_eq[m, m::n_m] = 1.0
+    b_eq = np.ones(n_m)
+    bounds = [
+        (0.0, 1.0 if active[b] else 0.0) for b in range(n_b) for _ in range(n_m)
+    ]
+    return c, a_eq, b_eq, bounds
 
 
 def test_elect_head():
@@ -140,8 +159,6 @@ def test_overload_flag_and_rate_scale():
     sched = solve_cluster_schedule(np.array([[0.3, 0.2]]), [0], [0, 1],
                                    np.array([True]))
     assert not sched.overload
-    assert served_rate_scale(0.5) == 1.0
-    assert served_rate_scale(2.0) == pytest.approx(0.5)
 
 
 def test_uncovered_ues_error():

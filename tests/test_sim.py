@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scnsim.clustering import ClusterPartition
 from scnsim.config import default_config, validate_config
 from scnsim.coordination import rebalance, solve_cluster_schedule
 from scnsim.sim import (
+    STEP_SECONDS,
     World,
     burn_in_steps,
     generate_scenario,
@@ -162,12 +164,12 @@ def test_all_asleep_charges_penalty():
                   np.random.default_rng(0))
     world.step(1)  # installs the singleton learners
     for learner in world.learners.values():
-        learner.pi = np.array([0.0, 1.0])  # force the sleep action
+        learner.pi[:] = [0.0, 1.0]  # force the sleep action
     rec = world.step(2)
     assert np.all(rec.sbs_state == 0)
     assert np.all(world.last_serving == -1)
     for learner in world.learners.values():
-        assert learner.prev_utility == -1.0  # 0.5 * 1 W + 0.5 * 1 member
+        assert np.all(learner.prev_utility == -1.0)  # 0.5 * 1 W + 0.5 * 1 member
 
 
 def test_learners_survive_unchanged_partition():
@@ -177,13 +179,17 @@ def test_learners_survive_unchanged_partition():
                   np.random.default_rng(2))
     part = ClusterPartition(((1, 2), (3, 4, 5)), (1, 3), epoch=1)
     world._set_partition(part, 1)
-    kept = world.learners[(1, 2)]
+    for learner in world.learners.values():  # one observed step per row
+        learner.update(np.zeros(learner.n_rows, dtype=int), -np.ones(learner.n_rows))
+    kept = world.slots[(1, 2)]
     world._set_partition(ClusterPartition(((1, 2), (3, 4, 5)), (2, 4),
                                           epoch=2), 2)
-    assert world.learners[(1, 2)] is kept  # same member set, same learner
+    assert world.slots[(1, 2)] == kept  # same member set, same learner
+    assert kept[0].t[kept[1]] == 1
     world._set_partition(ClusterPartition(((1, 3), (2, 4, 5)), (1, 2),
                                           epoch=3), 3)
-    assert world.learners[(1, 3)] is not kept  # membership changed: reset
+    learner, row = world.slots[(1, 3)]
+    assert learner.t[row] == 0  # membership changed: reset
 
 
 def test_rebalance_matches_per_cluster_schedules():
@@ -301,6 +307,51 @@ def test_clustered_runs_keep_partition_invariants(
         assert all(len(c) <= s_max for c in event.partition.clusters)
     for rec in result.records:
         assert np.all((rec.sbs_load >= 0.0) & (rec.sbs_load <= 1.0))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    mode=st.sampled_from(["classical", "learning_no_clusters", "learning_clustered"]),
+    n_small=st.integers(0, 14),
+    n_ues=st.integers(0, 40),
+    eps_d_m=st.floats(50.0, 600.0),
+    recluster_every=st.integers(1, 6),
+    steps=st.integers(1, 15),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_invariants_hold_in_every_mode(
+    mode, n_small, n_ues, eps_d_m, recluster_every, steps, seed
+):
+    cfg = default_config()
+    cfg.run.mode = mode
+    cfg.run.seed = seed
+    cfg.run.steps = steps
+    cfg.layout.n_small = n_small
+    cfg.layout.n_ues = n_ues
+    cfg.clustering.eps_d_m = eps_d_m
+    cfg.clustering.recluster_every = recluster_every
+    validate_config(cfg)
+    # the same three streams run_once spawns for run 0
+    scen, kmeans, learner_seed = np.random.SeedSequence([seed, 0]).spawn(3)
+    stations, ues = generate_scenario(cfg, np.random.default_rng(scen))
+    world = World(cfg, stations, ues, np.random.default_rng(kmeans),
+                  np.random.default_rng(learner_seed))
+    powers = []
+    for t in range(1, steps + 1):
+        rec = world.step(t)
+        powers.append(rec.sbs_power)
+        for learner in world.learners.values():
+            assert np.all(learner.pi >= 0.0)
+            assert np.all(np.abs(learner.pi.sum(axis=1) - 1.0) <= 1e-9)
+        assert world.net.state[0] == 1  # the macro never sleeps ...
+        assert np.all(world.last_serving >= 0)  # ... so every UE is served
+        assert np.all(world.net.state[world.last_serving] == 1)
+        assert np.all((world.net.load >= 0.0) & (world.net.load <= 1.0))
+    result = run_once(cfg, 0)
+    assert result.total_energy == pytest.approx(
+        math.fsum(float(p) for step_power in powers for p in step_power) * STEP_SECONDS,
+        rel=1e-12, abs=1e-12,
+    )
 
 
 def test_station_id_validation():
