@@ -54,7 +54,6 @@ from .netmodel import (
     UserEquipment,
     compute_loads,
     rate_matrix,
-    total_power,
     total_powers,
 )
 from .sim import (
@@ -79,7 +78,7 @@ __all__ = [
     "ClusterAction", "ClusterLearner", "CostParams", "bg_distribution",
     "build_action_set", "penalty_cost", "BaseStation",
     "ChannelModel", "InactiveServerError", "NetworkConfiguration",
-    "UserEquipment", "compute_loads", "rate_matrix", "total_power",
-    "total_powers", "ExperimentResult", "RunResult", "World",
+    "UserEquipment", "compute_loads", "rate_matrix", "total_powers",
+    "ExperimentResult", "RunResult", "World",
     "generate_scenario", "run_experiment", "run_once", "sweep",
 ]

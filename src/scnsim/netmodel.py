@@ -165,7 +165,6 @@ def exclusion_matrix(n_bs: int, clusters: Sequence[Sequence[int]] | None) -> np.
 
 
 def rate_matrix(
-    stations: Sequence[BaseStation],
     cfg: NetworkConfiguration,
     gains: np.ndarray,
     channel: ChannelModel,
@@ -191,11 +190,10 @@ def rate_matrix(
 
 
 def compute_loads(
-    stations: Sequence[BaseStation],
     channel: ChannelModel,
     gains: np.ndarray,
     cfg: NetworkConfiguration,
-    assignment: np.ndarray,
+    serving: np.ndarray,
     traffic: np.ndarray,
     excl: np.ndarray | None = None,
     gamma: float = 0.5,
@@ -203,73 +201,76 @@ def compute_loads(
     max_iter: int = 200,
     init: np.ndarray | None = None,
 ) -> NetworkConfiguration:
-    """Solve the load-coupled fixed point rho_b = sum_m z_bm traffic_m / R_b(x_m).
+    """Solve the load-coupled fixed point rho_b = sum_{m -> b} traffic_m / R_b(x_m).
 
     Rates depend on every BS's duty cycle through interference, so the load
     vector is iterated with damping gamma until the clamped iterate moves
-    less than tol in max-norm (or max_iter is hit; cfg.converged records
-    which). Pass max_iter=1, gamma=1.0 with an explicit init for a single
-    frozen-interference sweep. Returns a new configuration carrying the
-    clamped load, the raw (unclamped) load at the converged interference
-    state, the convergence flag and the number of iterations run.
+    less than tol in max-norm (or max_iter is hit; the result's converged
+    flag records which). Pass max_iter=1, gamma=1.0 with an explicit init for a single
+    frozen-interference sweep. Returns a new configuration carrying cfg's
+    power and state, the clamped load, the raw (unclamped) load at the
+    converged interference state, the convergence flag and the number of
+    iterations run; cfg's own loads are not read.
 
-    assignment is binary (n_bs, n_ue); every assigned BS must be active.
-    excl is rate_matrix's exclusion matrix (None: each BS excludes only
-    itself). Iterations evaluate rate_matrix at the serving entries only.
-    Without excl the excluded term is the serving BS's own power times its
-    gain, the single nonzero product of rate_matrix's identity-matrix sum,
-    so the rounding is the same.
+    serving holds one BS index per UE (-1: unassigned, carries no load);
+    every serving BS must be active. excl is rate_matrix's exclusion matrix
+    (None: each BS excludes only itself). Iterations evaluate rate_matrix at
+    the serving entries only, with the same full-size products, so the
+    rounding is rate_matrix's bit for bit. Without excl the excluded term is
+    the serving BS's own power times its gain, the single nonzero product of
+    rate_matrix's identity-matrix sum.
     """
-    n_bs = len(stations)
-    cols = np.flatnonzero(assignment.sum(axis=0) > 0)  # assigned UEs
-    srv = np.argmax(assignment, axis=0)[cols]
+    n_bs, n_ue = gains.shape
+    serving = np.asarray(serving, dtype=np.intp)
+    everyone = bool(np.all(serving >= 0))
+    cols = np.arange(n_ue) if everyone else np.flatnonzero(serving >= 0)
+    srv = serving if everyone else serving[cols]
     if np.any(cfg.state[srv] == 0):
         bad = cols[cfg.state[srv] == 0]
         raise InactiveServerError(f"UEs {bad.tolist()} assigned to sleeping BSs")
 
-    own_gain = gains[srv, cols]
-    signal = (cfg.power * cfg.state)[srv] * own_gain
-    demand = traffic[cols]
+    # loop invariants; state is 0/1, so x * (power * state) rounds as
+    # (x * power) * state does
+    tx = cfg.power * cfg.state
+    flat = srv * n_ue + cols  # serving entries of the flattened (n_bs, n_ue)
+    own_gain = gains.take(flat)
+    signal = tx[srv] * own_gain
+    demand = traffic if everyone else traffic[cols]
+    excl_w = None if excl is None else excl.astype(float)
+    noise_w, bandwidth, keep = channel.noise_w, channel.bandwidth_hz, 1.0 - gamma
+    rate = np.empty(cols.size)
     x = np.zeros(n_bs) if init is None else np.clip(np.asarray(init, dtype=float), 0.0, 1.0)
     raw = np.zeros(n_bs)
     converged, iterations = False, 0
     for iterations in range(1, max_iter + 1):
         # full-size matmuls keep rate_matrix's rounding bit for bit
-        w = x * cfg.power * cfg.state
+        w = x * tx
         total = w @ gains
-        if excl is None:
-            excluded = w[srv] * own_gain
+        if excl_w is None:
+            excluded = w.take(srv)
+            excluded *= own_gain
         else:
-            excluded = ((excl * w[None, :]) @ gains)[srv, cols]
-        denom = total[cols] - excluded + channel.noise_w
-        serving_rate = channel.bandwidth_hz * np.log2(1.0 + signal / denom)
-        raw = np.bincount(srv, weights=demand / serving_rate, minlength=n_bs)
-        x_new = (1.0 - gamma) * x + gamma * np.minimum(raw, 1.0)
-        if np.max(np.abs(x_new - x)) < tol:
+            excluded = ((excl_w * w) @ gains).take(flat)
+        denom = total if everyone else total.take(cols)
+        denom -= excluded
+        denom += noise_w
+        np.divide(signal, denom, out=rate)
+        rate += 1.0
+        np.log2(rate, out=rate)
+        rate *= bandwidth
+        np.divide(demand, rate, out=rate)  # per-UE airtime
+        raw = np.bincount(srv, weights=rate, minlength=n_bs)
+        x_new = keep * x + gamma * np.minimum(raw, 1.0)
+        if abs(x_new - x).max() < tol:
             x = x_new
             converged = True
             break
         x = x_new
 
-    out = cfg.copy()
-    out.load = np.minimum(x, 1.0)
-    out.load_raw = raw
-    out.converged = converged
-    out.iterations = iterations
-    return out
-
-
-def total_power(
-    bs: BaseStation, state: int, load: float, power: float | None = None
-) -> float:
-    """Consumed power per the two-state model; load is the clamped duty cycle.
-
-    power is the configured transmit level (defaults to the BS ceiling).
-    """
-    if state == 0:
-        return bs.p_idle
-    level = bs.p_max if power is None else power
-    return load * level + bs.idle_scale_active * bs.p_idle
+    return NetworkConfiguration(
+        cfg.power.copy(), cfg.state.copy(), np.minimum(x, 1.0), raw,
+        converged, iterations,
+    )
 
 
 def total_powers(

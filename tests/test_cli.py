@@ -1,6 +1,7 @@
 """CLI tests: argument parsing, CSV schemas, and byte-identical reruns."""
 
 import csv
+import hashlib
 
 import pytest
 
@@ -165,3 +166,41 @@ def test_seed_override_changes_output(tmp_path, capsys):
     capsys.readouterr()
     assert (out_a / "summary.csv").read_bytes() != \
         (out_b / "summary.csv").read_bytes()
+
+
+# SHA-256 prefixes of every CSV a traced, cluster-dumping three-mode sweep
+# writes, recorded before the load fixed point was moved onto the serving
+# index; any change to the simulator's numbers, to the RunResult
+# reductions or to the CSV writer shows here.
+GOLDEN_SWEEP_DIGESTS = {
+    "clusters.csv": "290ed742077446a3",
+    "energy_cdf.csv": "7153ac82a9986bf9",
+    "energy_cdf_classical.csv": "5ead92a33a9ace13",
+    "energy_cdf_learning_clustered.csv": "d12afa5c4e2dc104",
+    "energy_cdf_learning_no_clusters.csv": "392aa864627473c6",
+    "steps.csv": "5d337f89a867d20f",
+    "summary.csv": "1c5c8c0d27cb65f5",
+}
+
+
+def test_golden_sweep_csvs(tmp_path, capsys):
+    cfg = tmp_path / "golden.ini"
+    cfg.write_text(
+        "[layout]\n"
+        "n_small = 6\n"
+        "[clustering]\n"
+        "eps_d_m = 400\n"
+        "recluster_every = 5\n"
+        "[run]\n"
+        "steps = 40\n"
+        "runs = 2\n"
+        "seed = 11\n"
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--vary", "ues=9,30", "--modes", "all",
+                 "--trace", "--dump-clusters"]) == 0
+    capsys.readouterr()
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+           for path in sorted(out.glob("*.csv"))}
+    assert got == GOLDEN_SWEEP_DIGESTS

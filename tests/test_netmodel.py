@@ -14,7 +14,6 @@ from scnsim.netmodel import (
     dbm_to_watt,
     exclusion_matrix,
     rate_matrix,
-    total_power,
     total_powers,
 )
 
@@ -88,7 +87,7 @@ def test_rate_snr_one_identity():
     stations = [make_bs(0)]
     cfg = NetworkConfiguration.all_active(stations)
     gains = np.array([[ch.noise_w / 1.0]])
-    r = rate_matrix(stations, cfg, gains, ch, exclusion_matrix(1, None))
+    r = rate_matrix(cfg, gains, ch, exclusion_matrix(1, None))
     assert r[0, 0] == pytest.approx(ch.bandwidth_hz, rel=1e-12)
 
 
@@ -100,7 +99,7 @@ def test_rate_two_bs_interference():
     cfg = NetworkConfiguration.all_active(stations)
     cfg.load = np.array([0.0, 0.8])
     gains = np.array([[10.0 * ch.noise_w], [4.0 * ch.noise_w / 0.8]])
-    r = rate_matrix(stations, cfg, gains, ch, exclusion_matrix(2, None))
+    r = rate_matrix(cfg, gains, ch, exclusion_matrix(2, None))
     assert r[0, 0] == pytest.approx(ch.bandwidth_hz * np.log2(3.0), rel=1e-12)
 
 
@@ -112,12 +111,12 @@ def test_rate_same_cluster_orthogonalized():
     cfg = NetworkConfiguration.all_active(stations)
     cfg.load = np.array([0.0, 0.8])
     gains = np.array([[10.0 * ch.noise_w], [4.0 * ch.noise_w / 0.8]])
-    r = rate_matrix(stations, cfg, gains, ch, exclusion_matrix(2, [(0, 1)]))
+    r = rate_matrix(cfg, gains, ch, exclusion_matrix(2, [(0, 1)]))
     expected = ch.bandwidth_hz * np.log2(11.0)
     assert r[0, 0] == pytest.approx(expected, rel=1e-12)
     # a sleeping interferer is equally silent, cluster or not
     cfg.state = np.array([1, 0])
-    r = rate_matrix(stations, cfg, gains, ch, exclusion_matrix(2, None))
+    r = rate_matrix(cfg, gains, ch, exclusion_matrix(2, None))
     assert r[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -131,7 +130,7 @@ def test_rate_monotonicity():
         cfg = NetworkConfiguration.all_active(stations)
         cfg.power = np.array([p_serve, 1.0])
         cfg.load = np.array([0.0, rho_interf])
-        return rate_matrix(stations, cfg, gains, ch, excl)[0, 0]
+        return rate_matrix(cfg, gains, ch, excl)[0, 0]
 
     powers = np.linspace(0.1, 1.0, 8)
     rates = [rate_at(p, 0.5) for p in powers]
@@ -145,14 +144,14 @@ def test_loads_empty_and_single_ue():
     ch = ChannelModel()
     stations = [make_bs(0)]
     cfg = NetworkConfiguration.all_active(stations)
-    res = compute_loads(stations, ch, np.zeros((1, 0)), cfg,
-                        np.zeros((1, 0)), np.zeros(0))
+    res = compute_loads(ch, np.zeros((1, 0)), cfg,
+                        np.zeros(0, dtype=int), np.zeros(0))
     assert res.converged and res.load[0] == 0.0 and res.load_raw[0] == 0.0
 
     # gain tuned for R = 1.8 Mbit/s; 180 kbit/s of demand then loads it to 0.1
     sinr = 2.0 ** 0.18 - 1.0
     gains = np.array([[sinr * ch.noise_w]])
-    res = compute_loads(stations, ch, gains, cfg, np.ones((1, 1)),
+    res = compute_loads(ch, gains, cfg, np.array([0]),
                         np.array([180e3]))
     assert res.converged
     assert res.load[0] == pytest.approx(0.1, abs=1e-5)
@@ -164,9 +163,9 @@ def test_loads_symmetric_pair():
     stations = [make_bs(0), make_bs(1, pos=(300.0, 0.0))]
     cfg = NetworkConfiguration.all_active(stations)
     gains = np.array([[2e-12, 4e-14], [4e-14, 2e-12]])
-    assignment = np.eye(2)
+    serving = np.array([0, 1])
     traffic = np.array([5e5, 5e5])
-    res = compute_loads(stations, ch, gains, cfg, assignment, traffic)
+    res = compute_loads(ch, gains, cfg, serving, traffic)
     assert res.converged
     assert res.load[0] == pytest.approx(res.load[1], rel=1e-9)
     assert 0.0 < res.load[0] < 1.0
@@ -183,11 +182,11 @@ def test_load_locality_single_sweep():
     traffic = rng.uniform(1e5, 5e5, size=4)
     frozen = np.array([0.3, 0.2, 0.1])
 
-    z1 = np.zeros((3, 4)); z1[0, 0] = z1[0, 1] = z1[1, 2] = z1[2, 3] = 1.0
-    z2 = z1.copy(); z2[0, 1] = 0.0; z2[1, 1] = 1.0  # UE 1 moves a -> b
-    res1 = compute_loads(stations, ch, gains, cfg, z1, traffic,
+    s1 = np.array([0, 0, 1, 2])
+    s2 = np.array([0, 1, 1, 2])  # UE 1 moves a -> b
+    res1 = compute_loads(ch, gains, cfg, s1, traffic,
                          gamma=1.0, max_iter=1, init=frozen)
-    res2 = compute_loads(stations, ch, gains, cfg, z2, traffic,
+    res2 = compute_loads(ch, gains, cfg, s2, traffic,
                          gamma=1.0, max_iter=1, init=frozen)
     assert res1.load_raw[2] == res2.load_raw[2]
     assert res2.load_raw[1] > res1.load_raw[1]
@@ -201,12 +200,11 @@ def test_load_fixed_point_identity():
     gains = rng.uniform(1e-13, 5e-12, size=(4, 6))
     traffic = rng.uniform(1e5, 1e6, size=6)
     serving = rng.integers(0, 4, size=6)
-    z = np.zeros((4, 6)); z[serving, np.arange(6)] = 1.0
     cfg = NetworkConfiguration.all_active(stations)
 
-    res = compute_loads(stations, ch, gains, cfg, z, traffic, tol=1e-9)
+    res = compute_loads(ch, gains, cfg, serving, traffic, tol=1e-9)
     assert res.converged
-    again = compute_loads(stations, ch, gains, cfg, z, traffic,
+    again = compute_loads(ch, gains, cfg, serving, traffic,
                           gamma=1.0, max_iter=1, init=res.load)
     assert np.max(np.abs(again.load - res.load)) < 1e-6
 
@@ -221,7 +219,7 @@ def _reference_loads(stations, ch, gains, cfg, z, traffic, excl, gamma, tol,
     raw = np.zeros(n_bs)
     converged, iterations = False, 0
     for iterations in range(1, max_iter + 1):
-        rates = rate_matrix(stations, cfg, gains, ch, excl, interference_load=x)
+        rates = rate_matrix(cfg, gains, ch, excl, interference_load=x)
         serving_rate = rates[serving, np.arange(len(serving))]
         per_ue = np.divide(traffic, serving_rate, out=np.zeros_like(traffic),
                            where=assigned)
@@ -266,8 +264,9 @@ def test_compute_loads_matches_rate_matrix_loop(gamma, tol, max_iter, warm):
         init = rng.uniform(0, 1.2, size=7) if warm else None
         excl = exclusion_matrix(7, clusters)
 
-        got = compute_loads(stations, ch, gains, cfg, z, traffic, excl=excl,
-                            gamma=gamma, tol=tol, max_iter=max_iter, init=init)
+        got = compute_loads(ch, gains, cfg, np.where(z.any(axis=0), serving, -1),
+                            traffic, excl=excl, gamma=gamma, tol=tol,
+                            max_iter=max_iter, init=init)
         load, raw, converged, iterations = _reference_loads(
             stations, ch, gains, cfg, z, traffic, excl, gamma, tol, max_iter,
             init)
@@ -278,23 +277,65 @@ def test_compute_loads_matches_rate_matrix_loop(gamma, tol, max_iter, warm):
         assert got.load_raw[2] == 0.0  # the sleeping SBS carries nothing
 
 
+def test_compute_loads_unassigned_ues_carry_no_load():
+    # UEs marked -1 sit outside the load sum: bit for bit as the reference
+    # loop over the one-hot matrix, and equal to a solve without their
+    # columns; with nobody assigned every raw load is zero
+    ch = ChannelModel()
+    rng = np.random.default_rng(29)
+    clustered = exclusion_matrix(6, [(1, 2), (3, 4, 5)])
+    for trial in range(40):
+        stations = [make_bs(0, MACRO, (500.0, 500.0), p_max=39.8, p_idle=1.0,
+                            never_sleeps=True)]
+        stations += [make_bs(i, SMALL, tuple(rng.uniform(0, 1000, 2)))
+                     for i in range(1, 6)]
+        n_ue = int(rng.integers(1, 30))
+        gains = ch.gain_matrix(stations, rng.uniform(0, 1000, size=(n_ue, 2)))
+        traffic = rng.exponential(3e5, size=n_ue)
+        cfg = NetworkConfiguration.all_active(stations)
+        serving = rng.integers(0, 6, size=n_ue)
+        serving[rng.random(n_ue) < 0.4] = -1
+        if trial == 0:
+            serving[:] = -1
+        on = serving >= 0
+        z = np.zeros((6, n_ue))
+        z[serving[on], np.flatnonzero(on)] = 1.0
+        init = rng.uniform(0, 1, size=6)
+        for excl in (None, clustered):
+            got = compute_loads(ch, gains, cfg, serving, traffic, excl=excl,
+                                init=init)
+            load, raw, converged, iterations = _reference_loads(
+                stations, ch, gains, cfg, z, traffic,
+                exclusion_matrix(6, None) if excl is None else excl,
+                0.5, 1e-6, 200, init)
+            assert got.load.tobytes() == load.tobytes()
+            assert got.load_raw.tobytes() == raw.tobytes()
+            assert (got.converged, got.iterations) == (converged, iterations)
+            without = compute_loads(ch, gains[:, on], cfg, serving[on],
+                                    traffic[on], excl=excl, init=init)
+            np.testing.assert_allclose(got.load_raw, without.load_raw,
+                                       rtol=1e-12, atol=0.0)
+            if not on.any():
+                assert np.all(got.load_raw == 0.0)
+
+
 def test_compute_loads_counts_iterations():
     ch = ChannelModel()
     stations = [make_bs(0), make_bs(1, pos=(300.0, 0.0))]
     cfg = NetworkConfiguration.all_active(stations)
     gains = np.array([[2e-12, 4e-14], [4e-14, 2e-12]])
-    z, traffic = np.eye(2), np.array([5e5, 5e5])
-    res = compute_loads(stations, ch, gains, cfg, z, traffic)
+    serving, traffic = np.array([0, 1]), np.array([5e5, 5e5])
+    res = compute_loads(ch, gains, cfg, serving, traffic)
     assert res.converged and 1 < res.iterations < 200
     assert res.copy().iterations == res.iterations
-    capped = compute_loads(stations, ch, gains, cfg, z, traffic, max_iter=2)
+    capped = compute_loads(ch, gains, cfg, serving, traffic, max_iter=2)
     assert not capped.converged and capped.iterations == 2
-    sweep = compute_loads(stations, ch, gains, cfg, z, traffic, gamma=1.0,
+    sweep = compute_loads(ch, gains, cfg, serving, traffic, gamma=1.0,
                           max_iter=1, init=res.load)
     assert sweep.iterations == 1
     # no excl is the identity exclusion: every other BS interferes
     assert np.array_equal(
-        compute_loads(stations, ch, gains, cfg, z, traffic,
+        compute_loads(ch, gains, cfg, serving, traffic,
                       excl=exclusion_matrix(2, None)).load, res.load)
     assert NetworkConfiguration.all_active(stations).iterations == 0
 
@@ -329,11 +370,9 @@ def test_compute_loads_without_excl_equals_identity_excl():
         cfg.state = (rng.random(n_bs) < 0.7).astype(np.int64)
         cfg.state[0] = 1
         serving = rng.choice(np.flatnonzero(cfg.state), size=n_ue)
-        z = np.zeros((n_bs, n_ue))
-        z[serving, np.arange(n_ue)] = 1.0
         init = rng.uniform(0, 1, size=n_bs)
-        a = compute_loads(stations, ch, gains, cfg, z, traffic, init=init)
-        b = compute_loads(stations, ch, gains, cfg, z, traffic, init=init,
+        a = compute_loads(ch, gains, cfg, serving, traffic, init=init)
+        b = compute_loads(ch, gains, cfg, serving, traffic, init=init,
                           excl=exclusion_matrix(n_bs, None))
         assert a.load.tobytes() == b.load.tobytes()
         assert a.load_raw.tobytes() == b.load_raw.tobytes()
@@ -345,9 +384,8 @@ def test_compute_loads_rejects_sleeping_server():
     stations = [make_bs(0), make_bs(1, pos=(100.0, 0.0))]
     cfg = NetworkConfiguration.all_active(stations)
     cfg.state = np.array([1, 0])
-    z = np.zeros((2, 1)); z[1, 0] = 1.0
     with pytest.raises(InactiveServerError):
-        compute_loads(stations, ch, np.full((2, 1), 1e-13), cfg, z,
+        compute_loads(ch, np.full((2, 1), 1e-13), cfg, np.array([1]),
                       np.array([1e5]))
 
 
@@ -370,6 +408,18 @@ def test_exclusion_matrix():
             want[np.ix_(members, members)] = True
         got = exclusion_matrix(n, clusters)
         assert got.dtype == bool and np.array_equal(got, want)
+
+
+def total_power(bs, state, load, power=None):
+    """The two-state power model for one BS, the oracle for total_powers.
+
+    load is the clamped duty cycle; power is the configured transmit level
+    (defaults to the BS ceiling).
+    """
+    if state == 0:
+        return bs.p_idle
+    level = bs.p_max if power is None else power
+    return load * level + bs.idle_scale_active * bs.p_idle
 
 
 def test_total_power_branches():

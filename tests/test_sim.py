@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scnsim import clustering, netmodel
+from scnsim import association, clustering, netmodel
 from scnsim.cli import _fmt
 from scnsim.clustering import ClusterPartition
 from scnsim.config import default_config, validate_config
@@ -253,6 +253,137 @@ def test_step_exposes_fixed_point_iterations():
     for t in range(1, 4):
         world.step(t)
         assert 1 <= world.net.iterations <= cfg.run.load_max_iter
+
+
+_associate_all = association.associate_all  # unpatched, for fresh solves
+
+
+def _fresh_step_inputs(world, rec, prev_load, delta, associate=None):
+    """Serving vector, loads and SBS powers and costs of the step that
+    returned rec, recomputed from scratch."""
+    state = np.ones(world.n_bs, dtype=np.int64)
+    state[world.sbs_idx] = rec.sbs_state
+    cfg = netmodel.NetworkConfiguration(world.p_max.copy(), state.copy(),
+                                        prev_load.copy(), np.zeros(world.n_bs))
+    n_ue = world.traffic.size
+    if not n_ue:
+        serving = np.zeros(0, dtype=int)
+    elif not state.any():
+        serving = np.full(n_ue, -1)
+    else:
+        serving = (associate or _associate_all)(
+            world.p_max[:, None] * world.gains, state, world.estimate.rho_hat, delta)
+        if world.excl is not None:
+            rates = netmodel.rate_matrix(cfg, world.gains, world.channel,
+                                         world.excl, interference_load=prev_load)
+            with np.errstate(divide="ignore"):
+                costs = world.traffic[None, :] / rates
+            serving = rebalance(costs, world.label, serving, state == 1)
+    rc = world.cfg.run
+    net = netmodel.compute_loads(
+        world.channel, world.gains, cfg, serving, world.traffic,
+        excl=world.excl, gamma=rc.load_gamma, tol=rc.load_tol,
+        max_iter=rc.load_max_iter, init=prev_load)
+    totals = netmodel.total_powers(world.p_idle, world.idle_scale, net)
+    cost = world.cost.alpha * totals + world.cost.beta * net.load_raw
+    return serving, net, totals[world.sbs_idx], cost[world.sbs_idx]
+
+
+def _assert_step_equals_fresh(world, rec, prev_load, delta, associate=None):
+    serving, fresh, power, cost = _fresh_step_inputs(world, rec, prev_load, delta,
+                                                     associate)
+    assert serving.tobytes() == world.last_serving.tobytes()
+    for name in ("state", "load", "load_raw"):
+        assert getattr(fresh, name).tobytes() == getattr(world.net, name).tobytes()
+    assert (fresh.converged, fresh.iterations) == (
+        world.net.converged, world.net.iterations)
+    assert power.tobytes() == rec.sbs_power.tobytes()
+    assert cost.tobytes() == rec.sbs_cost.tobytes()
+
+
+@pytest.mark.parametrize("scenario_seed", [0, 3])
+@pytest.mark.parametrize("mode, delta", [
+    ("classical", 1.0),
+    ("learning_no_clusters", 1.0),
+    ("learning_clustered", 1.0),
+    ("learning_no_clusters", 0.0),  # RSSI association: stage (4) reuse too
+])
+def test_reused_solves_equal_fresh_solves(mode, delta, scenario_seed, monkeypatch):
+    # World skips the fixed point (and, with delta = 0, the association)
+    # when its inputs repeat the last solve's bit for bit; every step must
+    # still equal a solve from that step's own inputs. In drop 0 the macro
+    # serves every UE, so even learning-mode solves repeat; in drop 3 SBSs
+    # serve some UEs under RSSI, so the reused association matters
+    associations = []
+    monkeypatch.setattr(association, "associate_all",
+                        lambda *args: associations.append(1) or _associate_all(*args))
+    cfg = small_cfg(mode, n_small=4, n_ues=24, steps=150)
+    cfg.association.delta = delta
+    cfg.clustering.eps_d_m = 400.0
+    cfg.clustering.recluster_every = 5
+    stations, ues = generate_scenario(cfg, np.random.default_rng(scenario_seed))
+    world = World(cfg, stations, ues, np.random.default_rng(1),
+                  np.random.default_rng(2))
+    effective_delta = 0.0 if mode == "classical" else delta
+    sbs_served = 0
+    for t in range(1, cfg.run.steps + 1):
+        prev_load = world.net.load.copy()
+        rec = world.step(t)
+        _assert_step_equals_fresh(world, rec, prev_load, effective_delta)
+        sbs_served += int(np.any(world.last_serving > 0))
+    assert 1 <= world.fp_solves <= cfg.run.steps
+    if mode == "classical" or scenario_seed == 0:
+        assert world.fp_solves < cfg.run.steps
+    if effective_delta == 0:
+        assert len(associations) < cfg.run.steps
+        assert (sbs_served > 0) == (scenario_seed == 3)
+    else:
+        assert len(associations) == cfg.run.steps
+
+
+@pytest.mark.parametrize("change", ["serving", "excl"])
+def test_new_serving_or_exclusion_forces_a_solve(change, monkeypatch):
+    # serving and the exclusion matrix object are part of the reuse key:
+    # a step that repeats the last solve's other inputs is solved again
+    cfg = small_cfg("classical", n_small=4, n_ues=24)
+    stations, ues = generate_scenario(cfg, np.random.default_rng(3))
+    world = World(cfg, stations, ues, np.random.default_rng(1),
+                  np.random.default_rng(2))
+    for t in range(1, 101):
+        world.step(t)
+    solves = world.fp_solves
+    world.step(101)
+    assert world.fp_solves == solves  # a repeat
+
+    def to_macro(*args):  # the first SBS-served UE moves to the macro
+        serving = _associate_all(*args)
+        serving[np.flatnonzero(serving > 0)[0]] = 0
+        return serving
+
+    if change == "serving":
+        monkeypatch.setattr(association, "associate_all", to_macro)
+        world._assoc = None  # drop the cached association
+    else:
+        clusters = [(1, 2), (3, 4)]
+        world.excl = netmodel.exclusion_matrix(world.n_bs, clusters)
+        world.label = netmodel.cluster_labels(world.n_bs, clusters)
+    prev_load = world.net.load.copy()
+    rec = world.step(102)
+    assert world.fp_solves == solves + 1
+    _assert_step_equals_fresh(world, rec, prev_load, 0.0,
+                              associate=to_macro if change == "serving" else None)
+
+
+def test_classical_world_reuses_most_solves():
+    # the warm-started iteration reaches an exact fixed point and classical
+    # states never change, so most steps repeat the last solve's inputs
+    cfg = small_cfg("classical", n_small=10, n_ues=54, steps=200)
+    stations, ues = generate_scenario(cfg, np.random.default_rng(5))
+    world = World(cfg, stations, ues, np.random.default_rng(1),
+                  np.random.default_rng(2))
+    for t in range(1, cfg.run.steps + 1):
+        world.step(t)
+    assert world.fp_solves < cfg.run.steps / 2
 
 
 @pytest.mark.parametrize("seed", [1, 3])
