@@ -11,7 +11,6 @@ from .association import (
     AssociationConfig,
     LoadEstimate,
     NoCoverageError,
-    associate,
     associate_all,
     update_load_estimate,
 )
@@ -32,14 +31,8 @@ from .config import (
     load_config,
     validate_config,
 )
-from .coordination import (
-    Schedule,
-    UncoveredUEsError,
-    elect_head,
-    solve_cluster_schedule,
-)
+from .coordination import elect_head
 from .learning import (
-    ClusterAction,
     ClusterLearner,
     CostParams,
     bg_distribution,
@@ -47,11 +40,9 @@ from .learning import (
     penalty_cost,
 )
 from .netmodel import (
-    BaseStation,
     ChannelModel,
     InactiveServerError,
     NetworkConfiguration,
-    UserEquipment,
     compute_loads,
     rate_matrix,
     total_powers,
@@ -69,16 +60,14 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssociationConfig", "LoadEstimate", "NoCoverageError", "associate",
-    "associate_all", "update_load_estimate", "ClusterPartition",
-    "SimilarityConfig", "SimilarityGraph", "build_similarity", "jacobi_eigh",
-    "select_k", "spectral_cluster", "MODES", "ConfigError", "ScenarioConfig",
-    "default_config", "load_config", "validate_config", "Schedule",
-    "UncoveredUEsError", "elect_head", "solve_cluster_schedule",
-    "ClusterAction", "ClusterLearner", "CostParams", "bg_distribution",
-    "build_action_set", "penalty_cost", "BaseStation",
-    "ChannelModel", "InactiveServerError", "NetworkConfiguration",
-    "UserEquipment", "compute_loads", "rate_matrix", "total_powers",
-    "ExperimentResult", "RunResult", "World",
-    "generate_scenario", "run_experiment", "run_once", "sweep",
+    "AssociationConfig", "LoadEstimate", "NoCoverageError", "associate_all",
+    "update_load_estimate", "ClusterPartition", "SimilarityConfig",
+    "SimilarityGraph", "build_similarity", "jacobi_eigh", "select_k",
+    "spectral_cluster", "MODES", "ConfigError", "ScenarioConfig",
+    "default_config", "load_config", "validate_config", "elect_head",
+    "ClusterLearner", "CostParams", "bg_distribution", "build_action_set",
+    "penalty_cost", "ChannelModel", "InactiveServerError",
+    "NetworkConfiguration", "compute_loads", "rate_matrix", "total_powers",
+    "ExperimentResult", "RunResult", "World", "generate_scenario",
+    "run_experiment", "run_once", "sweep",
 ]

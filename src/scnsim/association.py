@@ -38,13 +38,13 @@ class LoadEstimate:
         self.rho_hat = np.asarray(self.rho_hat, dtype=float)
 
 
-def associate(
+def associate_all(
     rx_power: np.ndarray,
     state: np.ndarray,
     rho_hat: np.ndarray,
     delta: float = 1.0,
-) -> int:
-    """Pick the serving station index for one UE.
+) -> np.ndarray:
+    """Serving station index per UE; rx_power is (stations, UEs).
 
     Scores active stations by (1 - rho_hat)^delta * rx_power; ties break by
     raw received power, then by lowest station index. Raises NoCoverageError
@@ -53,40 +53,15 @@ def associate(
     rx_power = np.asarray(rx_power, dtype=float)
     state = np.asarray(state)
     rho_hat = np.asarray(rho_hat, dtype=float)
-    active = np.flatnonzero(state != 0)
-    if active.size == 0:
+    if not np.any(state != 0):
         raise NoCoverageError("all stations are asleep")
     # 0^0 = 1 under numpy power, so delta = 0 degrades cleanly to RSSI even
     # at a fully loaded station
-    scores = np.power(1.0 - rho_hat[active], delta) * rx_power[active]
-    best = scores.max()
-    tied = active[scores == best]
-    if tied.size > 1:
-        strongest = rx_power[tied].max()
-        tied = tied[rx_power[tied] == strongest]
-    return int(tied[0])
-
-
-def associate_all(
-    rx_power: np.ndarray,
-    state: np.ndarray,
-    rho_hat: np.ndarray,
-    delta: float = 1.0,
-) -> np.ndarray:
-    """Vectorized associate over columns of rx_power (stations x UEs).
-
-    Picks what associate picks for every column, ties included.
-    """
-    rx_power = np.asarray(rx_power, dtype=float)
-    state = np.asarray(state)
-    rho_hat = np.asarray(rho_hat, dtype=float)
-    if not np.any(state != 0):
-        raise NoCoverageError("all stations are asleep")
     weight = np.where(state != 0, np.power(1.0 - rho_hat, delta), -np.inf)
     scores = weight[:, None] * rx_power
     scores[state == 0, :] = -np.inf
-    # associate's tie rule per column: among the stations at the best score,
-    # the strongest raw signal; argmax then keeps the lowest index
+    # among the stations at the best score, the strongest raw signal;
+    # argmax then keeps the lowest index
     tied = scores == scores.max(axis=0)
     return np.argmax(np.where(tied, rx_power, -np.inf), axis=0)
 

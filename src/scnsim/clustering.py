@@ -175,7 +175,8 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> tupl
         raise ValueError("matrix must be symmetric")
     if n <= 1:
         return a.diagonal().copy(), np.eye(n)
-    scale = np.linalg.norm(a)
+    # Frobenius norm from an exactly rounded sum, not a BLAS dot product
+    scale = math.sqrt(math.fsum(x * x for x in a.ravel().tolist()))
     if scale == 0.0:
         return np.zeros(n), np.eye(n)
     thresh = tol * scale

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .association import AssociationConfig
 from .clustering import SimilarityConfig
 from .learning import CostParams
-from .netmodel import ChannelModel
+from .netmodel import ChannelModel, dbm_to_watt
 
 MODES = ("classical", "learning_no_clusters", "learning_clustered")
 TRAFFIC_DISTRIBUTIONS = ("exponential", "constant")
@@ -162,7 +162,7 @@ def _coerce(section: str, key: str, raw: str, current):
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    run, lay = cfg.run, cfg.layout
+    run, lay, pw = cfg.run, cfg.layout, cfg.power
     checks = [
         (run.mode in MODES, f"run.mode must be one of {MODES}, got {run.mode!r}"),
         (run.steps >= 1, "run.steps must be >= 1"),
@@ -176,7 +176,15 @@ def validate_config(cfg: ScenarioConfig) -> None:
         (lay.side_m > 0, "layout.side_m must be positive"),
         (lay.n_small >= 0, "layout.n_small must be >= 0"),
         (lay.n_ues >= 0, "layout.n_ues must be >= 0"),
-        (cfg.power.idle_scale_active > 1.0, "power.idle_scale_active must exceed 1"),
+        (pw.idle_scale_active > 1.0, "power.idle_scale_active must exceed 1"),
+        (
+            0.0 < pw.macro_p_idle_w < dbm_to_watt(pw.macro_p_max_dbm),
+            "need 0 < power.macro_p_idle_w < macro p_max (macro_p_max_dbm in W)",
+        ),
+        (
+            0.0 < pw.small_p_idle_w < dbm_to_watt(pw.small_p_max_dbm),
+            "need 0 < power.small_p_idle_w < small p_max (small_p_max_dbm in W)",
+        ),
         (
             cfg.traffic.distribution in TRAFFIC_DISTRIBUTIONS,
             f"traffic.distribution must be one of {TRAFFIC_DISTRIBUTIONS}",

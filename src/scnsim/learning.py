@@ -1,9 +1,9 @@
-"""Regret learning of cluster sleep/wake (and power level) decisions.
+"""Regret learning of cluster sleep/wake decisions.
 
-Each cluster is a player whose action fixes, for every member, a transmit
-level and an on/off state. Players track per-action utility and regret
-estimates with decreasing gains and mix according to a Boltzmann-Gibbs
-distribution over positive regrets:
+Each cluster is a player whose action sets every member on or asleep; an
+awake member transmits at its p_max. Players track per-action utility and
+regret estimates with decreasing gains and mix according to a
+Boltzmann-Gibbs distribution over positive regrets:
 
     G_a(r) = exp(kappa * max(r_a, 0)) / sum_a' exp(kappa * max(r_a', 0))
 
@@ -14,13 +14,10 @@ mixed strategy slowest.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
-
-MAX_ACTIONS = 1024
 
 
 @dataclass
@@ -31,39 +28,21 @@ class CostParams:
     beta: float = 0.5  # weight on offered load (dimensionless)
 
 
-class ClusterAction(NamedTuple):
-    """Per-member transmit levels and on/off states, in member-id order."""
+def build_action_set(size: int, cap: int) -> np.ndarray:
+    """On/off table of a cluster of `size` members: 2^size rows, one per action.
 
-    powers: tuple[float, ...]
-    states: tuple[int, ...]
-
-
-def build_action_set(
-    power_levels: Sequence[Sequence[float]], cap: int = MAX_ACTIONS
-) -> tuple[ClusterAction, ...]:
-    """Enumerate joint actions: each member picks an on-level or sleeps.
-
-    power_levels[i] lists the transmit powers member i may use while on;
-    sleeping is always available. Options per member are ordered on-levels
-    first, then off, and the joint set is their cartesian product in member
-    order (so the all-on action comes first and all-off last).
+    Row i holds the members' states (1 on, 0 asleep) in member-id order:
+    the cartesian product of (1, 0) per member, so the all-on action comes
+    first and all-off last. Raises ValueError when 2^size exceeds cap.
     """
-    options = []
-    for levels in power_levels:
-        if len(levels) == 0:
-            raise ValueError("each member needs at least one transmit level")
-        options.append([(float(p), 1) for p in levels] + [(0.0, 0)])
-    size = int(np.prod([len(o) for o in options])) if options else 1
-    if size > cap:
+    if 1 << size > cap:
         raise ValueError(
-            f"action set would hold {size} joint actions (cap {cap}); "
-            "reduce cluster size or transmit levels"
+            f"action set would hold {1 << size} joint actions (cap {cap}); "
+            "reduce cluster size"
         )
-    actions = []
-    for combo in itertools.product(*options):
-        powers, states = zip(*combo) if combo else ((), ())
-        actions.append(ClusterAction(tuple(powers), tuple(states)))
-    return tuple(actions)
+    # row i is i in binary, most significant bit first, with 1 meaning off
+    bits = np.arange(1 << size)[:, None] >> np.arange(size - 1, -1, -1)
+    return 1 - (bits & 1)
 
 
 def penalty_cost(p_max: np.ndarray, params: CostParams) -> np.ndarray:
@@ -107,7 +86,7 @@ class ClusterLearner:
 
     def __init__(
         self,
-        actions: Sequence[ClusterAction],
+        actions: np.ndarray,
         rows: int = 1,
         kappa: float = 10.0,
         utility_exp: float = 0.6,
@@ -116,13 +95,12 @@ class ClusterLearner:
     ):
         if len(actions) == 0:
             raise ValueError("need at least one action")
-        self.actions = tuple(actions)
+        # (n_actions, members) on/off states, for indexing by draw
+        self.actions = np.asarray(actions)
         self.kappa = float(kappa)
         self.utility_exp = float(utility_exp)
         self.regret_exp = float(regret_exp)
         self.policy_exp = float(policy_exp)
-        # (n_actions, members) on/off states, for indexing by draw
-        self.states = np.array([a.states for a in self.actions], dtype=np.int64)
         n = len(self.actions)
         self.pi = self.utility_est = self.regret_est = np.empty((0, n))
         self.prev_utility = np.empty(0)

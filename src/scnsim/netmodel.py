@@ -5,9 +5,11 @@ interference, the load-coupled fixed point that ties per-BS loads to rates,
 and the two-state base-station power model
 
     P_total = p_idle                               if sleeping
-    P_total = load * level + scale * p_idle        if active, scale > 1
+    P_total = load * p_max + scale * p_idle        if active, scale > 1
 
-where load is the BS duty cycle and level its transmit power setting.
+where load is the BS duty cycle and p_max its transmit power: an awake BS
+always transmits at p_max. Stations are described by arrays indexed by BS:
+positions, a macro mask, p_max, p_idle.
 All powers are in watts, distances in metres, rates in bit/s.
 """
 
@@ -28,43 +30,6 @@ class InactiveServerError(RuntimeError):
 
 def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-@dataclass(frozen=True)
-class BaseStation:
-    """One base station; kind selects the path-loss law and defaults.
-
-    idle_scale_active multiplies the idle draw while the BS is on, so an
-    active BS pays idle_scale_active * p_idle even at zero load, while a
-    sleeping one pays p_idle alone.
-    """
-
-    id: int
-    kind: str  # MACRO or SMALL
-    position: tuple[float, float]  # metres
-    p_max: float  # watts, transmit power ceiling
-    p_idle: float  # watts, sleep-state draw
-    idle_scale_active: float  # active-state idle multiplier, > 1
-    never_sleeps: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in (MACRO, SMALL):
-            raise ValueError(f"unknown BS kind {self.kind!r}")
-        if self.idle_scale_active <= 1.0:
-            raise ValueError(
-                f"idle_scale_active must exceed 1, got {self.idle_scale_active}"
-            )
-        if not 0.0 < self.p_idle < self.p_max:
-            raise ValueError(
-                f"need 0 < p_idle < p_max, got p_idle={self.p_idle}, p_max={self.p_max}"
-            )
-
-
-@dataclass
-class UserEquipment:
-    id: int
-    position: tuple[float, float]  # metres
-    traffic_rate: float  # bit/s demanded on the downlink
 
 
 @dataclass
@@ -106,43 +71,29 @@ class ChannelModel:
         return 10.0 ** (-self.pathloss_db(kind, distance_m) / 10.0)
 
     def gain_matrix(
-        self, stations: Sequence[BaseStation], ue_positions: np.ndarray
+        self, bs_positions: np.ndarray, macro: np.ndarray, ue_positions: np.ndarray
     ) -> np.ndarray:
-        """(n_bs, n_ue) channel gains; ue_positions is (n_ue, 2) in metres."""
+        """(n_bs, n_ue) channel gains; positions are (n, 2) in metres.
+
+        macro[b] selects the macro path-loss law for BS b, else the small-cell one.
+        """
         pos = np.asarray(ue_positions, dtype=float).reshape(-1, 2)
-        out = np.empty((len(stations), pos.shape[0]))
-        for i, bs in enumerate(stations):
-            d = np.hypot(pos[:, 0] - bs.position[0], pos[:, 1] - bs.position[1])
-            out[i] = self.gain(bs.kind, d)
+        out = np.empty((len(macro), pos.shape[0]))
+        for i, (x, y) in enumerate(np.asarray(bs_positions, dtype=float).tolist()):
+            d = np.hypot(pos[:, 0] - x, pos[:, 1] - y)
+            out[i] = self.gain(MACRO if macro[i] else SMALL, d)
         return out
 
 
 @dataclass
 class NetworkConfiguration:
-    """Joint power/state/load snapshot of all BSs, index-aligned to the station list."""
+    """Joint state/load snapshot of all BSs, index-aligned to the station arrays."""
 
-    power: np.ndarray  # watts, transmit level per BS
     state: np.ndarray  # 1 active, 0 sleeping
     load: np.ndarray  # duty cycle in [0, 1]
     load_raw: np.ndarray  # unclamped load, for cost accounting
     converged: bool = True
     iterations: int = 0  # load fixed-point iterations that produced `load`
-
-    @classmethod
-    def all_active(cls, stations: Sequence[BaseStation]) -> "NetworkConfiguration":
-        n = len(stations)
-        return cls(
-            power=np.array([bs.p_max for bs in stations]),
-            state=np.ones(n, dtype=np.int64),
-            load=np.zeros(n),
-            load_raw=np.zeros(n),
-        )
-
-    def copy(self) -> "NetworkConfiguration":
-        return NetworkConfiguration(
-            self.power.copy(), self.state.copy(), self.load.copy(),
-            self.load_raw.copy(), self.converged, self.iterations,
-        )
 
 
 def cluster_labels(n_bs: int, clusters: Sequence[Sequence[int]] | None) -> np.ndarray:
@@ -165,34 +116,34 @@ def exclusion_matrix(n_bs: int, clusters: Sequence[Sequence[int]] | None) -> np.
 
 
 def rate_matrix(
-    cfg: NetworkConfiguration,
-    gains: np.ndarray,
     channel: ChannelModel,
+    gains: np.ndarray,
+    power: np.ndarray,
+    state: np.ndarray,
+    load: np.ndarray,
     excl: np.ndarray,
-    interference_load: np.ndarray | None = None,
 ) -> np.ndarray:
     """(n_bs, n_ue) achievable rates, bit/s.
 
     Entry [b, m] is the Shannon rate BS b offers UE m while every other
     active BS outside b's exclusion set transmits at its duty-cycled power
-    rho * P. Sleeping BSs neither serve nor interfere; rows of sleeping BSs
-    are 0. interference_load overrides cfg.load for the interference term
-    (used to freeze interference while scheduling).
+    load * power. Sleeping BSs (state 0) neither serve nor interfere; rows
+    of sleeping BSs are 0.
     """
-    rho = cfg.load if interference_load is None else interference_load
-    w = rho * cfg.power * cfg.state  # effective interference power per BS
+    w = load * power * state  # effective interference power per BS
     total = w @ gains  # (n_ue,) all-BS interference at each UE
     # remove each serving BS's own exclusion set from the total
     excluded = (excl * w[None, :]) @ gains  # (n_bs, n_ue)
     denom = total[None, :] - excluded + channel.noise_w
-    sinr = (cfg.power * cfg.state)[:, None] * gains / denom
+    sinr = (power * state)[:, None] * gains / denom
     return channel.bandwidth_hz * np.log2(1.0 + sinr)
 
 
 def compute_loads(
     channel: ChannelModel,
     gains: np.ndarray,
-    cfg: NetworkConfiguration,
+    power: np.ndarray,
+    state: np.ndarray,
     serving: np.ndarray,
     traffic: np.ndarray,
     excl: np.ndarray | None = None,
@@ -207,10 +158,10 @@ def compute_loads(
     vector is iterated with damping gamma until the clamped iterate moves
     less than tol in max-norm (or max_iter is hit; the result's converged
     flag records which). Pass max_iter=1, gamma=1.0 with an explicit init for a single
-    frozen-interference sweep. Returns a new configuration carrying cfg's
-    power and state, the clamped load, the raw (unclamped) load at the
-    converged interference state, the convergence flag and the number of
-    iterations run; cfg's own loads are not read.
+    frozen-interference sweep. Returns a new configuration carrying a copy
+    of state, the clamped load, the raw (unclamped) load at the converged
+    interference state, the convergence flag and the number of iterations
+    run.
 
     serving holds one BS index per UE (-1: unassigned, carries no load);
     every serving BS must be active. excl is rate_matrix's exclusion matrix
@@ -225,13 +176,13 @@ def compute_loads(
     everyone = bool(np.all(serving >= 0))
     cols = np.arange(n_ue) if everyone else np.flatnonzero(serving >= 0)
     srv = serving if everyone else serving[cols]
-    if np.any(cfg.state[srv] == 0):
-        bad = cols[cfg.state[srv] == 0]
+    if np.any(state[srv] == 0):
+        bad = cols[state[srv] == 0]
         raise InactiveServerError(f"UEs {bad.tolist()} assigned to sleeping BSs")
 
     # loop invariants; state is 0/1, so x * (power * state) rounds as
     # (x * power) * state does
-    tx = cfg.power * cfg.state
+    tx = power * state
     flat = srv * n_ue + cols  # serving entries of the flattened (n_bs, n_ue)
     own_gain = gains.take(flat)
     signal = tx[srv] * own_gain
@@ -268,18 +219,19 @@ def compute_loads(
         x = x_new
 
     return NetworkConfiguration(
-        cfg.power.copy(), cfg.state.copy(), np.minimum(x, 1.0), raw,
-        converged, iterations,
+        state.copy(), np.minimum(x, 1.0), raw, converged, iterations
     )
 
 
 def total_powers(
-    p_idle: np.ndarray, idle_scale_active: np.ndarray, cfg: NetworkConfiguration
+    p_max: np.ndarray,
+    p_idle: np.ndarray,
+    idle_scale_active: float | np.ndarray,
+    cfg: NetworkConfiguration,
 ) -> np.ndarray:
-    """Vector of consumed powers, watts; uses each BS's configured level.
+    """Vector of consumed powers, watts, of BSs with cfg's states and loads.
 
-    p_idle and idle_scale_active are the per-BS station parameters, aligned
-    with cfg.
+    p_max and p_idle are the per-BS station parameters, aligned with cfg.
     """
-    active = cfg.load * cfg.power + idle_scale_active * p_idle
+    active = cfg.load * p_max + idle_scale_active * p_idle
     return np.where(cfg.state == 1, active, p_idle)

@@ -24,7 +24,7 @@ from . import clustering as clust
 from . import coordination as coord
 from . import learning as learn
 from . import netmodel
-from .config import MODES, ScenarioConfig
+from .config import MODES, ConfigError, LayoutConfig, ScenarioConfig
 
 STEP_SECONDS = 1.0  # logical tick length; energy (J) = power (W) x ticks
 MAX_PLACEMENT_TRIES = 10000
@@ -34,78 +34,58 @@ SWEEP_PARAMS = ("ues", "eps_d", "theta")
 
 def _sample_position(
     rng: np.random.Generator,
-    side: float,
+    lay: LayoutConfig,
     anchors: np.ndarray,
     min_dists: np.ndarray,
-    max_tries: int = MAX_PLACEMENT_TRIES,
-) -> tuple[float, float]:
+) -> np.ndarray:
     """Uniform point in the square, at least min_dists[i] from anchors[i]."""
-    for _ in range(max_tries):
-        p = rng.uniform(0.0, side, size=2)
+    for _ in range(MAX_PLACEMENT_TRIES):
+        p = rng.uniform(0.0, lay.side_m, size=2)
         if anchors.size == 0 or np.all(
             np.hypot(anchors[:, 0] - p[0], anchors[:, 1] - p[1]) >= min_dists
         ):
-            return float(p[0]), float(p[1])
-    raise RuntimeError(
-        f"infeasible density: could not place a node after {max_tries} "
-        "draws; separation constraints too tight for the area"
+            return p
+    raise ConfigError(
+        f"infeasible density: could not place a node after {MAX_PLACEMENT_TRIES} "
+        f"draws; layout.side_m = {lay.side_m:g} is too small for n_small = "
+        f"{lay.n_small}, n_ues = {lay.n_ues} at min_dist_macro_small_m = "
+        f"{lay.min_dist_macro_small_m:g}, min_dist_small_small_m = "
+        f"{lay.min_dist_small_small_m:g}, min_dist_macro_ue_m = "
+        f"{lay.min_dist_macro_ue_m:g}, min_dist_small_ue_m = "
+        f"{lay.min_dist_small_ue_m:g}"
     )
 
 
 def generate_scenario(
     cfg: ScenarioConfig, rng: np.random.Generator
-) -> tuple[list[netmodel.BaseStation], list[netmodel.UserEquipment]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw one network drop: macro at the center, then SBSs, then UEs.
 
-    Every UE's position and traffic are drawn consecutively, so two configs
-    differing only in the UE count share their first min(n, n') UEs when
-    given the same RNG state (common random numbers across sweep points).
+    Returns (BS positions (n_bs, 2), macro mask (n_bs,), UE positions
+    (n_ue, 2), UE traffic in bit/s (n_ue,)); BS 0 is the macro. Every UE's
+    position and traffic are drawn consecutively, so two configs differing
+    only in the UE count share their first min(n, n') UEs when given the
+    same RNG state (common random numbers across sweep points).
     """
-    lay, pw = cfg.layout, cfg.power
-    center = (lay.side_m / 2.0, lay.side_m / 2.0)
-    stations = [
-        netmodel.BaseStation(
-            id=0,
-            kind=netmodel.MACRO,
-            position=center,
-            p_max=netmodel.dbm_to_watt(pw.macro_p_max_dbm),
-            p_idle=pw.macro_p_idle_w,
-            idle_scale_active=pw.idle_scale_active,
-            never_sleeps=True,
-        )
-    ]
-    small_p_max = netmodel.dbm_to_watt(pw.small_p_max_dbm)
-    for i in range(lay.n_small):
-        anchors = np.array([bs.position for bs in stations])
-        dmin = np.array(
-            [lay.min_dist_macro_small_m]
-            + [lay.min_dist_small_small_m] * (len(stations) - 1)
-        )
-        pos = _sample_position(rng, lay.side_m, anchors, dmin)
-        stations.append(
-            netmodel.BaseStation(
-                id=i + 1,
-                kind=netmodel.SMALL,
-                position=pos,
-                p_max=small_p_max,
-                p_idle=pw.small_p_idle_w,
-                idle_scale_active=pw.idle_scale_active,
-            )
-        )
-
-    anchors = np.array([bs.position for bs in stations])
+    lay = cfg.layout
+    n_bs = 1 + lay.n_small
+    bs_pos = np.empty((n_bs, 2))
+    bs_pos[0] = lay.side_m / 2.0
     dmin = np.array(
-        [lay.min_dist_macro_ue_m] + [lay.min_dist_small_ue_m] * lay.n_small
+        [lay.min_dist_macro_small_m] + [lay.min_dist_small_small_m] * lay.n_small
     )
-    ues = []
+    for b in range(1, n_bs):
+        bs_pos[b] = _sample_position(rng, lay, bs_pos[:b], dmin[:b])
+
+    dmin = np.array([lay.min_dist_macro_ue_m] + [lay.min_dist_small_ue_m] * lay.n_small)
+    ue_pos = np.empty((lay.n_ues, 2))
+    traffic = np.full(lay.n_ues, float(cfg.traffic.mean_rate_bps))
+    exponential = cfg.traffic.distribution == "exponential"
     for m in range(lay.n_ues):
-        pos = _sample_position(rng, lay.side_m, anchors, dmin)
-        if cfg.traffic.distribution == "exponential":
-            demand = float(rng.exponential(cfg.traffic.mean_rate_bps))
-        else:
-            demand = float(cfg.traffic.mean_rate_bps)
-        ues.append(netmodel.UserEquipment(id=m, position=pos, traffic_rate=demand))
-    return stations, ues
+        ue_pos[m] = _sample_position(rng, lay, bs_pos, dmin)
+        if exponential:
+            traffic[m] = rng.exponential(cfg.traffic.mean_rate_bps)
+    return bs_pos, np.arange(n_bs) == 0, ue_pos, traffic
 
 
 @dataclass
@@ -136,41 +116,44 @@ class World:
     def __init__(
         self,
         cfg: ScenarioConfig,
-        stations,
-        ues,
+        bs_positions: np.ndarray,
+        macro: np.ndarray,
+        ue_positions: np.ndarray,
+        traffic: np.ndarray,
         kmeans_rng: np.random.Generator,
         learner_rng: np.random.Generator,
     ):
+        """Stations and UEs come as generate_scenario's arrays.
+
+        BS b is a macro cell where macro[b], else a small cell; both kinds
+        take their p_max, p_idle and active-state multiplier from cfg.power.
+        """
         if cfg.run.mode not in MODES:
             raise ValueError(f"unknown mode {cfg.run.mode!r}")
-        for i, bs in enumerate(stations):
-            if bs.id != i:
-                raise ValueError("station ids must equal their list positions")
         self.cfg = cfg
         self.mode = cfg.run.mode
-        self.stations = list(stations)
-        self.ues = list(ues)
-        self.n_bs = len(self.stations)
-        self.sbs_idx = np.array(
-            [bs.id for bs in self.stations if bs.kind == netmodel.SMALL], dtype=int
-        )
+        macro = np.asarray(macro, dtype=bool)
+        self.bs_positions = np.asarray(bs_positions, dtype=float).reshape(-1, 2)
+        self.n_bs = macro.size
+        self.sbs_idx = np.flatnonzero(~macro)
         self.channel = cfg.channel_model()
-        self.positions = np.array(
-            [ue.position for ue in self.ues], dtype=float
-        ).reshape(-1, 2)
-        self.traffic = np.array([ue.traffic_rate for ue in self.ues], dtype=float)
-        self.p_max = np.array([bs.p_max for bs in self.stations], dtype=float)
-        self.p_idle = np.array([bs.p_idle for bs in self.stations], dtype=float)
-        self.idle_scale = np.array(
-            [bs.idle_scale_active for bs in self.stations], dtype=float
+        self.traffic = np.asarray(traffic, dtype=float)
+        pw = cfg.power
+        self.p_max = np.where(
+            macro, netmodel.dbm_to_watt(pw.macro_p_max_dbm),
+            netmodel.dbm_to_watt(pw.small_p_max_dbm),
         )
-        # each member plays one level or sleeps, so a cluster of s members
-        # has 2^s joint actions: bound s so the action set fits max_actions
+        self.p_idle = np.where(macro, float(pw.macro_p_idle_w), float(pw.small_p_idle_w))
+        self.idle_scale = float(pw.idle_scale_active)
+        # each member is on or asleep, so a cluster of s members has 2^s
+        # joint actions: bound s so the action set fits max_actions
         self.max_cluster_size = int(cfg.learning.max_actions).bit_length() - 1
-        self.gains = self.channel.gain_matrix(self.stations, self.positions)
+        self.gains = self.channel.gain_matrix(self.bs_positions, macro, ue_positions)
         # every station transmits at its p_max, so received powers are fixed
         self.rx = self.p_max[:, None] * self.gains
-        self.net = netmodel.NetworkConfiguration.all_active(self.stations)
+        self.net = netmodel.NetworkConfiguration(
+            np.ones(self.n_bs, dtype=np.int64), np.zeros(self.n_bs), np.zeros(self.n_bs)
+        )
         self.estimate = assoc.LoadEstimate(np.zeros(self.n_bs))
         self.kmeans_rng = kmeans_rng
         self.learner_rng = learner_rng
@@ -183,10 +166,11 @@ class World:
         self.mean_cluster_size = 0.0
         self.label = np.full(self.n_bs, -1, dtype=int)
         self.excl: np.ndarray | None = None
-        # one stacked learner per action set, keyed by the members' levels;
-        # groups lists (learner, member ids per row, partition index per row)
-        # and slots maps a cluster's member ids to its (learner, row)
-        self.learners: dict[tuple[float, ...], learn.ClusterLearner] = {}
+        # one stacked learner per cluster size, playing the on/off table of
+        # that many members; groups lists (learner, member ids per row,
+        # partition index per row) and slots maps a cluster's member ids to
+        # its (learner, row)
+        self.learners: dict[int, learn.ClusterLearner] = {}
         self.groups: list[tuple[learn.ClusterLearner, np.ndarray, np.ndarray]] = []
         self.slots: dict[tuple[int, ...], tuple[learn.ClusterLearner, int]] = {}
         self.cluster_events: list[ClusterEvent] = []
@@ -203,9 +187,9 @@ class World:
     def _set_partition(self, partition: clust.ClusterPartition, step: int) -> None:
         """Install a partition, keeping the learner row of every unchanged cluster.
 
-        Clusters whose members play the same action set share one stacked
-        learner; kept rows carry over by index and new clusters get fresh
-        rows. An unchanged cluster tuple only swaps in the new heads.
+        Clusters of the same size play the same action set and share one
+        stacked learner; kept rows carry over by index and new clusters get
+        fresh rows. An unchanged cluster tuple only swaps in the new heads.
         """
         self.cluster_events.append(ClusterEvent(step, partition))
         unchanged = (
@@ -221,20 +205,18 @@ class World:
         singletons = all(len(members) == 1 for members in clusters)
         self.excl = None if singletons else netmodel.exclusion_matrix(self.n_bs, clusters)
 
-        # each member plays its p_max or sleeps, so the levels fix the action set
-        by_levels: dict[tuple[float, ...], list[int]] = {}
+        by_size: dict[int, list[int]] = {}
         for i, members in enumerate(clusters):
-            key = tuple(self.p_max[list(members)].tolist())
-            by_levels.setdefault(key, []).append(i)
+            by_size.setdefault(len(members), []).append(i)
         lcfg = self.cfg.learning
         learners, groups, slots = {}, [], {}
-        for key, idx in by_levels.items():
+        for size, idx in by_size.items():
             kept = [i for i in idx if clusters[i] in self.slots]
             order = kept + [i for i in idx if clusters[i] not in self.slots]
-            learner = self.learners.get(key)
+            learner = self.learners.get(size)
             if learner is None:  # then no cluster is kept either
                 learner = learn.ClusterLearner(
-                    learn.build_action_set([[p] for p in key], cap=lcfg.max_actions),
+                    learn.build_action_set(size, lcfg.max_actions),
                     rows=0,
                     kappa=lcfg.kappa,
                     utility_exp=lcfg.utility_exp,
@@ -246,7 +228,7 @@ class World:
             )
             for row, i in enumerate(order):
                 slots[clusters[i]] = (learner, row)
-            learners[key] = learner
+            learners[size] = learner
             groups.append(
                 (learner, np.array([clusters[i] for i in order]), np.array(order))
             )
@@ -257,7 +239,7 @@ class World:
         if ids.size == 0:
             self._set_partition(clust.ClusterPartition((), (), epoch=t), t)
             return
-        pos = np.array([self.stations[b].position for b in ids])
+        pos = self.bs_positions[ids]
         loads = self.estimate.rho_hat[ids]
         graph = clust.build_similarity(
             pos, loads, self.cfg.similarity_config(), self.cfg.clustering.laplacian
@@ -304,8 +286,7 @@ class World:
                 self._singletons(t)
 
         # (3) clusters draw sleep/wake actions; classical stays on. One
-        # uniform per cluster, drawn in partition order. Each member's only
-        # transmit level is its p_max, so an action sets states, not powers
+        # uniform per cluster, drawn in partition order
         state = np.ones(self.n_bs, dtype=np.int64)
         played = []
         if self.groups:
@@ -313,10 +294,7 @@ class World:
             for learner, members, order in self.groups:
                 idx = learner.sample(draws[order])
                 played.append(idx)
-                state[members] = learner.states[idx]
-        net = netmodel.NetworkConfiguration(
-            power=self.p_max, state=state, load=prev_load, load_raw=self.net.load_raw
-        )
+                state[members] = learner.actions[idx]
 
         # (4) association against active stations only; a step with nothing
         # awake charges penalties instead of aborting. With delta = 0 the
@@ -347,8 +325,7 @@ class World:
         # A singleton's head can only keep its UEs where they are
         if self.excl is not None and n_ue and not no_coverage:
             rates = netmodel.rate_matrix(
-                net, self.gains, self.channel, self.excl,
-                interference_load=prev_load,
+                self.channel, self.gains, self.p_max, state, prev_load, self.excl
             )
             with np.errstate(divide="ignore"):
                 costs = self.traffic[None, :] / rates
@@ -365,12 +342,14 @@ class World:
             self.net, totals, per_bs_cost = last[2:]
         else:
             self.net = netmodel.compute_loads(
-                self.channel, self.gains, net, serving, self.traffic,
+                self.channel, self.gains, self.p_max, state, serving, self.traffic,
                 excl=self.excl, gamma=rc.load_gamma, tol=rc.load_tol,
                 max_iter=rc.load_max_iter, init=prev_load,
             )
             self.fp_solves += 1
-            totals = netmodel.total_powers(self.p_idle, self.idle_scale, self.net)
+            totals = netmodel.total_powers(
+                self.p_max, self.p_idle, self.idle_scale, self.net
+            )
             per_bs_cost = self.cost.alpha * totals + self.cost.beta * self.net.load_raw
             self._solve = (self.excl, key, self.net, totals, per_bs_cost)
 
@@ -440,9 +419,8 @@ def run_once(
     """
     ss = np.random.SeedSequence([int(cfg.run.seed), int(run_index)])
     scen_seed, kmeans_seed, learn_seed = ss.spawn(3)
-    stations, ues = generate_scenario(cfg, np.random.default_rng(scen_seed))
     world = World(
-        cfg, stations, ues,
+        cfg, *generate_scenario(cfg, np.random.default_rng(scen_seed)),
         np.random.default_rng(kmeans_seed), np.random.default_rng(learn_seed),
     )
     records = [world.step(t) for t in range(1, cfg.run.steps + 1)]
@@ -467,7 +445,7 @@ def run_once(
         run=run_index,
         mode=cfg.run.mode,
         n_sbs=n_sbs,
-        n_ues=len(ues),
+        n_ues=int(world.traffic.size),
         mean_cost_per_bs=cost,
         mean_energy_per_bs=mean_energy,
         energy_per_sbs=energy,

@@ -6,10 +6,30 @@ import pytest
 from scnsim.association import (
     LoadEstimate,
     NoCoverageError,
-    associate,
     associate_all,
     update_load_estimate,
 )
+
+
+def associate(rx_power, state, rho_hat, delta=1.0):
+    """One UE's serving station, scored on its own: the oracle of associate_all.
+
+    Scores active stations by (1 - rho_hat)^delta * rx_power; ties break by
+    raw received power, then by lowest station index.
+    """
+    rx_power = np.asarray(rx_power, dtype=float)
+    rho_hat = np.asarray(rho_hat, dtype=float)
+    active = np.flatnonzero(np.asarray(state) != 0)
+    scores = np.power(1.0 - rho_hat[active], delta) * rx_power[active]
+    tied = active[scores == scores.max()]
+    if tied.size > 1:
+        tied = tied[rx_power[tied] == rx_power[tied].max()]
+    return int(tied[0])
+
+
+def pick(rx_power, state, rho_hat, delta=1.0):
+    """associate_all for a single UE."""
+    return int(associate_all(np.asarray(rx_power)[:, None], state, rho_hat, delta)[0])
 
 
 def test_load_aware_choice():
@@ -17,9 +37,9 @@ def test_load_aware_choice():
     rho_hat = np.array([0.75, 0.25])
     state = np.array([1, 1])
     # scores (0.5, 0.75): the lightly loaded station wins despite weaker signal
-    assert associate(rx, state, rho_hat, delta=1.0) == 1
+    assert pick(rx, state, rho_hat, delta=1.0) == 1
     # delta = 0 ignores load and reverts to strongest signal
-    assert associate(rx, state, rho_hat, delta=0.0) == 0
+    assert pick(rx, state, rho_hat, delta=0.0) == 0
 
 
 def test_delta_zero_matches_rssi():
@@ -35,18 +55,16 @@ def test_delta_zero_matches_rssi():
         for b in range(n):
             if state[b] and rx[b] > best:
                 best, choice = rx[b], b
-        assert associate(rx, state, rho_hat, delta=0.0) == choice
+        assert pick(rx, state, rho_hat, delta=0.0) == choice
 
 
 def test_sleeping_station_never_chosen():
     rx = np.array([10.0, 1.0, 2.0])
     state = np.array([0, 1, 1])
-    assert associate(rx, state, np.zeros(3), delta=1.0) == 2
+    assert pick(rx, state, np.zeros(3), delta=1.0) == 2
 
 
 def test_no_coverage_error():
-    with pytest.raises(NoCoverageError):
-        associate(np.array([1.0, 2.0]), np.array([0, 0]), np.zeros(2))
     with pytest.raises(NoCoverageError):
         associate_all(np.ones((2, 3)), np.array([0, 0]), np.zeros(2))
 
@@ -55,9 +73,9 @@ def test_tie_breaks_by_raw_power_then_index():
     # scores tie at 1.0 but station 1 has the stronger raw signal
     rx = np.array([1.0, 2.0])
     rho_hat = np.array([0.0, 0.5])
-    assert associate(rx, np.array([1, 1]), rho_hat, delta=1.0) == 1
+    assert pick(rx, np.array([1, 1]), rho_hat, delta=1.0) == 1
     # fully identical stations fall back to the lowest index
-    assert associate(np.array([1.0, 1.0]), np.array([1, 1]),
+    assert pick(np.array([1.0, 1.0]), np.array([1, 1]),
                      np.array([0.3, 0.3]), delta=1.0) == 0
 
 
@@ -67,8 +85,8 @@ def test_scale_invariance():
         rx = rng.lognormal(0.0, 1.5, size=4)
         rho_hat = rng.uniform(0.0, 0.9, size=4)
         state = np.array([1, 1, 0, 1])
-        base = associate(rx, state, rho_hat, delta=1.0)
-        assert associate(rx * 1e6, state, rho_hat, delta=1.0) == base
+        base = pick(rx, state, rho_hat, delta=1.0)
+        assert pick(rx * 1e6, state, rho_hat, delta=1.0) == base
 
 
 def test_associate_all_matches_scalar():

@@ -82,6 +82,16 @@ def test_bad_vary_is_reported(tmp_path, capsys):
     assert "sweep parameter" in capsys.readouterr().err
 
 
+def test_infeasible_density_is_reported(tmp_path, capsys):
+    # a 100 m square cannot hold an SBS 75 m from the central macro
+    path = tmp_path / "dense.ini"
+    path.write_text("[layout]\nside_m = 100\nn_small = 30\n[run]\nsteps = 5\nruns = 1\n")
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "infeasible density" in err and "layout.side_m = 100" in err
+
+
 def test_run_writes_summary_and_cdf(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     out = tmp_path / "out"

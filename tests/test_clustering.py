@@ -171,8 +171,7 @@ def _oracle_matrices():
     cfg = default_config()
     for seed in range(4):
         rng = np.random.default_rng(seed)
-        stations, _ = generate_scenario(cfg, rng)
-        pos = np.array([bs.position for bs in stations[1:]])
+        pos = generate_scenario(cfg, rng)[0][1:]
         loads = rng.uniform(0, 1, size=len(pos))
         for eps_d in (150.0, 250.0, 400.0):
             for variant in ("standard", "rowsum"):

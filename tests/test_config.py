@@ -112,6 +112,11 @@ def test_bad_type(tmp_path):
         (lambda c: setattr(c.run, "load_tol", 0.0), "load_tol"),
         (lambda c: setattr(c.learning, "kappa", -1.0), "kappa"),
         (lambda c: setattr(c.clustering, "kmeans_iters", 0), "kmeans_iters"),
+        # each BS kind needs 0 < p_idle < p_max; the small-cell p_max is 1 W
+        (lambda c: setattr(c.power, "small_p_idle_w", 1.0), "small_p_idle_w"),
+        (lambda c: setattr(c.power, "small_p_idle_w", 2.0), "small_p_idle_w"),
+        (lambda c: setattr(c.power, "macro_p_idle_w", 0.0), "macro_p_idle_w"),
+        (lambda c: setattr(c.power, "macro_p_max_dbm", -1000.0), "macro_p_max_dbm"),
     ],
 )
 def test_validation_rejects(mutate, message):

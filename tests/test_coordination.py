@@ -6,11 +6,41 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from scnsim.coordination import (
-    UncoveredUEsError,
-    elect_head,
-    solve_cluster_schedule,
-)
+from scnsim.coordination import elect_head, rebalance
+
+
+def solve_cluster_schedule(costs, active):
+    """One cluster's schedule, solved on its own: the oracle of rebalance.
+
+    costs[b, m] is the load coefficient of serving UE m from member b
+    (members in ascending id order). Sleeping members cannot serve. The
+    fractional optimum puts each UE's whole mass on its cheapest active
+    member, ties to the lowest id; rounding keeps the member with the
+    largest fractional value, same tie rule. Returns the binary
+    (members, UEs) assignment.
+    """
+    costs = np.asarray(costs, dtype=float)
+    n_b, n_m = costs.shape
+    fractional = np.zeros((n_b, n_m))
+    binary = np.zeros((n_b, n_m))
+    if n_m > 0:
+        masked = np.where(np.asarray(active, dtype=bool)[:, None], costs, np.inf)
+        fractional[np.argmin(masked, axis=0), np.arange(n_m)] = 1.0
+        binary[np.argmax(fractional, axis=0), np.arange(n_m)] = 1.0
+    return binary
+
+
+def schedule_one_cluster(costs, active):
+    """rebalance on one cluster holding every station and every UE.
+
+    Returns the binary (stations, UEs) assignment it picks.
+    """
+    n_b, n_m = costs.shape
+    choice = rebalance(costs, np.zeros(n_b, dtype=int), np.zeros(n_m, dtype=int),
+                       np.asarray(active, dtype=bool))
+    z = np.zeros((n_b, n_m))
+    z[choice, np.arange(n_m)] = 1.0
+    return z
 
 
 def relaxed_lp_arrays(costs, active):
@@ -46,27 +76,20 @@ def test_elect_head():
 
 def test_single_active_member_takes_all():
     costs = np.array([[0.5, 0.2, 0.9], [0.1, 0.1, 0.1]])
-    sched = solve_cluster_schedule(costs, [3, 4], [0, 1, 2],
-                                   np.array([False, True]))
-    assert np.array_equal(sched.fractional, [[0, 0, 0], [1, 1, 1]])
-    assert np.array_equal(sched.binary, sched.fractional)
-    assert sched.cluster_load == pytest.approx(0.3)
+    z = schedule_one_cluster(costs, [False, True])
+    assert np.array_equal(z, [[0, 0, 0], [1, 1, 1]])
+    assert float(np.sum(z * costs)) == pytest.approx(0.3)
 
 
 def test_two_member_one_ue_example():
-    # cheaper member takes the whole unit of fractional mass
-    sched = solve_cluster_schedule(np.array([[0.1], [0.3]]), [1, 2], [0],
-                                   np.array([True, True]))
-    assert np.array_equal(sched.fractional, [[1.0], [0.0]])
-    assert np.array_equal(sched.binary, [[1.0], [0.0]])
-    assert sched.cluster_load == pytest.approx(0.1)
-    assert not sched.overload
+    # cheaper member takes the whole unit of mass
+    z = schedule_one_cluster(np.array([[0.1], [0.3]]), [True, True])
+    assert np.array_equal(z, [[1.0], [0.0]])
 
 
 def test_cost_tie_prefers_lowest_member_id():
-    sched = solve_cluster_schedule(np.array([[0.2], [0.2]]), [3, 9], [0],
-                                   np.array([True, True]))
-    assert sched.binary[0, 0] == 1.0 and sched.binary[1, 0] == 0.0
+    z = schedule_one_cluster(np.array([[0.2], [0.2]]), [True, True])
+    assert z[0, 0] == 1.0 and z[1, 0] == 0.0
 
 
 def brute_force_best(costs, active):
@@ -88,23 +111,20 @@ def test_rounded_matches_brute_force():
     for _ in range(50):
         costs = rng.uniform(0.01, 1.0, size=(3, 4))
         active = np.array([True, True, rng.random() < 0.7])
-        sched = solve_cluster_schedule(costs, [0, 1, 2], list(range(4)), active)
-        rounded_obj = float(np.sum(sched.binary * np.where(active[:, None],
-                                                           costs, 0.0)))
+        z = schedule_one_cluster(costs, active)
+        rounded_obj = float(np.sum(z * np.where(active[:, None], costs, 0.0)))
         assert rounded_obj == brute_force_best(costs, active)
 
 
 def test_fractional_certifies_every_binary():
-    # LP optimum lower-bounds each feasible binary assignment
+    # the relaxation's optimum, which rebalance picks, lower-bounds each
+    # feasible binary assignment
     rng = np.random.default_rng(29)
     for _ in range(20):
         n_b = int(rng.integers(2, 5))
         n_m = int(rng.integers(1, 7))
         costs = rng.uniform(0.0, 2.0, size=(n_b, n_m))
-        active = np.ones(n_b, dtype=bool)
-        sched = solve_cluster_schedule(costs, list(range(n_b)),
-                                       list(range(n_m)), active)
-        frac_obj = float(np.sum(sched.fractional * costs))
+        frac_obj = float(np.sum(schedule_one_cluster(costs, np.ones(n_b)) * costs))
         rows = list(range(n_b))
         for combo in itertools.product(rows, repeat=n_m):
             z = np.zeros_like(costs)
@@ -121,14 +141,12 @@ def test_matches_generic_lp_solver():
         active = rng.random(n_b) < 0.8
         if not active.any():
             active[0] = True
-        sched = solve_cluster_schedule(costs, list(range(n_b)),
-                                       list(range(n_m)), active)
+        z = schedule_one_cluster(costs, active)
         c, a_eq, b_eq, bounds = relaxed_lp_arrays(costs, active)
         res = optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
                                method="highs")
         assert res.success
-        frac_obj = float(np.sum(sched.fractional *
-                                np.where(active[:, None], costs, 0.0)))
+        frac_obj = float(np.sum(z * np.where(active[:, None], costs, 0.0)))
         assert frac_obj == pytest.approx(res.fun, rel=1e-9, abs=1e-12)
 
 
@@ -141,40 +159,7 @@ def test_rounding_feasibility():
         active = rng.random(n_b) < 0.6
         if not active.any():
             active[int(rng.integers(n_b))] = True
-        sched = solve_cluster_schedule(costs, list(range(n_b)),
-                                       list(range(n_m)), active)
-        if n_m:
-            assert np.array_equal(sched.fractional.sum(axis=0), np.ones(n_m))
-            assert np.array_equal(sched.binary.sum(axis=0), np.ones(n_m))
-            assert np.all(sched.binary[~active, :] == 0.0)
-        else:
-            assert sched.cluster_load == 0.0
-
-
-def test_overload_flag_and_rate_scale():
-    sched = solve_cluster_schedule(np.array([[0.7, 0.6]]), [0], [0, 1],
-                                   np.array([True]))
-    assert sched.cluster_load == pytest.approx(1.3)
-    assert sched.overload
-    sched = solve_cluster_schedule(np.array([[0.3, 0.2]]), [0], [0, 1],
-                                   np.array([True]))
-    assert not sched.overload
-
-
-def test_uncovered_ues_error():
-    with pytest.raises(UncoveredUEsError):
-        solve_cluster_schedule(np.array([[0.1], [0.2]]), [0, 1], [0],
-                               np.array([False, False]))
-    # no UEs means nothing to cover even when everyone sleeps
-    sched = solve_cluster_schedule(np.zeros((2, 0)), [0, 1], [],
-                                   np.array([False, False]))
-    assert sched.cluster_load == 0.0 and not sched.overload
-
-
-def test_shape_validation():
-    with pytest.raises(ValueError):
-        solve_cluster_schedule(np.zeros((2, 3)), [0], [0, 1, 2],
-                               np.array([True, True]))
-    with pytest.raises(ValueError):
-        solve_cluster_schedule(np.zeros((2, 3)), [0, 1], [0],
-                               np.array([True, True]))
+        z = schedule_one_cluster(costs, active)
+        assert np.array_equal(z.sum(axis=0), np.ones(n_m))
+        assert np.all(z[~active, :] == 0.0)
+        assert np.array_equal(z, solve_cluster_schedule(costs, active))

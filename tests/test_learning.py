@@ -1,5 +1,7 @@
 """Regret-learning tests: action sets, costs, mixing, and updates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -57,30 +59,25 @@ class ReferenceLearner:
 
 
 def test_action_set_shapes_and_order():
-    actions = build_action_set([[6.3]])
-    assert len(actions) == 2
-    assert actions[0].powers == (6.3,) and actions[0].states == (1,)
-    assert actions[1].powers == (0.0,) and actions[1].states == (0,)
-
-    actions = build_action_set([[1.0, 2.0]])
-    assert [a.states for a in actions] == [(1,), (1,), (0,)]
-
-    actions = build_action_set([[1.0], [2.0]])
-    assert len(actions) == 4
-    assert actions[0].states == (1, 1)  # all-on first
-    assert actions[-1].states == (0, 0)  # all-off last
-
-    actions = build_action_set([[1.0, 2.0]] * 3)
-    assert len(actions) == 27
+    # one on/off row per joint action, all-on first and all-off last: the
+    # cartesian product of (1, 0) per member, in member order
+    for size in range(11):
+        table = build_action_set(size, 1024)
+        assert table.shape == (2**size, size)
+        assert [tuple(row) for row in table.tolist()] == list(
+            itertools.product((1, 0), repeat=size)
+        )
+    assert build_action_set(1, 2).tolist() == [[1], [0]]
 
 
 def test_action_set_cap():
-    # 2^10 joint actions sits exactly at the default cap
-    assert len(build_action_set([[1.0]] * 10)) == 1024
+    # 2^10 joint actions sits exactly at a cap of 1024
+    assert len(build_action_set(10, 1024)) == 1024
     with pytest.raises(ValueError):
-        build_action_set([[1.0]] * 11)
+        build_action_set(11, 1024)
+    assert len(build_action_set(2, 7)) == 4
     with pytest.raises(ValueError):
-        build_action_set([[1.0], []])
+        build_action_set(3, 7)
 
 
 def test_cost_values():
@@ -112,7 +109,7 @@ def test_bg_distribution():
 
 
 def test_first_update_has_unit_gains():
-    learner = ClusterLearner(build_action_set([[1.0]]))
+    learner = ClusterLearner(build_action_set(1, 1024))
     learner.update(played=0, utilities=-3.0)
     # t = 1 makes every gain 1: the utility estimate jumps to the sample,
     # regrets stay zero (old estimates were zero), and the policy moves to
@@ -124,7 +121,7 @@ def test_first_update_has_unit_gains():
 
 
 def test_second_update_hand_computed():
-    learner = ClusterLearner(build_action_set([[1.0]]))
+    learner = ClusterLearner(build_action_set(1, 1024))
     learner.update(played=0, utilities=-3.0)
     learner.update(played=1, utilities=-1.0)
     # tau(2) = 2^-0.6; only the played action's utility estimate moves
@@ -143,7 +140,7 @@ def test_second_update_hand_computed():
 
 def test_policy_stays_on_simplex():
     rng = np.random.default_rng(31)
-    learner = ClusterLearner(build_action_set([[1.0]] * 3))
+    learner = ClusterLearner(build_action_set(3, 1024))
     for _ in range(2000):
         played = learner.sample(rng.random())
         learner.update(played, rng.uniform(-5.0, 0.0))
@@ -154,7 +151,7 @@ def test_policy_stays_on_simplex():
 
 def test_concentrates_on_better_action():
     rng = np.random.default_rng(7)
-    learner = ClusterLearner(build_action_set([[1.0]]))
+    learner = ClusterLearner(build_action_set(1, 1024))
     for _ in range(10000):
         played = learner.sample(rng.random())
         learner.update(played, 0.0 if played[0] == 1 else -1.0)
@@ -165,7 +162,7 @@ def test_concentrates_on_better_action():
 
 def test_sampling_matches_policy():
     rng = np.random.default_rng(0)
-    learner = ClusterLearner(build_action_set([[1.0]]))
+    learner = ClusterLearner(build_action_set(1, 1024))
     learner.pi = np.array([[0.25, 0.75]])
     draws = np.array([learner.sample(rng.random())[0] for _ in range(100000)])
     assert np.mean(draws == 1) == pytest.approx(0.75, abs=0.01)
@@ -174,7 +171,7 @@ def test_sampling_matches_policy():
 
 
 def test_sampling_reproducible():
-    learner = ClusterLearner(build_action_set([[1.0], [1.0]]))
+    learner = ClusterLearner(build_action_set(2, 1024))
     a = [learner.sample(np.random.default_rng(99).random()) for _ in range(20)]
     b = [learner.sample(np.random.default_rng(99).random()) for _ in range(20)]
     assert a == b
@@ -186,7 +183,7 @@ def test_empty_action_set_rejected():
 
 
 def test_sample_matches_searchsorted_at_cdf_points():
-    learner = ClusterLearner(build_action_set([[1.0, 2.0]]), rows=6)
+    learner = ClusterLearner(build_action_set(2, 4)[:3], rows=6)
     learner.pi[:] = [0.25, 0.5, 0.25]
     draws = np.array([0.0, 0.25, 0.5, 0.75, 0.9999999999999999, 0.1])
     want = np.minimum(np.searchsorted(np.cumsum(learner.pi[0]), draws,
@@ -195,12 +192,13 @@ def test_sample_matches_searchsorted_at_cdf_points():
 
 
 def test_stacked_rows_match_independent_learners():
-    # several action sets (2 to 512 actions, one with two levels), rows
-    # joining at different steps so their t differ, and rows kept,
-    # reordered or dropped at each recluster; draws come from one vector
-    # in a shuffled partition order, the references draw one scalar each
-    sets = [build_action_set([[1.0]] * s) for s in (1, 2, 3, 4, 9)]
-    sets.append(build_action_set([[1.0, 2.0], [0.5]]))
+    # six action sets (2 to 512 actions, and 6, which no cluster size
+    # gives: the learner reads only the table's row count), rows joining at
+    # different steps so their t differ, and rows kept, reordered or
+    # dropped at each recluster; draws come from one vector in a shuffled
+    # partition order, the references draw one scalar each
+    sets = [build_action_set(s, 1024) for s in (1, 2, 3, 4, 9)]
+    sets.append(build_action_set(3, 1024)[:6])
     gen = np.random.default_rng(2024)
     stacked = [ClusterLearner(a, rows=0, kappa=20.0) for a in sets]
     refs = [[] for _ in sets]

@@ -6,7 +6,6 @@ import pytest
 from scnsim.netmodel import (
     MACRO,
     SMALL,
-    BaseStation,
     ChannelModel,
     InactiveServerError,
     NetworkConfiguration,
@@ -18,11 +17,19 @@ from scnsim.netmodel import (
 )
 
 
-def make_bs(bs_id=0, kind=SMALL, pos=(0.0, 0.0), p_max=1.0, p_idle=0.1,
-            scale=1.1, never_sleeps=False):
-    return BaseStation(id=bs_id, kind=kind, position=pos, p_max=p_max,
-                       p_idle=p_idle, idle_scale_active=scale,
-                       never_sleeps=never_sleeps)
+def all_on(n):
+    """Unit transmit powers and all-on states for n BSs."""
+    return np.ones(n), np.ones(n, dtype=np.int64)
+
+
+def macro_drop(rng, n_bs):
+    """Macro at the centre (39.8 W) and n_bs - 1 small cells (1 W) in 1 km^2.
+
+    Returns (positions, macro mask, p_max).
+    """
+    pos = np.vstack([[500.0, 500.0], rng.uniform(0, 1000, size=(n_bs - 1, 2))])
+    macro = np.arange(n_bs) == 0
+    return pos, macro, np.where(macro, 39.8, 1.0)
 
 
 def test_dbm_watt_conversions():
@@ -64,30 +71,19 @@ def test_gain_monotone_in_distance():
 
 def test_gain_matrix_against_scalar():
     ch = ChannelModel()
-    stations = [make_bs(0, MACRO, (0.0, 0.0)), make_bs(1, SMALL, (100.0, 0.0))]
     pts = np.array([[30.0, 40.0], [500.0, 0.0]])
-    mat = ch.gain_matrix(stations, pts)
+    mat = ch.gain_matrix(np.array([[0.0, 0.0], [100.0, 0.0]]),
+                         np.array([True, False]), pts)
     assert mat.shape == (2, 2)
     assert mat[0, 0] == pytest.approx(ch.gain(MACRO, 50.0))
     assert mat[1, 1] == pytest.approx(ch.gain(SMALL, 400.0))
 
 
-def test_base_station_validation():
-    with pytest.raises(ValueError):
-        make_bs(scale=1.0)
-    with pytest.raises(ValueError):
-        make_bs(p_idle=1.0, p_max=1.0)
-    with pytest.raises(ValueError):
-        make_bs(kind="pico")
-
-
 def test_rate_snr_one_identity():
     # single BS, gain tuned so P * h equals the noise power: R = bw * log2(2)
     ch = ChannelModel()
-    stations = [make_bs(0)]
-    cfg = NetworkConfiguration.all_active(stations)
     gains = np.array([[ch.noise_w / 1.0]])
-    r = rate_matrix(cfg, gains, ch, exclusion_matrix(1, None))
+    r = rate_matrix(ch, gains, *all_on(1), np.zeros(1), exclusion_matrix(1, None))
     assert r[0, 0] == pytest.approx(ch.bandwidth_hz, rel=1e-12)
 
 
@@ -95,11 +91,9 @@ def test_rate_two_bs_interference():
     # serving P*h = 10 noise, interferer duty-cycled power rho*P*h = 4 noise:
     # SINR = 10 / (4 + 1) = 2, R = bw * log2(3)
     ch = ChannelModel()
-    stations = [make_bs(0), make_bs(1, pos=(50.0, 0.0))]
-    cfg = NetworkConfiguration.all_active(stations)
-    cfg.load = np.array([0.0, 0.8])
+    load = np.array([0.0, 0.8])
     gains = np.array([[10.0 * ch.noise_w], [4.0 * ch.noise_w / 0.8]])
-    r = rate_matrix(cfg, gains, ch, exclusion_matrix(2, None))
+    r = rate_matrix(ch, gains, *all_on(2), load, exclusion_matrix(2, None))
     assert r[0, 0] == pytest.approx(ch.bandwidth_hz * np.log2(3.0), rel=1e-12)
 
 
@@ -107,30 +101,25 @@ def test_rate_same_cluster_orthogonalized():
     # the same interferer inside the serving BS's cluster stops counting:
     # SINR = 10, R = bw * log2(11)
     ch = ChannelModel()
-    stations = [make_bs(0), make_bs(1, pos=(50.0, 0.0))]
-    cfg = NetworkConfiguration.all_active(stations)
-    cfg.load = np.array([0.0, 0.8])
+    load = np.array([0.0, 0.8])
     gains = np.array([[10.0 * ch.noise_w], [4.0 * ch.noise_w / 0.8]])
-    r = rate_matrix(cfg, gains, ch, exclusion_matrix(2, [(0, 1)]))
+    r = rate_matrix(ch, gains, *all_on(2), load, exclusion_matrix(2, [(0, 1)]))
     expected = ch.bandwidth_hz * np.log2(11.0)
     assert r[0, 0] == pytest.approx(expected, rel=1e-12)
     # a sleeping interferer is equally silent, cluster or not
-    cfg.state = np.array([1, 0])
-    r = rate_matrix(cfg, gains, ch, exclusion_matrix(2, None))
+    r = rate_matrix(ch, gains, np.ones(2), np.array([1, 0]), load,
+                    exclusion_matrix(2, None))
     assert r[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_rate_monotonicity():
     ch = ChannelModel()
-    stations = [make_bs(0), make_bs(1, pos=(80.0, 0.0))]
     gains = np.array([[3e-13], [1e-13]])
     excl = exclusion_matrix(2, None)
 
     def rate_at(p_serve, rho_interf):
-        cfg = NetworkConfiguration.all_active(stations)
-        cfg.power = np.array([p_serve, 1.0])
-        cfg.load = np.array([0.0, rho_interf])
-        return rate_matrix(cfg, gains, ch, excl)[0, 0]
+        return rate_matrix(ch, gains, np.array([p_serve, 1.0]), np.ones(2),
+                           np.array([0.0, rho_interf]), excl)[0, 0]
 
     powers = np.linspace(0.1, 1.0, 8)
     rates = [rate_at(p, 0.5) for p in powers]
@@ -142,16 +131,14 @@ def test_rate_monotonicity():
 
 def test_loads_empty_and_single_ue():
     ch = ChannelModel()
-    stations = [make_bs(0)]
-    cfg = NetworkConfiguration.all_active(stations)
-    res = compute_loads(ch, np.zeros((1, 0)), cfg,
+    res = compute_loads(ch, np.zeros((1, 0)), *all_on(1),
                         np.zeros(0, dtype=int), np.zeros(0))
     assert res.converged and res.load[0] == 0.0 and res.load_raw[0] == 0.0
 
     # gain tuned for R = 1.8 Mbit/s; 180 kbit/s of demand then loads it to 0.1
     sinr = 2.0 ** 0.18 - 1.0
     gains = np.array([[sinr * ch.noise_w]])
-    res = compute_loads(ch, gains, cfg, np.array([0]),
+    res = compute_loads(ch, gains, *all_on(1), np.array([0]),
                         np.array([180e3]))
     assert res.converged
     assert res.load[0] == pytest.approx(0.1, abs=1e-5)
@@ -160,12 +147,10 @@ def test_loads_empty_and_single_ue():
 
 def test_loads_symmetric_pair():
     ch = ChannelModel()
-    stations = [make_bs(0), make_bs(1, pos=(300.0, 0.0))]
-    cfg = NetworkConfiguration.all_active(stations)
     gains = np.array([[2e-12, 4e-14], [4e-14, 2e-12]])
     serving = np.array([0, 1])
     traffic = np.array([5e5, 5e5])
-    res = compute_loads(ch, gains, cfg, serving, traffic)
+    res = compute_loads(ch, gains, *all_on(2), serving, traffic)
     assert res.converged
     assert res.load[0] == pytest.approx(res.load[1], rel=1e-9)
     assert 0.0 < res.load[0] < 1.0
@@ -175,8 +160,6 @@ def test_load_locality_single_sweep():
     # with interference frozen, moving a UE between BSs a and b cannot
     # change the load of a third BS c
     ch = ChannelModel()
-    stations = [make_bs(i, pos=(200.0 * i, 0.0)) for i in range(3)]
-    cfg = NetworkConfiguration.all_active(stations)
     rng = np.random.default_rng(3)
     gains = rng.uniform(1e-14, 1e-12, size=(3, 4))
     traffic = rng.uniform(1e5, 5e5, size=4)
@@ -184,9 +167,9 @@ def test_load_locality_single_sweep():
 
     s1 = np.array([0, 0, 1, 2])
     s2 = np.array([0, 1, 1, 2])  # UE 1 moves a -> b
-    res1 = compute_loads(ch, gains, cfg, s1, traffic,
+    res1 = compute_loads(ch, gains, *all_on(3), s1, traffic,
                          gamma=1.0, max_iter=1, init=frozen)
-    res2 = compute_loads(ch, gains, cfg, s2, traffic,
+    res2 = compute_loads(ch, gains, *all_on(3), s2, traffic,
                          gamma=1.0, max_iter=1, init=frozen)
     assert res1.load_raw[2] == res2.load_raw[2]
     assert res2.load_raw[1] > res1.load_raw[1]
@@ -196,30 +179,29 @@ def test_load_fixed_point_identity():
     # a converged load vector reproduces itself through one frozen sweep
     ch = ChannelModel()
     rng = np.random.default_rng(5)
-    stations = [make_bs(i, pos=tuple(rng.uniform(0, 500, 2))) for i in range(4)]
+    rng.uniform(0, 500, size=(4, 2))  # BS positions: unused, drawn as before
     gains = rng.uniform(1e-13, 5e-12, size=(4, 6))
     traffic = rng.uniform(1e5, 1e6, size=6)
     serving = rng.integers(0, 4, size=6)
-    cfg = NetworkConfiguration.all_active(stations)
 
-    res = compute_loads(ch, gains, cfg, serving, traffic, tol=1e-9)
+    res = compute_loads(ch, gains, *all_on(4), serving, traffic, tol=1e-9)
     assert res.converged
-    again = compute_loads(ch, gains, cfg, serving, traffic,
+    again = compute_loads(ch, gains, *all_on(4), serving, traffic,
                           gamma=1.0, max_iter=1, init=res.load)
     assert np.max(np.abs(again.load - res.load)) < 1e-6
 
 
-def _reference_loads(stations, ch, gains, cfg, z, traffic, excl, gamma, tol,
+def _reference_loads(ch, gains, power, state, z, traffic, excl, gamma, tol,
                      max_iter, init):
     """The fixed point as a plain loop over full rate_matrix evaluations."""
-    n_bs = len(stations)
+    n_bs = len(power)
     serving = np.argmax(z, axis=0)
     assigned = z.sum(axis=0) > 0
     x = np.zeros(n_bs) if init is None else np.clip(init, 0.0, 1.0)
     raw = np.zeros(n_bs)
     converged, iterations = False, 0
     for iterations in range(1, max_iter + 1):
-        rates = rate_matrix(cfg, gains, ch, excl, interference_load=x)
+        rates = rate_matrix(ch, gains, power, state, x, excl)
         serving_rate = rates[serving, np.arange(len(serving))]
         per_ue = np.divide(traffic, serving_rate, out=np.zeros_like(traffic),
                            where=assigned)
@@ -247,16 +229,12 @@ def test_compute_loads_matches_rate_matrix_loop(gamma, tol, max_iter, warm):
     rng = np.random.default_rng(17)
     clusters = [(1, 2, 3), (4, 5)]
     for _ in range(8):
-        stations = [make_bs(0, MACRO, (500.0, 500.0), p_max=39.8, p_idle=1.0,
-                            never_sleeps=True)]
-        stations += [make_bs(i, SMALL, tuple(rng.uniform(0, 1000, 2)))
-                     for i in range(1, 7)]
+        pos, macro, p_max = macro_drop(rng, 7)
         n_ue = 15
-        gains = ch.gain_matrix(stations, rng.uniform(0, 1000, size=(n_ue, 2)))
+        gains = ch.gain_matrix(pos, macro, rng.uniform(0, 1000, size=(n_ue, 2)))
         traffic = rng.exponential(3e5, size=n_ue)
-        cfg = NetworkConfiguration.all_active(stations)
-        cfg.power = np.where(rng.random(7) < 0.5, cfg.power, 0.6 * cfg.power)
-        cfg.state = np.array([1, 1, 0, 1, 1, 1, 1])
+        power = np.where(rng.random(7) < 0.5, p_max, 0.6 * p_max)
+        state = np.array([1, 1, 0, 1, 1, 1, 1])
         serving = rng.choice([0, 1, 3, 4, 5, 6], size=n_ue)
         z = np.zeros((7, n_ue))
         z[serving, np.arange(n_ue)] = 1.0
@@ -264,11 +242,12 @@ def test_compute_loads_matches_rate_matrix_loop(gamma, tol, max_iter, warm):
         init = rng.uniform(0, 1.2, size=7) if warm else None
         excl = exclusion_matrix(7, clusters)
 
-        got = compute_loads(ch, gains, cfg, np.where(z.any(axis=0), serving, -1),
-                            traffic, excl=excl, gamma=gamma, tol=tol,
-                            max_iter=max_iter, init=init)
+        got = compute_loads(ch, gains, power, state,
+                            np.where(z.any(axis=0), serving, -1), traffic,
+                            excl=excl, gamma=gamma, tol=tol, max_iter=max_iter,
+                            init=init)
         load, raw, converged, iterations = _reference_loads(
-            stations, ch, gains, cfg, z, traffic, excl, gamma, tol, max_iter,
+            ch, gains, power, state, z, traffic, excl, gamma, tol, max_iter,
             init)
         assert np.array_equal(got.load, load)
         assert np.array_equal(got.load_raw, raw)
@@ -285,14 +264,11 @@ def test_compute_loads_unassigned_ues_carry_no_load():
     rng = np.random.default_rng(29)
     clustered = exclusion_matrix(6, [(1, 2), (3, 4, 5)])
     for trial in range(40):
-        stations = [make_bs(0, MACRO, (500.0, 500.0), p_max=39.8, p_idle=1.0,
-                            never_sleeps=True)]
-        stations += [make_bs(i, SMALL, tuple(rng.uniform(0, 1000, 2)))
-                     for i in range(1, 6)]
+        pos, macro, p_max = macro_drop(rng, 6)
+        state = np.ones(6, dtype=np.int64)
         n_ue = int(rng.integers(1, 30))
-        gains = ch.gain_matrix(stations, rng.uniform(0, 1000, size=(n_ue, 2)))
+        gains = ch.gain_matrix(pos, macro, rng.uniform(0, 1000, size=(n_ue, 2)))
         traffic = rng.exponential(3e5, size=n_ue)
-        cfg = NetworkConfiguration.all_active(stations)
         serving = rng.integers(0, 6, size=n_ue)
         serving[rng.random(n_ue) < 0.4] = -1
         if trial == 0:
@@ -302,16 +278,16 @@ def test_compute_loads_unassigned_ues_carry_no_load():
         z[serving[on], np.flatnonzero(on)] = 1.0
         init = rng.uniform(0, 1, size=6)
         for excl in (None, clustered):
-            got = compute_loads(ch, gains, cfg, serving, traffic, excl=excl,
-                                init=init)
+            got = compute_loads(ch, gains, p_max, state, serving, traffic,
+                                excl=excl, init=init)
             load, raw, converged, iterations = _reference_loads(
-                stations, ch, gains, cfg, z, traffic,
+                ch, gains, p_max, state, z, traffic,
                 exclusion_matrix(6, None) if excl is None else excl,
                 0.5, 1e-6, 200, init)
             assert got.load.tobytes() == load.tobytes()
             assert got.load_raw.tobytes() == raw.tobytes()
             assert (got.converged, got.iterations) == (converged, iterations)
-            without = compute_loads(ch, gains[:, on], cfg, serving[on],
+            without = compute_loads(ch, gains[:, on], p_max, state, serving[on],
                                     traffic[on], excl=excl, init=init)
             np.testing.assert_allclose(got.load_raw, without.load_raw,
                                        rtol=1e-12, atol=0.0)
@@ -321,23 +297,21 @@ def test_compute_loads_unassigned_ues_carry_no_load():
 
 def test_compute_loads_counts_iterations():
     ch = ChannelModel()
-    stations = [make_bs(0), make_bs(1, pos=(300.0, 0.0))]
-    cfg = NetworkConfiguration.all_active(stations)
+    power, state = all_on(2)
     gains = np.array([[2e-12, 4e-14], [4e-14, 2e-12]])
     serving, traffic = np.array([0, 1]), np.array([5e5, 5e5])
-    res = compute_loads(ch, gains, cfg, serving, traffic)
+    res = compute_loads(ch, gains, power, state, serving, traffic)
     assert res.converged and 1 < res.iterations < 200
-    assert res.copy().iterations == res.iterations
-    capped = compute_loads(ch, gains, cfg, serving, traffic, max_iter=2)
+    capped = compute_loads(ch, gains, power, state, serving, traffic, max_iter=2)
     assert not capped.converged and capped.iterations == 2
-    sweep = compute_loads(ch, gains, cfg, serving, traffic, gamma=1.0,
+    sweep = compute_loads(ch, gains, power, state, serving, traffic, gamma=1.0,
                           max_iter=1, init=res.load)
     assert sweep.iterations == 1
     # no excl is the identity exclusion: every other BS interferes
     assert np.array_equal(
-        compute_loads(ch, gains, cfg, serving, traffic,
+        compute_loads(ch, gains, power, state, serving, traffic,
                       excl=exclusion_matrix(2, None)).load, res.load)
-    assert NetworkConfiguration.all_active(stations).iterations == 0
+    assert NetworkConfiguration(state, np.zeros(2), np.zeros(2)).iterations == 0
 
 
 def test_own_cell_term_equals_identity_gemm():
@@ -360,19 +334,15 @@ def test_compute_loads_without_excl_equals_identity_excl():
     rng = np.random.default_rng(23)
     for _ in range(60):
         n_bs, n_ue = int(rng.integers(2, 12)), int(rng.integers(0, 60))
-        stations = [make_bs(0, MACRO, (500.0, 500.0), p_max=39.8, p_idle=1.0,
-                            never_sleeps=True)]
-        stations += [make_bs(i, SMALL, tuple(rng.uniform(0, 1000, 2)))
-                     for i in range(1, n_bs)]
-        gains = ch.gain_matrix(stations, rng.uniform(0, 1000, size=(n_ue, 2)))
+        pos, macro, p_max = macro_drop(rng, n_bs)
+        gains = ch.gain_matrix(pos, macro, rng.uniform(0, 1000, size=(n_ue, 2)))
         traffic = rng.exponential(3e5, size=n_ue)
-        cfg = NetworkConfiguration.all_active(stations)
-        cfg.state = (rng.random(n_bs) < 0.7).astype(np.int64)
-        cfg.state[0] = 1
-        serving = rng.choice(np.flatnonzero(cfg.state), size=n_ue)
+        state = (rng.random(n_bs) < 0.7).astype(np.int64)
+        state[0] = 1
+        serving = rng.choice(np.flatnonzero(state), size=n_ue)
         init = rng.uniform(0, 1, size=n_bs)
-        a = compute_loads(ch, gains, cfg, serving, traffic, init=init)
-        b = compute_loads(ch, gains, cfg, serving, traffic, init=init,
+        a = compute_loads(ch, gains, p_max, state, serving, traffic, init=init)
+        b = compute_loads(ch, gains, p_max, state, serving, traffic, init=init,
                           excl=exclusion_matrix(n_bs, None))
         assert a.load.tobytes() == b.load.tobytes()
         assert a.load_raw.tobytes() == b.load_raw.tobytes()
@@ -381,12 +351,9 @@ def test_compute_loads_without_excl_equals_identity_excl():
 
 def test_compute_loads_rejects_sleeping_server():
     ch = ChannelModel()
-    stations = [make_bs(0), make_bs(1, pos=(100.0, 0.0))]
-    cfg = NetworkConfiguration.all_active(stations)
-    cfg.state = np.array([1, 0])
     with pytest.raises(InactiveServerError):
-        compute_loads(ch, np.full((2, 1), 1e-13), cfg, np.array([1]),
-                      np.array([1e5]))
+        compute_loads(ch, np.full((2, 1), 1e-13), np.ones(2), np.array([1, 0]),
+                      np.array([1]), np.array([1e5]))
 
 
 def test_exclusion_matrix():
@@ -410,38 +377,35 @@ def test_exclusion_matrix():
         assert got.dtype == bool and np.array_equal(got, want)
 
 
-def total_power(bs, state, load, power=None):
+def total_power(p_max, p_idle, scale, state, load):
     """The two-state power model for one BS, the oracle for total_powers.
 
-    load is the clamped duty cycle; power is the configured transmit level
-    (defaults to the BS ceiling).
+    load is the clamped duty cycle, p_max the transmit power while on.
     """
     if state == 0:
-        return bs.p_idle
-    level = bs.p_max if power is None else power
-    return load * level + bs.idle_scale_active * bs.p_idle
+        return p_idle
+    return load * p_max + scale * p_idle
 
 
 def test_total_power_branches():
-    bs = make_bs(p_max=1.0, p_idle=0.1, scale=1.1)
-    assert total_power(bs, 0, 0.7) == pytest.approx(0.1, abs=1e-15)
-    assert total_power(bs, 1, 0.0) == pytest.approx(0.11, abs=1e-15)
+    assert total_power(1.0, 0.1, 1.1, 0, 0.7) == pytest.approx(0.1, abs=1e-15)
+    assert total_power(1.0, 0.1, 1.1, 1, 0.0) == pytest.approx(0.11, abs=1e-15)
     # the two-term active draw: 0.5 * 1 + 1.1 * 0.1 = 0.61 W
-    assert total_power(bs, 1, 0.5) == pytest.approx(0.61, abs=1e-12)
-    assert total_power(bs, 1, 0.5, power=0.5) == pytest.approx(0.36, abs=1e-12)
+    assert total_power(1.0, 0.1, 1.1, 1, 0.5) == pytest.approx(0.61, abs=1e-12)
+    assert total_power(0.5, 0.1, 1.1, 1, 0.5) == pytest.approx(0.36, abs=1e-12)
 
 
 def test_total_powers_vector_matches_scalar():
     rng = np.random.default_rng(9)
-    stations = [make_bs(0, MACRO, (0.0, 0.0), p_max=39.8, p_idle=1.0),
-                make_bs(1), make_bs(2, scale=2.0)]
-    cfg = NetworkConfiguration.all_active(stations)
-    cfg.power = np.array([39.8, 0.7, 1.0])
-    cfg.state = np.array([1, 0, 1])
-    cfg.load = rng.uniform(0, 1, 3)
-    vec = total_powers(np.array([bs.p_idle for bs in stations]),
-                       np.array([bs.idle_scale_active for bs in stations]), cfg)
-    for i, bs in enumerate(stations):
-        want = total_power(bs, int(cfg.state[i]), float(cfg.load[i]),
-                           power=float(cfg.power[i]))
+    p_max = np.array([39.8, 0.7, 1.0])
+    p_idle = np.array([1.0, 0.1, 0.1])
+    scale = np.array([1.1, 1.1, 2.0])
+    cfg = NetworkConfiguration(np.array([1, 0, 1]), rng.uniform(0, 1, 3), np.zeros(3))
+    vec = total_powers(p_max, p_idle, scale, cfg)
+    for i in range(3):
+        want = total_power(p_max[i], p_idle[i], scale[i], int(cfg.state[i]),
+                           float(cfg.load[i]))
         assert vec[i] == pytest.approx(want, rel=1e-14)
+    # World passes one active-state multiplier for every BS
+    assert total_powers(p_max, p_idle, 1.1, cfg).tobytes() == total_powers(
+        p_max, p_idle, np.full(3, 1.1), cfg).tobytes()

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from scnsim import association, clustering, netmodel
 from scnsim.cli import _fmt
 from scnsim.clustering import ClusterPartition
-from scnsim.config import default_config, validate_config
-from scnsim.coordination import rebalance, solve_cluster_schedule
+from scnsim.config import ConfigError, default_config, validate_config
+from scnsim.coordination import rebalance
 from scnsim.sim import (
     STEP_SECONDS,
     World,
@@ -23,6 +23,7 @@ from scnsim.sim import (
     run_once,
     sweep,
 )
+from test_coordination import solve_cluster_schedule
 
 
 def small_cfg(mode="learning_clustered", n_small=5, n_ues=12, steps=30):
@@ -45,29 +46,28 @@ def test_macro_only_network():
 
 def test_scenario_layout_and_determinism():
     cfg = small_cfg()
-    a_st, a_ue = generate_scenario(cfg, np.random.default_rng(42))
-    b_st, b_ue = generate_scenario(cfg, np.random.default_rng(42))
-    assert [bs.position for bs in a_st] == [bs.position for bs in b_st]
-    assert [ue.position for ue in a_ue] == [ue.position for ue in b_ue]
-    assert [ue.traffic_rate for ue in a_ue] == [ue.traffic_rate for ue in b_ue]
-    assert a_st[0].kind == netmodel.MACRO
-    assert a_st[0].position == (cfg.layout.side_m / 2, cfg.layout.side_m / 2)
-    assert all(bs.kind == netmodel.SMALL for bs in a_st[1:])
+    a = generate_scenario(cfg, np.random.default_rng(42))
+    b = generate_scenario(cfg, np.random.default_rng(42))
+    for x, y in zip(a, b):
+        assert x.tobytes() == y.tobytes()
+    bs_pos, macro, ue_pos, traffic = a
+    assert bs_pos.shape == (6, 2) and ue_pos.shape == (12, 2)
+    assert traffic.shape == (12,) and np.all(traffic > 0)
+    assert macro.tolist() == [True] + [False] * 5
+    assert bs_pos[0].tolist() == [cfg.layout.side_m / 2, cfg.layout.side_m / 2]
 
 
 def test_min_distances_hold_across_seeds():
     cfg = default_config()  # Table-style defaults: 10 SBSs, 50 UEs
     lay = cfg.layout
     for seed in range(1000):
-        stations, ues = generate_scenario(cfg, np.random.default_rng(seed))
-        pos = np.array([bs.position for bs in stations])
-        upos = np.array([ue.position for ue in ues])
+        pos, _, upos, _ = generate_scenario(cfg, np.random.default_rng(seed))
         assert np.all((pos >= 0) & (pos <= lay.side_m))
         assert np.all((upos >= 0) & (upos <= lay.side_m))
         d_bs = np.hypot(pos[:, None, 0] - pos[None, :, 0],
                         pos[:, None, 1] - pos[None, :, 1])
         assert np.all(d_bs[0, 1:] >= lay.min_dist_macro_small_m)
-        off_diag = d_bs[1:, 1:][~np.eye(len(stations) - 1, dtype=bool)]
+        off_diag = d_bs[1:, 1:][~np.eye(len(pos) - 1, dtype=bool)]
         assert np.all(off_diag >= lay.min_dist_small_small_m)
         d_ue = np.hypot(pos[:, None, 0] - upos[None, :, 0],
                         pos[:, None, 1] - upos[None, :, 1])
@@ -79,8 +79,10 @@ def test_infeasible_density():
     cfg = small_cfg(n_small=6)
     cfg.layout.side_m = 100.0
     cfg.layout.min_dist_small_small_m = 200.0
-    with pytest.raises(RuntimeError, match="infeasible density"):
+    with pytest.raises(ConfigError, match="infeasible density") as err:
         generate_scenario(cfg, np.random.default_rng(0))
+    for key in ("side_m = 100", "n_small = 6", "min_dist_small_small_m = 200"):
+        assert key in str(err.value)
 
 
 def test_run_determinism():
@@ -136,12 +138,11 @@ def test_zero_ues_prefer_sleep():
 
 def test_every_ue_served_each_step():
     cfg = small_cfg(steps=25)
-    stations, ues = generate_scenario(cfg, np.random.default_rng(8))
-    world = World(cfg, stations, ues, np.random.default_rng(1),
-                  np.random.default_rng(2))
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(8)),
+                  np.random.default_rng(1), np.random.default_rng(2))
     for t in range(1, cfg.run.steps + 1):
         world.step(t)
-        assert world.last_serving.shape == (len(ues),)
+        assert world.last_serving.shape == (cfg.layout.n_ues,)
         assert np.all(world.last_serving >= 0)  # nobody uncovered
         assert np.all(world.net.state[world.last_serving] == 1)
 
@@ -150,18 +151,11 @@ def test_all_asleep_charges_penalty():
     # a macro-less world can actually go dark; the step must not abort and
     # each learner must observe -(alpha * sum p_max + beta * member count)
     cfg = small_cfg("learning_no_clusters", n_small=0, n_ues=2, steps=5)
-    stations = [
-        netmodel.BaseStation(id=0, kind=netmodel.SMALL, position=(100.0, 100.0),
-                             p_max=1.0, p_idle=0.1, idle_scale_active=2.0),
-        netmodel.BaseStation(id=1, kind=netmodel.SMALL, position=(900.0, 900.0),
-                             p_max=1.0, p_idle=0.1, idle_scale_active=2.0),
-    ]
-    ues = [netmodel.UserEquipment(id=0, position=(150.0, 150.0),
-                                  traffic_rate=1e5),
-           netmodel.UserEquipment(id=1, position=(850.0, 850.0),
-                                  traffic_rate=1e5)]
-    world = World(cfg, stations, ues, np.random.default_rng(0),
-                  np.random.default_rng(0))
+    # two small cells (1 W p_max at the default config) and two UEs
+    world = World(cfg, np.array([[100.0, 100.0], [900.0, 900.0]]),
+                  np.array([False, False]),
+                  np.array([[150.0, 150.0], [850.0, 850.0]]), np.full(2, 1e5),
+                  np.random.default_rng(0), np.random.default_rng(0))
     world.step(1)  # installs the singleton learners
     for learner in world.learners.values():
         learner.pi[:] = [0.0, 1.0]  # force the sleep action
@@ -174,9 +168,8 @@ def test_all_asleep_charges_penalty():
 
 def test_learners_survive_unchanged_partition():
     cfg = small_cfg(steps=2)
-    stations, ues = generate_scenario(cfg, np.random.default_rng(3))
-    world = World(cfg, stations, ues, np.random.default_rng(1),
-                  np.random.default_rng(2))
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(3)),
+                  np.random.default_rng(1), np.random.default_rng(2))
     part = ClusterPartition(((1, 2), (3, 4, 5)), (1, 3), epoch=1)
     world._set_partition(part, 1)
     for learner in world.learners.values():  # one observed step per row
@@ -196,11 +189,10 @@ def test_rebalance_matches_per_cluster_schedules():
     # the vectorised stage-(5) rebalance on World's cached labels equals one
     # solve_cluster_schedule per cluster over the UEs of its members
     cfg = small_cfg(n_small=7, n_ues=14)
-    stations, ues = generate_scenario(cfg, np.random.default_rng(4))
-    world = World(cfg, stations, ues, np.random.default_rng(1),
-                  np.random.default_rng(2))
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(4)),
+                  np.random.default_rng(1), np.random.default_rng(2))
     rng = np.random.default_rng(99)
-    n_bs, n_ue = world.n_bs, len(ues)
+    n_bs, n_ue = world.n_bs, world.traffic.size
     for trial in range(300):
         labels = rng.integers(0, 4, size=n_bs - 1)
         clusters = tuple(
@@ -222,9 +214,8 @@ def test_rebalance_matches_per_cluster_schedules():
             midx = np.array(members)
             sel = np.flatnonzero(np.isin(serving, midx))
             if sel.size:
-                sched = solve_cluster_schedule(costs[np.ix_(midx, sel)], members,
-                                               sel.tolist(), active[midx])
-                want[sel] = midx[np.argmax(sched.binary, axis=0)]
+                binary = solve_cluster_schedule(costs[np.ix_(midx, sel)], active[midx])
+                want[sel] = midx[np.argmax(binary, axis=0)]
         got = rebalance(costs, world.label, serving, active)
         assert np.array_equal(got, want)
 
@@ -247,9 +238,8 @@ def test_kmeans_iters_reaches_kmeans(monkeypatch):
 
 def test_step_exposes_fixed_point_iterations():
     cfg = small_cfg(steps=3)
-    stations, ues = generate_scenario(cfg, np.random.default_rng(6))
-    world = World(cfg, stations, ues, np.random.default_rng(1),
-                  np.random.default_rng(2))
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(6)),
+                  np.random.default_rng(1), np.random.default_rng(2))
     for t in range(1, 4):
         world.step(t)
         assert 1 <= world.net.iterations <= cfg.run.load_max_iter
@@ -263,8 +253,6 @@ def _fresh_step_inputs(world, rec, prev_load, delta, associate=None):
     returned rec, recomputed from scratch."""
     state = np.ones(world.n_bs, dtype=np.int64)
     state[world.sbs_idx] = rec.sbs_state
-    cfg = netmodel.NetworkConfiguration(world.p_max.copy(), state.copy(),
-                                        prev_load.copy(), np.zeros(world.n_bs))
     n_ue = world.traffic.size
     if not n_ue:
         serving = np.zeros(0, dtype=int)
@@ -274,17 +262,17 @@ def _fresh_step_inputs(world, rec, prev_load, delta, associate=None):
         serving = (associate or _associate_all)(
             world.p_max[:, None] * world.gains, state, world.estimate.rho_hat, delta)
         if world.excl is not None:
-            rates = netmodel.rate_matrix(cfg, world.gains, world.channel,
-                                         world.excl, interference_load=prev_load)
+            rates = netmodel.rate_matrix(world.channel, world.gains, world.p_max,
+                                         state, prev_load, world.excl)
             with np.errstate(divide="ignore"):
                 costs = world.traffic[None, :] / rates
             serving = rebalance(costs, world.label, serving, state == 1)
     rc = world.cfg.run
     net = netmodel.compute_loads(
-        world.channel, world.gains, cfg, serving, world.traffic,
+        world.channel, world.gains, world.p_max, state, serving, world.traffic,
         excl=world.excl, gamma=rc.load_gamma, tol=rc.load_tol,
         max_iter=rc.load_max_iter, init=prev_load)
-    totals = netmodel.total_powers(world.p_idle, world.idle_scale, net)
+    totals = netmodel.total_powers(world.p_max, world.p_idle, world.idle_scale, net)
     cost = world.cost.alpha * totals + world.cost.beta * net.load_raw
     return serving, net, totals[world.sbs_idx], cost[world.sbs_idx]
 
@@ -321,9 +309,8 @@ def test_reused_solves_equal_fresh_solves(mode, delta, scenario_seed, monkeypatc
     cfg.association.delta = delta
     cfg.clustering.eps_d_m = 400.0
     cfg.clustering.recluster_every = 5
-    stations, ues = generate_scenario(cfg, np.random.default_rng(scenario_seed))
-    world = World(cfg, stations, ues, np.random.default_rng(1),
-                  np.random.default_rng(2))
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scenario_seed)),
+                  np.random.default_rng(1), np.random.default_rng(2))
     effective_delta = 0.0 if mode == "classical" else delta
     sbs_served = 0
     for t in range(1, cfg.run.steps + 1):
@@ -346,9 +333,8 @@ def test_new_serving_or_exclusion_forces_a_solve(change, monkeypatch):
     # serving and the exclusion matrix object are part of the reuse key:
     # a step that repeats the last solve's other inputs is solved again
     cfg = small_cfg("classical", n_small=4, n_ues=24)
-    stations, ues = generate_scenario(cfg, np.random.default_rng(3))
-    world = World(cfg, stations, ues, np.random.default_rng(1),
-                  np.random.default_rng(2))
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(3)),
+                  np.random.default_rng(1), np.random.default_rng(2))
     for t in range(1, 101):
         world.step(t)
     solves = world.fp_solves
@@ -378,9 +364,8 @@ def test_classical_world_reuses_most_solves():
     # the warm-started iteration reaches an exact fixed point and classical
     # states never change, so most steps repeat the last solve's inputs
     cfg = small_cfg("classical", n_small=10, n_ues=54, steps=200)
-    stations, ues = generate_scenario(cfg, np.random.default_rng(5))
-    world = World(cfg, stations, ues, np.random.default_rng(1),
-                  np.random.default_rng(2))
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(5)),
+                  np.random.default_rng(1), np.random.default_rng(2))
     for t in range(1, cfg.run.steps + 1):
         world.step(t)
     assert world.fp_solves < cfg.run.steps / 2
@@ -464,9 +449,8 @@ def test_step_invariants_hold_in_every_mode(
     validate_config(cfg)
     # the same three streams run_once spawns for run 0
     scen, kmeans, learner_seed = np.random.SeedSequence([seed, 0]).spawn(3)
-    stations, ues = generate_scenario(cfg, np.random.default_rng(scen))
-    world = World(cfg, stations, ues, np.random.default_rng(kmeans),
-                  np.random.default_rng(learner_seed))
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
+                  np.random.default_rng(kmeans), np.random.default_rng(learner_seed))
     powers = []
     for t in range(1, steps + 1):
         rec = world.step(t)
@@ -483,14 +467,6 @@ def test_step_invariants_hold_in_every_mode(
         math.fsum(float(p) for step_power in powers for p in step_power) * STEP_SECONDS,
         rel=1e-12, abs=1e-12,
     )
-
-
-def test_station_id_validation():
-    cfg = small_cfg()
-    stations, ues = generate_scenario(cfg, np.random.default_rng(3))
-    with pytest.raises(ValueError, match="ids"):
-        World(cfg, stations[::-1], ues, np.random.default_rng(0),
-              np.random.default_rng(0))
 
 
 def test_burn_in_steps():
@@ -557,13 +533,12 @@ def test_disjoint_seeds_agree_within_bands():
 def test_sweep_shares_ue_prefix():
     cfg = small_cfg(n_ues=10)
     rng = np.random.default_rng(5)
-    _, short = generate_scenario(cfg, rng)
+    _, _, short_pos, short_traffic = generate_scenario(cfg, rng)
     cfg.layout.n_ues = 20
     rng = np.random.default_rng(5)
-    _, long = generate_scenario(cfg, rng)
-    for a, b in zip(short, long[:10]):
-        assert a.position == b.position
-        assert a.traffic_rate == b.traffic_rate
+    _, _, long_pos, long_traffic = generate_scenario(cfg, rng)
+    assert short_pos.tobytes() == long_pos[:10].tobytes()
+    assert short_traffic.tobytes() == long_traffic[:10].tobytes()
 
 
 def test_sweep_emits_one_result_per_point():
