@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .association import AssociationConfig
@@ -89,7 +90,7 @@ class RunConfig:
     seed: int = 1
     burn_in_frac: float = 0.3  # fraction of steps dropped from summaries
     jobs: int = 1  # parallel worker processes for Monte-Carlo runs
-    load_gamma: float = 0.5  # damping of the load fixed-point iteration
+    load_gamma: float = 1.0  # load fixed-point damping; 1 = undamped
     load_tol: float = 1e-6
     load_max_iter: int = 200
 
@@ -161,8 +162,23 @@ def _coerce(section: str, key: str, raw: str, current):
         ) from exc
 
 
+def _watts(key: str, dbm: float) -> float:
+    try:
+        return dbm_to_watt(dbm)
+    except OverflowError:
+        raise ConfigError(f"power.{key} = {dbm:g} dBm overflows in watts") from None
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
+    for section in dataclasses.fields(cfg):
+        group = getattr(cfg, section.name)
+        for f in dataclasses.fields(group):
+            value = getattr(group, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{section.name}.{f.name} must be finite, got {value}")
     run, lay, pw = cfg.run, cfg.layout, cfg.power
+    macro_p_max = _watts("macro_p_max_dbm", pw.macro_p_max_dbm)
+    small_p_max = _watts("small_p_max_dbm", pw.small_p_max_dbm)
     checks = [
         (run.mode in MODES, f"run.mode must be one of {MODES}, got {run.mode!r}"),
         (run.steps >= 1, "run.steps must be >= 1"),
@@ -178,11 +194,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
         (lay.n_ues >= 0, "layout.n_ues must be >= 0"),
         (pw.idle_scale_active > 1.0, "power.idle_scale_active must exceed 1"),
         (
-            0.0 < pw.macro_p_idle_w < dbm_to_watt(pw.macro_p_max_dbm),
+            0.0 < pw.macro_p_idle_w < macro_p_max,
             "need 0 < power.macro_p_idle_w < macro p_max (macro_p_max_dbm in W)",
         ),
         (
-            0.0 < pw.small_p_idle_w < dbm_to_watt(pw.small_p_max_dbm),
+            0.0 < pw.small_p_idle_w < small_p_max,
             "need 0 < power.small_p_idle_w < small p_max (small_p_max_dbm in W)",
         ),
         (

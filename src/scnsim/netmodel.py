@@ -157,11 +157,15 @@ def compute_loads(
     Rates depend on every BS's duty cycle through interference, so the load
     vector is iterated with damping gamma until the clamped iterate moves
     less than tol in max-norm (or max_iter is hit; the result's converged
-    flag records which). Pass max_iter=1, gamma=1.0 with an explicit init for a single
-    frozen-interference sweep. Returns a new configuration carrying a copy
-    of state, the clamped load, the raw (unclamped) load at the converged
-    interference state, the convergence flag and the number of iterations
-    run.
+    flag records which). The clamped map rho -> min(sum traffic / R(rho), 1)
+    is a standard interference function (positive, monotone, scalable;
+    Yates 1995), so the undamped iteration gamma=1.0, which World runs by
+    default (run.load_gamma), converges from any init; gamma < 1 reaches
+    the same fixed point in more iterations. Pass max_iter=1, gamma=1.0
+    with an explicit init for a single frozen-interference sweep. Returns a
+    new configuration carrying a copy of state, the clamped load, the raw
+    (unclamped) load at the converged interference state, the convergence
+    flag and the number of iterations run.
 
     serving holds one BS index per UE (-1: unassigned, carries no load);
     every serving BS must be active. excl is rate_matrix's exclusion matrix

@@ -177,12 +177,15 @@ class World:
         # serving station per UE after the last step (-1 = uncovered)
         self.last_serving = np.zeros(0, dtype=int)
         # fixed-point solves actually run; a step whose solver inputs repeat
-        # the last solve's bit for bit reuses its result instead
+        # either of the last two solves' bit for bit reuses its result instead
         self.fp_solves = 0
         # last association with delta = 0: (state bytes, serving, no_coverage)
         self._assoc: tuple[bytes, np.ndarray, bool] | None = None
-        # last solve: (excl, input bytes, net, total powers, per-BS cost)
-        self._solve: tuple | None = None
+        # the last two solves, most recently used first: (excl, input bytes,
+        # net, total powers, per-BS cost). Two entries, because the
+        # warm-started iterate often settles into a period-2 cycle in the
+        # last bit, whose keys alternate
+        self._solves: list[tuple] = []
 
     def _set_partition(self, partition: clust.ClusterPartition, step: int) -> None:
         """Install a partition, keeping the learner row of every unchanged cluster.
@@ -334,24 +337,23 @@ class World:
         # (6) realized loads from the coupled fixed point, warm-started, and
         # (7) the running cost per BS. Both are pure functions of excl,
         # state, serving and prev_load (power, traffic, gains and the solver
-        # settings are fixed per World), so a step whose inputs equal the
-        # last solve's bit for bit reuses that solve's results
+        # settings are fixed per World), so a step whose inputs equal those
+        # of either of the last two solves bit for bit reuses its results
         key = (state_key, serving.tobytes(), prev_load.tobytes())
-        last = self._solve
-        if last is not None and last[0] is self.excl and last[1] == key:
-            self.net, totals, per_bs_cost = last[2:]
-        else:
-            self.net = netmodel.compute_loads(
+        memo = self._solves
+        entry = next((e for e in memo if e[0] is self.excl and e[1] == key), None)
+        if entry is None:
+            net = netmodel.compute_loads(
                 self.channel, self.gains, self.p_max, state, serving, self.traffic,
                 excl=self.excl, gamma=rc.load_gamma, tol=rc.load_tol,
                 max_iter=rc.load_max_iter, init=prev_load,
             )
             self.fp_solves += 1
-            totals = netmodel.total_powers(
-                self.p_max, self.p_idle, self.idle_scale, self.net
-            )
-            per_bs_cost = self.cost.alpha * totals + self.cost.beta * self.net.load_raw
-            self._solve = (self.excl, key, self.net, totals, per_bs_cost)
+            totals = netmodel.total_powers(self.p_max, self.p_idle, self.idle_scale, net)
+            per_bs_cost = self.cost.alpha * totals + self.cost.beta * net.load_raw
+            entry = (self.excl, key, net, totals, per_bs_cost)
+        self._solves = [entry] + [other for other in memo if other is not entry][:1]
+        self.net, totals, per_bs_cost = entry[2:]
 
         # (8) every learner observes the negated cost of its own members;
         # a step that left UEs uncovered charges the bounded penalty instead

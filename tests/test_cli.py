@@ -179,9 +179,10 @@ def test_seed_override_changes_output(tmp_path, capsys):
 
 
 # SHA-256 prefixes of every CSV a traced, cluster-dumping three-mode sweep
-# writes, recorded before the load fixed point was moved onto the serving
-# index; any change to the simulator's numbers, to the RunResult
-# reductions or to the CSV writer shows here.
+# writes with the damped fixed point (run.load_gamma = 0.5), recorded
+# before the load fixed point was moved onto the serving index; any change
+# to the simulator's numbers, to the RunResult reductions or to the CSV
+# writer shows here.
 GOLDEN_SWEEP_DIGESTS = {
     "clusters.csv": "290ed742077446a3",
     "energy_cdf.csv": "7153ac82a9986bf9",
@@ -193,7 +194,20 @@ GOLDEN_SWEEP_DIGESTS = {
 }
 
 
-def test_golden_sweep_csvs(tmp_path, capsys):
+# the same sweep with the undamped fixed point (run.load_gamma = 1.0, the
+# default), recorded when undamped iteration became the default
+GOLDEN_SWEEP_DIGESTS_UNDAMPED = {
+    "clusters.csv": "290ed742077446a3",
+    "energy_cdf.csv": "9ddf0309c933c06c",
+    "energy_cdf_classical.csv": "5ead92a33a9ace13",
+    "energy_cdf_learning_clustered.csv": "03ca7d494ba81f06",
+    "energy_cdf_learning_no_clusters.csv": "86141dfe5d534910",
+    "steps.csv": "a555555c8ddbc44a",
+    "summary.csv": "90eff5bc7714ef14",
+}
+
+
+def _golden_sweep_digests(tmp_path, capsys, load_gamma):
     cfg = tmp_path / "golden.ini"
     cfg.write_text(
         "[layout]\n"
@@ -205,12 +219,21 @@ def test_golden_sweep_csvs(tmp_path, capsys):
         "steps = 40\n"
         "runs = 2\n"
         "seed = 11\n"
+        f"load_gamma = {load_gamma}\n"
     )
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--vary", "ues=9,30", "--modes", "all",
                  "--trace", "--dump-clusters"]) == 0
     capsys.readouterr()
-    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-           for path in sorted(out.glob("*.csv"))}
-    assert got == GOLDEN_SWEEP_DIGESTS
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+            for path in sorted(out.glob("*.csv"))}
+
+
+def test_golden_sweep_csvs(tmp_path, capsys):
+    assert _golden_sweep_digests(tmp_path, capsys, 0.5) == GOLDEN_SWEEP_DIGESTS
+
+
+def test_golden_sweep_csvs_undamped(tmp_path, capsys):
+    got = _golden_sweep_digests(tmp_path, capsys, 1.0)
+    assert got == GOLDEN_SWEEP_DIGESTS_UNDAMPED

@@ -1,5 +1,8 @@
 """Config defaults, INI loading, coercion, and validation tests."""
 
+import dataclasses
+import math
+
 import pytest
 
 from scnsim.config import (
@@ -18,6 +21,7 @@ def test_defaults_are_valid():
     assert cfg.layout.n_small == 10
     assert cfg.channel.bandwidth_hz == 10e6
     assert cfg.power.idle_scale_active > 1.0
+    assert cfg.run.load_gamma == 1.0  # undamped fixed point
 
 
 def test_derived_views():
@@ -124,3 +128,35 @@ def test_validation_rejects(mutate, message):
     mutate(cfg)
     with pytest.raises(ConfigError, match=message):
         validate_config(cfg)
+
+
+_GROUPS = {s.name: getattr(default_config(), s.name)
+           for s in dataclasses.fields(default_config())}
+FLOAT_KEYS = [(name, f.name) for name, group in _GROUPS.items()
+              for f in dataclasses.fields(group)
+              if isinstance(getattr(group, f.name), float)]
+
+
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_validation_rejects_non_finite(section, key):
+    for value in (math.inf, -math.inf, math.nan):
+        cfg = default_config()
+        setattr(getattr(cfg, section), key, value)
+        with pytest.raises(ConfigError, match=rf"{section}\.{key} must be finite"):
+            validate_config(cfg)
+
+
+@pytest.mark.parametrize("key", ["macro_p_max_dbm", "small_p_max_dbm"])
+def test_validation_rejects_overflowing_p_max(key):
+    # 10 ** ((1e6 - 30) / 10) W overflows a float
+    cfg = default_config()
+    setattr(cfg.power, key, 1e6)
+    with pytest.raises(ConfigError, match=f"power.{key}.*overflows"):
+        validate_config(cfg)
+
+
+def test_non_finite_ini_value_is_rejected(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[traffic]\nmean_rate_bps = inf\n")
+    with pytest.raises(ConfigError, match="traffic.mean_rate_bps must be finite"):
+        load_config(str(path))

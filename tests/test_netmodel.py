@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scnsim.association import associate_all
+from scnsim.config import default_config
 from scnsim.netmodel import (
     MACRO,
     SMALL,
@@ -15,6 +19,7 @@ from scnsim.netmodel import (
     rate_matrix,
     total_powers,
 )
+from scnsim.sim import generate_scenario
 
 
 def all_on(n):
@@ -409,3 +414,43 @@ def test_total_powers_vector_matches_scalar():
     # World passes one active-state multiplier for every BS
     assert total_powers(p_max, p_idle, 1.1, cfg).tobytes() == total_powers(
         p_max, p_idle, np.full(3, 1.1), cfg).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_small=st.integers(0, 12),
+    n_ues=st.integers(1, 60),
+    mean_rate=st.sampled_from([180e3, 2e6, 2e7]),
+    clustered=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_undamped_and_damped_loads_agree(n_small, n_ues, mean_rate, clustered, seed):
+    # the clamped map rho -> min(sum traffic / R(rho), 1) is a standard
+    # interference function (Yates 1995), so the undamped iteration converges
+    # from any start, to the fixed point the damped one reaches
+    cfg = default_config()
+    cfg.layout.n_small, cfg.layout.n_ues = n_small, n_ues
+    cfg.traffic.mean_rate_bps = mean_rate
+    rng = np.random.default_rng(seed)
+    bs_pos, macro, ue_pos, traffic = generate_scenario(cfg, rng)
+    n_bs = macro.size
+    ch = cfg.channel_model()
+    gains = ch.gain_matrix(bs_pos, macro, ue_pos)
+    power = np.where(macro, 39.8, 1.0)
+    state = rng.integers(0, 2, size=n_bs)
+    state[0] |= not state.any()
+    serving = associate_all(power[:, None] * gains, state, np.zeros(n_bs), 0.0)
+    excl = None
+    if clustered:
+        labels = rng.integers(0, max(1, n_bs // 2), size=n_bs)
+        excl = exclusion_matrix(n_bs, [np.flatnonzero(labels == k) for k in set(labels)])
+    init = rng.uniform(0.0, 1.0, size=n_bs)
+    tol = 1e-6
+    loads = [
+        compute_loads(ch, gains, power, state, serving, traffic, excl=excl,
+                      gamma=gamma, tol=tol, max_iter=200, init=init)
+        for gamma in (1.0, 0.5)
+    ]
+    assert all(net.converged for net in loads)
+    assert np.all((loads[0].load >= 0) & (loads[0].load <= 1))
+    assert np.max(np.abs(loads[0].load - loads[1].load)) <= 10 * tol

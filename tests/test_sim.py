@@ -298,34 +298,71 @@ def _assert_step_equals_fresh(world, rec, prev_load, delta, associate=None):
 ])
 def test_reused_solves_equal_fresh_solves(mode, delta, scenario_seed, monkeypatch):
     # World skips the fixed point (and, with delta = 0, the association)
-    # when its inputs repeat the last solve's bit for bit; every step must
-    # still equal a solve from that step's own inputs. In drop 0 the macro
-    # serves every UE, so even learning-mode solves repeat; in drop 3 SBSs
-    # serve some UEs under RSSI, so the reused association matters
+    # when its inputs repeat one of the last two solves' bit for bit; every
+    # step must still equal a solve from that step's own inputs, damped or
+    # not. In drop 0 the macro serves every UE, so even learning-mode solves
+    # repeat; in drop 3 SBSs serve some UEs under RSSI, so the reused
+    # association matters
     associations = []
     monkeypatch.setattr(association, "associate_all",
                         lambda *args: associations.append(1) or _associate_all(*args))
-    cfg = small_cfg(mode, n_small=4, n_ues=24, steps=150)
-    cfg.association.delta = delta
-    cfg.clustering.eps_d_m = 400.0
-    cfg.clustering.recluster_every = 5
-    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scenario_seed)),
+    for load_gamma in (0.5, 1.0):
+        associations.clear()
+        cfg = small_cfg(mode, n_small=4, n_ues=24, steps=150)
+        cfg.association.delta = delta
+        cfg.run.load_gamma = load_gamma
+        cfg.clustering.eps_d_m = 400.0
+        cfg.clustering.recluster_every = 5
+        world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scenario_seed)),
+                      np.random.default_rng(1), np.random.default_rng(2))
+        effective_delta = 0.0 if mode == "classical" else delta
+        sbs_served = 0
+        for t in range(1, cfg.run.steps + 1):
+            prev_load = world.net.load.copy()
+            rec = world.step(t)
+            _assert_step_equals_fresh(world, rec, prev_load, effective_delta)
+            sbs_served += int(np.any(world.last_serving > 0))
+        assert 1 <= world.fp_solves <= cfg.run.steps
+        if mode == "classical" or scenario_seed == 0:
+            assert world.fp_solves < cfg.run.steps
+        if effective_delta == 0:
+            assert len(associations) < cfg.run.steps
+            assert (sbs_served > 0) == (scenario_seed == 3)
+        else:
+            assert len(associations) == cfg.run.steps
+
+
+def test_period_two_solve_keys_run_two_solves():
+    # planted: at gamma = 1 the warm-started iterate of classical drop 1
+    # ends in a period-2 cycle a -> b -> a in the last bit. A World started
+    # on a alternates its solve keys A, B, A, B, which a memo of only the
+    # last solve never matches; with two entries it solves exactly twice
+    cfg = small_cfg("classical", n_small=4, n_ues=24, steps=12)
+    cfg.run.load_gamma = 1.0
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(1)),
                   np.random.default_rng(1), np.random.default_rng(2))
-    effective_delta = 0.0 if mode == "classical" else delta
-    sbs_served = 0
+    state = np.ones(world.n_bs, dtype=np.int64)
+    serving = _associate_all(world.rx, state, np.zeros(world.n_bs), 0.0)
+    rc = cfg.run
+    loads = [np.zeros(world.n_bs)]
+    while len(loads) < 3 or loads[-1].tobytes() != loads[-3].tobytes():
+        assert len(loads) < 100
+        loads.append(netmodel.compute_loads(
+            world.channel, world.gains, world.p_max, state, serving, world.traffic,
+            gamma=rc.load_gamma, tol=rc.load_tol, max_iter=rc.load_max_iter,
+            init=loads[-1]).load)
+    a, b = loads[-3], loads[-2]
+    assert a.tobytes() != b.tobytes()
+
+    world.net.load = a.copy()
+    keys = []
     for t in range(1, cfg.run.steps + 1):
         prev_load = world.net.load.copy()
         rec = world.step(t)
-        _assert_step_equals_fresh(world, rec, prev_load, effective_delta)
-        sbs_served += int(np.any(world.last_serving > 0))
-    assert 1 <= world.fp_solves <= cfg.run.steps
-    if mode == "classical" or scenario_seed == 0:
-        assert world.fp_solves < cfg.run.steps
-    if effective_delta == 0:
-        assert len(associations) < cfg.run.steps
-        assert (sbs_served > 0) == (scenario_seed == 3)
-    else:
-        assert len(associations) == cfg.run.steps
+        keys.append(prev_load.tobytes())
+        _assert_step_equals_fresh(world, rec, prev_load, 0.0)
+    assert keys == [a.tobytes(), b.tobytes()] * (cfg.run.steps // 2)
+    assert world.fp_solves == 2
 
 
 @pytest.mark.parametrize("change", ["serving", "excl"])
@@ -555,12 +592,21 @@ def test_sweep_emits_one_result_per_point():
 
 
 # SHA-256 prefixes of every StepRecord field at 9 significant digits (the
-# CSV format), recorded before the per-step invariants were hoisted out of
-# World.step; a refactor that keeps the simulator's numbers keeps these.
+# CSV format) with the damped fixed point (run.load_gamma = 0.5), recorded
+# before the per-step invariants were hoisted out of World.step; a refactor
+# that keeps the simulator's numbers keeps these.
 GOLDEN_STEP_DIGESTS = {
     "classical": "58593ff92e741c78",
     "learning_no_clusters": "fb28d3c258ce39e2",
     "learning_clustered": "190690f970ff266b",
+}
+
+# the same records with the undamped fixed point (run.load_gamma = 1.0, the
+# default), recorded when undamped iteration became the default
+GOLDEN_STEP_DIGESTS_UNDAMPED = {
+    "classical": "65766a5640994482",
+    "learning_no_clusters": "a0d30a649fd6f8ed",
+    "learning_clustered": "1c52c6dd75c5e0b8",
 }
 
 
@@ -574,15 +620,25 @@ def _records_digest(records):
     return h.hexdigest()[:16]
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN_STEP_DIGESTS))
-def test_golden_step_records(mode):
+def _golden_records_digest(mode, load_gamma):
     cfg = default_config()
     cfg.run.mode = mode
     cfg.run.steps = 80
+    cfg.run.load_gamma = load_gamma
     cfg.layout.n_ues = 32
     cfg.clustering.eps_d_m = 400.0  # wide adjacency: multi-SBS clusters
     cfg.clustering.recluster_every = 5
     result = run_once(cfg, 0, keep_records=True)
     if mode == "learning_clustered":
         assert max(r.mean_cluster_size for r in result.records) > 1.0
-    assert _records_digest(result.records) == GOLDEN_STEP_DIGESTS[mode]
+    return _records_digest(result.records)
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_STEP_DIGESTS))
+def test_golden_step_records(mode):
+    assert _golden_records_digest(mode, 0.5) == GOLDEN_STEP_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_STEP_DIGESTS))
+def test_golden_step_records_undamped(mode):
+    assert _golden_records_digest(mode, 1.0) == GOLDEN_STEP_DIGESTS_UNDAMPED[mode]
