@@ -129,16 +129,26 @@ def _trace_rows(results):
         for rr in res.runs:
             if rr.records is None:
                 continue
+            recs = rr.records
             n_sbs = max(rr.n_sbs, 1)
-            for rec in rr.records:
+
+            def row_sums(name):  # of the (steps, n_sbs) stack of one field
+                return np.array([getattr(rec, name) for rec in recs]).sum(axis=1)
+
+            # a row sum rounds exactly as np.sum of that record's own vector,
+            # and np.mean is that sum divided by n_sbs
+            columns = [
+                row_sums("sbs_state"),
+                row_sums("sbs_power"),
+                row_sums("sbs_load") / n_sbs,
+                row_sums("sbs_load_raw") / n_sbs,
+                row_sums("sbs_cost") / n_sbs,
+            ]
+            for rec, *sums in zip(recs, *(c.tolist() for c in columns)):
                 yield [
                     res.mode, res.ue_count, res.eps_d, res.theta, rr.run,
                     rec.step, rec.n_clusters, rec.mean_cluster_size,
-                    rec.state_changes, int(np.sum(rec.sbs_state)),
-                    float(np.sum(rec.sbs_power)),
-                    float(np.mean(rec.sbs_load)) if rr.n_sbs else 0.0,
-                    float(np.mean(rec.sbs_load_raw)) if rr.n_sbs else 0.0,
-                    float(np.sum(rec.sbs_cost)) / n_sbs, rec.converged,
+                    rec.state_changes, *sums, rec.converged,
                 ]
 
 

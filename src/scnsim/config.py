@@ -192,6 +192,14 @@ def validate_config(cfg: ScenarioConfig) -> None:
         (lay.side_m > 0, "layout.side_m must be positive"),
         (lay.n_small >= 0, "layout.n_small must be >= 0"),
         (lay.n_ues >= 0, "layout.n_ues must be >= 0"),
+        *(
+            (getattr(lay, key) >= 0, f"layout.{key} must be >= 0")
+            for key in (
+                "min_dist_macro_small_m", "min_dist_macro_ue_m",
+                "min_dist_small_small_m", "min_dist_small_ue_m",
+            )
+        ),
+        (cfg.channel.bandwidth_hz > 0, "channel.bandwidth_hz must be positive"),
         (pw.idle_scale_active > 1.0, "power.idle_scale_active must exceed 1"),
         (
             0.0 < pw.macro_p_idle_w < macro_p_max,
@@ -210,7 +218,16 @@ def validate_config(cfg: ScenarioConfig) -> None:
         (cfg.clustering.kmeans_iters >= 1, "clustering.kmeans_iters must be >= 1"),
         (cfg.clustering.sigma_d_m > 0, "clustering.sigma_d_m must be positive"),
         (cfg.clustering.sigma_l > 0, "clustering.sigma_l must be positive"),
+        (cfg.clustering.eps_d_m >= 0, "clustering.eps_d_m must be >= 0"),
+        (cfg.learning.alpha >= 0, "learning.alpha must be >= 0"),
+        (cfg.learning.beta >= 0, "learning.beta must be >= 0"),
         (cfg.learning.kappa >= 0, "learning.kappa must be >= 0"),
+        # decreasing gains 1 / t^exp need exp > 0
+        *(
+            (getattr(cfg.learning, key) > 0, f"learning.{key} must be positive")
+            for key in ("utility_exp", "regret_exp", "policy_exp")
+        ),
+        (cfg.association.nu_exponent > 0, "association.nu_exponent must be positive"),
         (cfg.learning.max_actions >= 2, "learning.max_actions must be >= 2"),
         (cfg.association.delta >= 0, "association.delta must be >= 0"),
     ]

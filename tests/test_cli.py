@@ -2,16 +2,20 @@
 
 import csv
 import hashlib
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from scnsim.cli import (
     CDF_HEADER,
     SUMMARY_HEADER,
+    _trace_rows,
     build_parser,
     main,
     parse_vary,
 )
+from scnsim.sim import StepRecord
 
 
 def write_tiny_config(tmp_path, mode="learning_clustered"):
@@ -237,3 +241,52 @@ def test_golden_sweep_csvs(tmp_path, capsys):
 def test_golden_sweep_csvs_undamped(tmp_path, capsys):
     got = _golden_sweep_digests(tmp_path, capsys, 1.0)
     assert got == GOLDEN_SWEEP_DIGESTS_UNDAMPED
+
+
+def _trace_rows_per_record(results):
+    """steps.csv rows with one numpy reduction per record: the reference."""
+    for res in results:
+        for rr in res.runs:
+            n_sbs = max(rr.n_sbs, 1)
+            for rec in rr.records:
+                yield [
+                    res.mode, res.ue_count, res.eps_d, res.theta, rr.run,
+                    rec.step, rec.n_clusters, rec.mean_cluster_size,
+                    rec.state_changes, int(np.sum(rec.sbs_state)),
+                    float(np.sum(rec.sbs_power)),
+                    float(np.mean(rec.sbs_load)) if rr.n_sbs else 0.0,
+                    float(np.mean(rec.sbs_load_raw)) if rr.n_sbs else 0.0,
+                    float(np.sum(rec.sbs_cost)) / n_sbs, rec.converged,
+                ]
+
+
+def test_stacked_trace_rows_match_per_record_reductions():
+    # steps.csv sums and means come from (steps, n_sbs) stacks reduced
+    # along axis 1; each must round exactly as np.sum / np.mean of its own
+    # record, across the sizes where numpy's pairwise summation changes shape
+    rng = np.random.default_rng(0)
+    runs = []
+    for n_sbs in range(41):
+        records = []
+        for step in range(1, 6):
+            scale = 10.0 ** rng.uniform(-6, 3, size=n_sbs)
+            records.append(StepRecord(
+                step=step, n_clusters=n_sbs, mean_cluster_size=1.0,
+                state_changes=int(rng.integers(0, n_sbs + 1)),
+                converged=bool(rng.integers(2)),
+                sbs_state=rng.integers(0, 2, size=n_sbs),
+                sbs_power=rng.random(n_sbs) * scale,
+                sbs_load=rng.random(n_sbs),
+                sbs_load_raw=rng.random(n_sbs) * scale,
+                sbs_cost=rng.random(n_sbs) * scale,
+            ))
+        runs.append(SimpleNamespace(run=n_sbs, n_sbs=n_sbs, records=records))
+    results = [SimpleNamespace(mode="classical", ue_count=9, eps_d=250.0,
+                               theta=0.5, runs=runs)]
+
+    def exact(rows):
+        return [[v.hex() if isinstance(v, float) else v for v in row] for row in rows]
+
+    got = exact(_trace_rows(results))
+    assert got == exact(_trace_rows_per_record(results))
+    assert len(got) == 41 * 5

@@ -121,6 +121,23 @@ def test_bad_type(tmp_path):
         (lambda c: setattr(c.power, "small_p_idle_w", 2.0), "small_p_idle_w"),
         (lambda c: setattr(c.power, "macro_p_idle_w", 0.0), "macro_p_idle_w"),
         (lambda c: setattr(c.power, "macro_p_max_dbm", -1000.0), "macro_p_max_dbm"),
+        (lambda c: setattr(c.channel, "bandwidth_hz", 0.0), "channel.bandwidth_hz"),
+        (lambda c: setattr(c.learning, "utility_exp", 0.0), "learning.utility_exp"),
+        (lambda c: setattr(c.learning, "regret_exp", 0.0), "learning.regret_exp"),
+        (lambda c: setattr(c.learning, "policy_exp", -1.0), "learning.policy_exp"),
+        (lambda c: setattr(c.association, "nu_exponent", -1.0),
+         "association.nu_exponent"),
+        (lambda c: setattr(c.learning, "alpha", -5.0), "learning.alpha"),
+        (lambda c: setattr(c.learning, "beta", -0.5), "learning.beta"),
+        (lambda c: setattr(c.clustering, "eps_d_m", -1.0), "clustering.eps_d_m"),
+        (lambda c: setattr(c.layout, "min_dist_macro_small_m", -1.0),
+         "layout.min_dist_macro_small_m"),
+        (lambda c: setattr(c.layout, "min_dist_macro_ue_m", -1.0),
+         "layout.min_dist_macro_ue_m"),
+        (lambda c: setattr(c.layout, "min_dist_small_small_m", -1.0),
+         "layout.min_dist_small_small_m"),
+        (lambda c: setattr(c.layout, "min_dist_small_ue_m", -1.0),
+         "layout.min_dist_small_ue_m"),
     ],
 )
 def test_validation_rejects(mutate, message):

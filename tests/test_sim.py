@@ -15,6 +15,7 @@ from scnsim.clustering import ClusterPartition
 from scnsim.config import ConfigError, default_config, validate_config
 from scnsim.coordination import rebalance
 from scnsim.sim import (
+    MEMO_SIZE,
     STEP_SECONDS,
     World,
     burn_in_steps,
@@ -298,7 +299,7 @@ def _assert_step_equals_fresh(world, rec, prev_load, delta, associate=None):
 ])
 def test_reused_solves_equal_fresh_solves(mode, delta, scenario_seed, monkeypatch):
     # World skips the fixed point (and, with delta = 0, the association)
-    # when its inputs repeat one of the last two solves' bit for bit; every
+    # when its inputs repeat a remembered solve's bit for bit; every
     # step must still equal a solve from that step's own inputs, damped or
     # not. In drop 0 the macro serves every UE, so even learning-mode solves
     # repeat; in drop 3 SBSs serve some UEs under RSSI, so the reused
@@ -365,10 +366,50 @@ def test_period_two_solve_keys_run_two_solves():
     assert world.fp_solves == 2
 
 
+@pytest.mark.parametrize("run_index, period", [(0, 12), (2, 16)])
+def test_long_solve_cycles_are_held_whole(run_index, period):
+    # planted: at gamma = 1 the warm-started iterate of classical 75-UE
+    # drops 0 and 2 (seed 1) ends in a cycle of 12 and 16 distinct loads in
+    # the last bits, so a memo of the last two solves solves every step.
+    # The memo holds whole cycles: once the iterate is on its cycle no step
+    # is solved again, and every reused step equals a fresh solve
+    cfg = default_config()
+    cfg.run.mode = "classical"
+    cfg.layout.n_ues = 75
+    scen, kmeans, learner = np.random.SeedSequence([1, run_index]).spawn(3)
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
+                  np.random.default_rng(kmeans), np.random.default_rng(learner))
+    keys = []
+    for t in range(1, 121):
+        prev_load = world.net.load.copy()
+        rec = world.step(t)
+        keys.append(prev_load.tobytes())
+        _assert_step_equals_fresh(world, rec, prev_load, 0.0)
+    # classical state and serving never change, so the loads are the key
+    cycle = next(p for p in range(1, len(keys)) if keys[-1] == keys[-1 - p])
+    transient = next(i for i in range(len(keys)) if keys[i] == keys[i + cycle])
+    assert cycle == period <= MEMO_SIZE
+    assert world.fp_solves <= transient + cycle < len(keys)
+
+
+def test_memo_stays_bounded_in_learning_mode():
+    # learning-mode loads rarely repeat, so nearly every step adds a solve;
+    # the oldest are evicted once MEMO_SIZE are held
+    cfg = small_cfg("learning_clustered", n_small=6, n_ues=30, steps=200)
+    cfg.clustering.eps_d_m = 400.0
+    cfg.clustering.recluster_every = 500  # one partition, one memo
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(4)),
+                  np.random.default_rng(1), np.random.default_rng(2))
+    for t in range(1, cfg.run.steps + 1):
+        world.step(t)
+        assert len(world._solves) <= MEMO_SIZE
+    assert world.fp_solves > MEMO_SIZE
+
+
 @pytest.mark.parametrize("change", ["serving", "excl"])
 def test_new_serving_or_exclusion_forces_a_solve(change, monkeypatch):
     # serving and the exclusion matrix object are part of the reuse key:
-    # a step that repeats the last solve's other inputs is solved again
+    # a step that repeats a remembered solve's other inputs is solved again
     cfg = small_cfg("classical", n_small=4, n_ues=24)
     world = World(cfg, *generate_scenario(cfg, np.random.default_rng(3)),
                   np.random.default_rng(1), np.random.default_rng(2))
