@@ -16,7 +16,6 @@ from .association import (
 )
 from .clustering import (
     ClusterPartition,
-    SimilarityConfig,
     SimilarityGraph,
     build_similarity,
     jacobi_eigh,
@@ -34,7 +33,6 @@ from .config import (
 from .coordination import elect_head
 from .learning import (
     ClusterLearner,
-    CostParams,
     bg_distribution,
     build_action_set,
     penalty_cost,
@@ -61,12 +59,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssociationConfig", "LoadEstimate", "NoCoverageError", "associate_all",
-    "update_load_estimate", "ClusterPartition", "SimilarityConfig",
-    "SimilarityGraph", "build_similarity", "jacobi_eigh", "select_k",
-    "spectral_cluster", "MODES", "ConfigError", "ScenarioConfig",
-    "default_config", "load_config", "validate_config", "elect_head",
-    "ClusterLearner", "CostParams", "bg_distribution", "build_action_set",
-    "penalty_cost", "ChannelModel", "InactiveServerError",
+    "update_load_estimate", "ClusterPartition", "SimilarityGraph",
+    "build_similarity", "jacobi_eigh", "select_k", "spectral_cluster", "MODES",
+    "ConfigError", "ScenarioConfig", "default_config", "load_config",
+    "validate_config", "elect_head", "ClusterLearner", "bg_distribution",
+    "build_action_set", "penalty_cost", "ChannelModel", "InactiveServerError",
     "NetworkConfiguration", "compute_loads", "rate_matrix", "total_powers",
     "ExperimentResult", "RunResult", "World", "generate_scenario",
     "run_experiment", "run_once", "sweep",

@@ -1,9 +1,10 @@
 """Dynamic BS clustering on a joint distance/load similarity graph.
 
 Pipeline: epsilon-neighbourhood adjacency -> Gaussian distance similarity ->
-load similarity -> geometric blend S = (S_dist^theta) * (S_load^(1-theta)) ->
-graph Laplacian -> eigendecomposition (cyclic Jacobi) -> eigengap choice of
-k -> k-means on the spectral embedding. Deterministic given the caller's RNG.
+load similarity -> geometric blend S = (S_dist^theta) * (S_load^(1-theta))
+(build_similarity), then graph Laplacian of S -> eigendecomposition (cyclic
+Jacobi) -> eigengap choice of k -> k-means on the spectral embedding
+(spectral_cluster). Deterministic given the caller's RNG.
 
 The macro BS is never part of the similarity graph; partitions cover small
 BSs only.
@@ -13,29 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .coordination import elect_head
 
+if TYPE_CHECKING:
+    from .config import ClusteringConfig
+
 LOAD_SIGN_MODES = ("gaussian", "reciprocal")
 LAPLACIAN_MODES = ("standard", "rowsum")
-
-
-@dataclass
-class SimilarityConfig:
-    eps_d: float = 250.0  # adjacency radius, metres
-    sigma_d: float = 300.0  # distance kernel width, metres
-    sigma_l: float = 1.0  # load kernel width
-    theta: float = 0.5  # blend weight in [0, 1]; 1 = pure distance
-    load_sign: str = "gaussian"  # or "reciprocal" (inverted exponent)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.load_sign not in LOAD_SIGN_MODES:
-            raise ValueError(f"load_sign must be one of {LOAD_SIGN_MODES}")
 
 
 @dataclass
@@ -44,7 +33,6 @@ class SimilarityGraph:
     s_dist: np.ndarray
     s_load: np.ndarray
     s_joint: np.ndarray
-    laplacian: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -142,16 +130,16 @@ def laplacian_matrix(similarity: np.ndarray, variant: str = "standard") -> np.nd
 
 
 def build_similarity(
-    positions: np.ndarray,
-    loads: np.ndarray,
-    cfg: SimilarityConfig,
-    laplacian: str = "standard",
+    positions: np.ndarray, loads: np.ndarray, cfg: ClusteringConfig
 ) -> SimilarityGraph:
-    adj = build_adjacency(positions, cfg.eps_d)
-    s_d = distance_similarity(positions, adj, cfg.sigma_d)
+    """Similarity graph of SBSs under cfg's clustering settings.
+
+    spectral_cluster takes s_joint and builds its Laplacian.
+    """
+    adj = build_adjacency(positions, cfg.eps_d_m)
+    s_d = distance_similarity(positions, adj, cfg.sigma_d_m)
     s_l = load_similarity(loads, cfg.sigma_l, cfg.load_sign)
-    s = joint_similarity(s_d, s_l, cfg.theta)
-    return SimilarityGraph(adj, s_d, s_l, s, laplacian_matrix(s, laplacian))
+    return SimilarityGraph(adj, s_d, s_l, joint_similarity(s_d, s_l, cfg.theta))
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:

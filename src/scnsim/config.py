@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .association import AssociationConfig
-from .clustering import SimilarityConfig
-from .learning import CostParams
+from .clustering import LAPLACIAN_MODES, LOAD_SIGN_MODES
 from .netmodel import ChannelModel, dbm_to_watt
 
 MODES = ("classical", "learning_no_clusters", "learning_clustered")
@@ -90,7 +89,6 @@ class RunConfig:
     seed: int = 1
     burn_in_frac: float = 0.3  # fraction of steps dropped from summaries
     jobs: int = 1  # parallel worker processes for Monte-Carlo runs
-    load_gamma: float = 1.0  # load fixed-point damping; 1 = undamped
     load_tol: float = 1e-6
     load_max_iter: int = 200
 
@@ -115,31 +113,6 @@ class ScenarioConfig:
             min_dist_small_m=lay.min_dist_small_ue_m,
         )
 
-    def similarity_config(self) -> SimilarityConfig:
-        c = self.clustering
-        return SimilarityConfig(
-            eps_d=c.eps_d_m,
-            sigma_d=c.sigma_d_m,
-            sigma_l=c.sigma_l,
-            theta=c.theta,
-            load_sign=c.load_sign,
-        )
-
-    def cost_params(self) -> CostParams:
-        return CostParams(alpha=self.learning.alpha, beta=self.learning.beta)
-
-
-_SECTIONS = {
-    "layout": "layout",
-    "power": "power",
-    "channel": "channel",
-    "traffic": "traffic",
-    "clustering": "clustering",
-    "association": "association",
-    "learning": "learning",
-    "run": "run",
-}
-
 
 def default_config() -> ScenarioConfig:
     return ScenarioConfig()
@@ -148,13 +121,6 @@ def default_config() -> ScenarioConfig:
 def _coerce(section: str, key: str, raw: str, current):
     kind = type(current)
     try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(
@@ -166,7 +132,7 @@ def _watts(key: str, dbm: float) -> float:
     try:
         return dbm_to_watt(dbm)
     except OverflowError:
-        raise ConfigError(f"power.{key} = {dbm:g} dBm overflows in watts") from None
+        raise ConfigError(f"{key} = {dbm:g} dBm overflows in watts") from None
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
@@ -177,8 +143,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{section.name}.{f.name} must be finite, got {value}")
     run, lay, pw = cfg.run, cfg.layout, cfg.power
-    macro_p_max = _watts("macro_p_max_dbm", pw.macro_p_max_dbm)
-    small_p_max = _watts("small_p_max_dbm", pw.small_p_max_dbm)
+    macro_p_max = _watts("power.macro_p_max_dbm", pw.macro_p_max_dbm)
+    small_p_max = _watts("power.small_p_max_dbm", pw.small_p_max_dbm)
+    ch = cfg.channel
+    noise_w = _watts("channel.noise_psd_dbm_hz", ch.noise_psd_dbm_hz) * ch.bandwidth_hz
     checks = [
         (run.mode in MODES, f"run.mode must be one of {MODES}, got {run.mode!r}"),
         (run.steps >= 1, "run.steps must be >= 1"),
@@ -186,7 +154,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
         (run.jobs >= 1, "run.jobs must be >= 1"),
         (run.seed >= 0, "run.seed must be >= 0"),
         (0.0 <= run.burn_in_frac < 1.0, "run.burn_in_frac must be in [0, 1)"),
-        (0.0 < run.load_gamma <= 1.0, "run.load_gamma must be in (0, 1]"),
         (run.load_tol > 0, "run.load_tol must be positive"),
         (run.load_max_iter >= 1, "run.load_max_iter must be >= 1"),
         (lay.side_m > 0, "layout.side_m must be positive"),
@@ -199,7 +166,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
                 "min_dist_small_small_m", "min_dist_small_ue_m",
             )
         ),
-        (cfg.channel.bandwidth_hz > 0, "channel.bandwidth_hz must be positive"),
+        (ch.bandwidth_hz > 0, "channel.bandwidth_hz must be positive"),
+        (
+            math.isfinite(noise_w),
+            "channel.noise_psd_dbm_hz over channel.bandwidth_hz overflows in watts",
+        ),
         (pw.idle_scale_active > 1.0, "power.idle_scale_active must exceed 1"),
         (
             0.0 < pw.macro_p_idle_w < macro_p_max,
@@ -219,27 +190,34 @@ def validate_config(cfg: ScenarioConfig) -> None:
         (cfg.clustering.sigma_d_m > 0, "clustering.sigma_d_m must be positive"),
         (cfg.clustering.sigma_l > 0, "clustering.sigma_l must be positive"),
         (cfg.clustering.eps_d_m >= 0, "clustering.eps_d_m must be >= 0"),
+        (0.0 <= cfg.clustering.theta <= 1.0, "clustering.theta must be in [0, 1]"),
+        (
+            cfg.clustering.load_sign in LOAD_SIGN_MODES,
+            f"clustering.load_sign must be one of {LOAD_SIGN_MODES}",
+        ),
+        (
+            cfg.clustering.laplacian in LAPLACIAN_MODES,
+            f"clustering.laplacian must be one of {LAPLACIAN_MODES}",
+        ),
         (cfg.learning.alpha >= 0, "learning.alpha must be >= 0"),
         (cfg.learning.beta >= 0, "learning.beta must be >= 0"),
         (cfg.learning.kappa >= 0, "learning.kappa must be >= 0"),
-        # decreasing gains 1 / t^exp need exp > 0
+        # gains 1 / t^exp decrease only for exp > 0, and their sum diverges
+        # (the stochastic-approximation condition) only for exp <= 1
         *(
-            (getattr(cfg.learning, key) > 0, f"learning.{key} must be positive")
+            (0.0 < getattr(cfg.learning, key) <= 1.0, f"learning.{key} must be in (0, 1]")
             for key in ("utility_exp", "regret_exp", "policy_exp")
         ),
-        (cfg.association.nu_exponent > 0, "association.nu_exponent must be positive"),
+        (
+            0.0 < cfg.association.nu_exponent <= 1.0,
+            "association.nu_exponent must be in (0, 1]",
+        ),
         (cfg.learning.max_actions >= 2, "learning.max_actions must be >= 2"),
         (cfg.association.delta >= 0, "association.delta must be >= 0"),
     ]
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
-    try:
-        cfg.similarity_config()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if cfg.clustering.laplacian not in ("standard", "rowsum"):
-        raise ConfigError("clustering.laplacian must be 'standard' or 'rowsum'")
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -251,10 +229,11 @@ def load_config(path: str) -> ScenarioConfig:
     if not loaded:
         raise ConfigError(f"config file not found: {path}")
     cfg = default_config()
+    sections = {f.name for f in dataclasses.fields(cfg)}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
-        target = getattr(cfg, _SECTIONS[section])
+        target = getattr(cfg, section)
         known = {f.name for f in dataclasses.fields(target)}
         for key, raw in parser.items(section):
             if key not in known:

@@ -14,18 +14,12 @@ mixed strategy slowest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-
-@dataclass
-class CostParams:
-    """Weights of the power / load terms in a station's running cost."""
-
-    alpha: float = 0.5  # weight on consumed power (W)
-    beta: float = 0.5  # weight on offered load (dimensionless)
+if TYPE_CHECKING:
+    from .config import LearningConfig
 
 
 def build_action_set(size: int, cap: int) -> np.ndarray:
@@ -45,14 +39,15 @@ def build_action_set(size: int, cap: int) -> np.ndarray:
     return 1 - (bits & 1)
 
 
-def penalty_cost(p_max: np.ndarray, params: CostParams) -> np.ndarray:
+def penalty_cost(p_max: np.ndarray, cfg: LearningConfig) -> np.ndarray:
     """Worst-case stand-in cost when an action leaves cluster UEs unserved.
 
     p_max holds the members' transmit ceilings along its last axis, one
-    cluster per row, and the result holds one cost per row.
+    cluster per row, and the result holds one cost per row: cfg.alpha
+    weighs power (W), cfg.beta the members' full load.
     """
     p_max = np.asarray(p_max, dtype=float)
-    return params.alpha * np.sum(p_max, axis=-1) + params.beta * p_max.shape[-1]
+    return cfg.alpha * np.sum(p_max, axis=-1) + cfg.beta * p_max.shape[-1]
 
 
 def bg_distribution(regrets: np.ndarray, kappa: float) -> np.ndarray:

@@ -22,6 +22,8 @@ import numpy as np
 
 MACRO = "macro"
 SMALL = "small"
+# log-distance path loss PL(d) = offset + slope * log10(d_km), dB, per BS kind
+PATHLOSS_DB = {MACRO: (128.1, 37.6), SMALL: (140.7, 37.6)}
 
 
 class InactiveServerError(RuntimeError):
@@ -45,10 +47,6 @@ class ChannelModel:
 
     bandwidth_hz: float = 10e6
     noise_psd_dbm_hz: float = -174.0
-    macro_offset_db: float = 128.1
-    macro_slope_db: float = 37.6
-    small_offset_db: float = 140.7
-    small_slope_db: float = 37.6
     min_dist_macro_m: float = 35.0
     min_dist_small_m: float = 10.0
 
@@ -58,14 +56,12 @@ class ChannelModel:
         return dbm_to_watt(self.noise_psd_dbm_hz) * self.bandwidth_hz
 
     def pathloss_db(self, kind: str, distance_m: np.ndarray | float) -> np.ndarray:
-        d = np.asarray(distance_m, dtype=float)
-        if kind == MACRO:
-            d = np.maximum(d, self.min_dist_macro_m)
-            return self.macro_offset_db + self.macro_slope_db * np.log10(d / 1000.0)
-        if kind == SMALL:
-            d = np.maximum(d, self.min_dist_small_m)
-            return self.small_offset_db + self.small_slope_db * np.log10(d / 1000.0)
-        raise ValueError(f"unknown BS kind {kind!r}")
+        if kind not in PATHLOSS_DB:
+            raise ValueError(f"unknown BS kind {kind!r}")
+        offset, slope = PATHLOSS_DB[kind]
+        floor = self.min_dist_macro_m if kind == MACRO else self.min_dist_small_m
+        d = np.maximum(np.asarray(distance_m, dtype=float), floor)
+        return offset + slope * np.log10(d / 1000.0)
 
     def gain(self, kind: str, distance_m: np.ndarray | float) -> np.ndarray:
         return 10.0 ** (-self.pathloss_db(kind, distance_m) / 10.0)
@@ -147,25 +143,22 @@ def compute_loads(
     serving: np.ndarray,
     traffic: np.ndarray,
     excl: np.ndarray | None = None,
-    gamma: float = 0.5,
     tol: float = 1e-6,
     max_iter: int = 200,
     init: np.ndarray | None = None,
 ) -> NetworkConfiguration:
     """Solve the load-coupled fixed point rho_b = sum_{m -> b} traffic_m / R_b(x_m).
 
-    Rates depend on every BS's duty cycle through interference, so the load
-    vector is iterated with damping gamma until the clamped iterate moves
-    less than tol in max-norm (or max_iter is hit; the result's converged
-    flag records which). The clamped map rho -> min(sum traffic / R(rho), 1)
-    is a standard interference function (positive, monotone, scalable;
-    Yates 1995), so the undamped iteration gamma=1.0, which World runs by
-    default (run.load_gamma), converges from any init; gamma < 1 reaches
-    the same fixed point in more iterations. Pass max_iter=1, gamma=1.0
-    with an explicit init for a single frozen-interference sweep. Returns a
-    new configuration carrying a copy of state, the clamped load, the raw
-    (unclamped) load at the converged interference state, the convergence
-    flag and the number of iterations run.
+    Rates depend on every BS's duty cycle through interference, so the
+    clamped load vector x <- min(sum traffic / R(x), 1) is iterated until it
+    moves less than tol in max-norm (or max_iter is hit; the result's
+    converged flag records which). That clamped map is a standard
+    interference function (positive, monotone, scalable; Yates 1995), so
+    the iteration converges from any init. Pass max_iter=1 with an explicit
+    init for a single frozen-interference sweep. Returns a new configuration
+    carrying a copy of state, the clamped load, the raw (unclamped) load at
+    the converged interference state, the convergence flag and the number
+    of iterations run.
 
     serving holds one BS index per UE (-1: unassigned, carries no load);
     every serving BS must be active. excl is rate_matrix's exclusion matrix
@@ -192,7 +185,7 @@ def compute_loads(
     signal = tx[srv] * own_gain
     demand = traffic if everyone else traffic[cols]
     excl_w = None if excl is None else excl.astype(float)
-    noise_w, bandwidth, keep = channel.noise_w, channel.bandwidth_hz, 1.0 - gamma
+    noise_w, bandwidth = channel.noise_w, channel.bandwidth_hz
     rate = np.empty(cols.size)
     x = np.zeros(n_bs) if init is None else np.clip(np.asarray(init, dtype=float), 0.0, 1.0)
     raw = np.zeros(n_bs)
@@ -215,16 +208,13 @@ def compute_loads(
         rate *= bandwidth
         np.divide(demand, rate, out=rate)  # per-UE airtime
         raw = np.bincount(srv, weights=rate, minlength=n_bs)
-        x_new = keep * x + gamma * np.minimum(raw, 1.0)
-        if abs(x_new - x).max() < tol:
-            x = x_new
-            converged = True
-            break
+        x_new = np.minimum(raw, 1.0)
+        converged = bool(abs(x_new - x).max() < tol)
         x = x_new
+        if converged:
+            break
 
-    return NetworkConfiguration(
-        state.copy(), np.minimum(x, 1.0), raw, converged, iterations
-    )
+    return NetworkConfiguration(state.copy(), x, raw, converged, iterations)
 
 
 def total_powers(

@@ -24,7 +24,7 @@ from . import clustering as clust
 from . import coordination as coord
 from . import learning as learn
 from . import netmodel
-from .config import MODES, ConfigError, LayoutConfig, ScenarioConfig
+from .config import MODES, ConfigError, LayoutConfig, ScenarioConfig, validate_config
 
 STEP_SECONDS = 1.0  # logical tick length; energy (J) = power (W) x ticks
 MAX_PLACEMENT_TRIES = 10000
@@ -163,7 +163,6 @@ class World:
         self.estimate = assoc.LoadEstimate(np.zeros(self.n_bs))
         self.kmeans_rng = kmeans_rng
         self.learner_rng = learner_rng
-        self.cost = cfg.cost_params()
         self.partition: clust.ClusterPartition | None = None
         # per-partition caches: cluster count and mean size, cluster index
         # per BS (-1: none), exclusion matrix (None: only singletons, so
@@ -250,9 +249,7 @@ class World:
             return
         pos = self.bs_positions[ids]
         loads = self.estimate.rho_hat[ids]
-        graph = clust.build_similarity(
-            pos, loads, self.cfg.similarity_config(), self.cfg.clustering.laplacian
-        )
+        graph = clust.build_similarity(pos, loads, self.cfg.clustering)
         init_labels = self.label[ids]  # warm start from the current partition
         if np.any(init_labels < 0):
             init_labels = None
@@ -354,12 +351,13 @@ class World:
         if entry is None:
             net = netmodel.compute_loads(
                 self.channel, self.gains, self.p_max, state, serving, self.traffic,
-                excl=self.excl, gamma=rc.load_gamma, tol=rc.load_tol,
-                max_iter=rc.load_max_iter, init=prev_load,
+                excl=self.excl, tol=rc.load_tol, max_iter=rc.load_max_iter,
+                init=prev_load,
             )
             self.fp_solves += 1
             totals = netmodel.total_powers(self.p_max, self.p_idle, self.idle_scale, net)
-            per_bs_cost = self.cost.alpha * totals + self.cost.beta * net.load_raw
+            lcfg = self.cfg.learning
+            per_bs_cost = lcfg.alpha * totals + lcfg.beta * net.load_raw
             if len(self._solves) == MEMO_SIZE:
                 del self._solves[next(iter(self._solves))]
             entry = self._solves[key] = (net, totals, per_bs_cost)
@@ -369,7 +367,7 @@ class World:
         # a step that left UEs uncovered charges the bounded penalty instead
         for (learner, members, _), idx in zip(self.groups, played):
             if no_coverage:
-                utilities = -learn.penalty_cost(self.p_max[members], self.cost)
+                utilities = -learn.penalty_cost(self.p_max[members], self.cfg.learning)
             else:
                 utilities = -per_bs_cost[members].sum(axis=1)
             learner.update(idx, utilities)
@@ -558,19 +556,21 @@ def sweep(
 ) -> list[ExperimentResult]:
     """Run every (mode, value) combination; outer loop over modes.
 
-    All sweep points reuse the same base seed, so scenario draws are common
-    random numbers across points (identical BS drops; shared UE prefixes).
+    Every point passes validate_config before the first run, so a bad value
+    raises ConfigError naming its key and nothing runs. All sweep points
+    reuse the same base seed, so scenario draws are common random numbers
+    across points (identical BS drops; shared UE prefixes).
     """
     modes = list(MODES) if modes is None else list(modes)
-    out = []
+    points = []
     for mode in modes:
         for v in values:
             point = copy.deepcopy(cfg)
             point.run.mode = mode
             apply_sweep_param(point, param, v)
-            out.append(
-                run_experiment(
-                    point, keep_records=keep_records, keep_clusters=keep_clusters
-                )
-            )
-    return out
+            validate_config(point)
+            points.append(point)
+    return [
+        run_experiment(point, keep_records=keep_records, keep_clusters=keep_clusters)
+        for point in points
+    ]

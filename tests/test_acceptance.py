@@ -17,14 +17,13 @@ from scipy import stats
 
 from scnsim.association import associate_all
 from scnsim.clustering import (
-    SimilarityConfig,
     build_adjacency,
     distance_similarity,
     joint_similarity,
     load_similarity,
     spectral_cluster,
 )
-from scnsim.config import default_config
+from scnsim.config import ClusteringConfig, default_config
 from scnsim.coordination import rebalance
 from scnsim.learning import ClusterLearner, build_action_set
 from scnsim.sim import sweep
@@ -260,10 +259,10 @@ def test_criterion_7_special_cases(ue_sweep):
     for trial in range(50):
         pos = rng.uniform(0.0, 1000.0, size=(8, 2))
         loads = rng.uniform(0.0, 1.0, size=8)
-        cfg = SimilarityConfig(eps_d=250.0, sigma_d=300.0, sigma_l=1.0,
+        cfg = ClusteringConfig(eps_d_m=250.0, sigma_d_m=300.0, sigma_l=1.0,
                                theta=1.0)
-        adj = build_adjacency(pos, cfg.eps_d)
-        s_d = distance_similarity(pos, adj, cfg.sigma_d)
+        adj = build_adjacency(pos, cfg.eps_d_m)
+        s_d = distance_similarity(pos, adj, cfg.sigma_d_m)
         s_l = load_similarity(loads, cfg.sigma_l, cfg.load_sign)
         joint = joint_similarity(s_d, s_l, cfg.theta)
         assert np.max(np.abs(joint - s_d)) <= 1e-12

@@ -86,6 +86,20 @@ def test_bad_vary_is_reported(tmp_path, capsys):
     assert "sweep parameter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vary, key", [
+    ("eps_d=-50,100", "clustering.eps_d_m"),
+    ("ues=-5:5:5", "layout.n_ues"),
+])
+def test_bad_sweep_point_is_reported(tmp_path, capsys, vary, key):
+    # every point is validated as the INI is, before any point runs
+    cfg = write_tiny_config(tmp_path)
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", str(cfg), "--vary", vary, "--out", str(out)])
+    assert rc == 2
+    assert f"{key} must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infeasible_density_is_reported(tmp_path, capsys):
     # a 100 m square cannot hold an SBS 75 m from the central macro
     path = tmp_path / "dense.ini"
@@ -183,23 +197,9 @@ def test_seed_override_changes_output(tmp_path, capsys):
 
 
 # SHA-256 prefixes of every CSV a traced, cluster-dumping three-mode sweep
-# writes with the damped fixed point (run.load_gamma = 0.5), recorded
-# before the load fixed point was moved onto the serving index; any change
-# to the simulator's numbers, to the RunResult reductions or to the CSV
-# writer shows here.
-GOLDEN_SWEEP_DIGESTS = {
-    "clusters.csv": "290ed742077446a3",
-    "energy_cdf.csv": "7153ac82a9986bf9",
-    "energy_cdf_classical.csv": "5ead92a33a9ace13",
-    "energy_cdf_learning_clustered.csv": "d12afa5c4e2dc104",
-    "energy_cdf_learning_no_clusters.csv": "392aa864627473c6",
-    "steps.csv": "5d337f89a867d20f",
-    "summary.csv": "1c5c8c0d27cb65f5",
-}
-
-
-# the same sweep with the undamped fixed point (run.load_gamma = 1.0, the
-# default), recorded when undamped iteration became the default
+# writes, recorded when the undamped fixed point became the default; any
+# change to the simulator's numbers, to the RunResult reductions or to the
+# CSV writer shows here.
 GOLDEN_SWEEP_DIGESTS_UNDAMPED = {
     "clusters.csv": "290ed742077446a3",
     "energy_cdf.csv": "9ddf0309c933c06c",
@@ -211,7 +211,7 @@ GOLDEN_SWEEP_DIGESTS_UNDAMPED = {
 }
 
 
-def _golden_sweep_digests(tmp_path, capsys, load_gamma):
+def test_golden_sweep_csvs_undamped(tmp_path, capsys):
     cfg = tmp_path / "golden.ini"
     cfg.write_text(
         "[layout]\n"
@@ -223,23 +223,14 @@ def _golden_sweep_digests(tmp_path, capsys, load_gamma):
         "steps = 40\n"
         "runs = 2\n"
         "seed = 11\n"
-        f"load_gamma = {load_gamma}\n"
     )
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--vary", "ues=9,30", "--modes", "all",
                  "--trace", "--dump-clusters"]) == 0
     capsys.readouterr()
-    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-            for path in sorted(out.glob("*.csv"))}
-
-
-def test_golden_sweep_csvs(tmp_path, capsys):
-    assert _golden_sweep_digests(tmp_path, capsys, 0.5) == GOLDEN_SWEEP_DIGESTS
-
-
-def test_golden_sweep_csvs_undamped(tmp_path, capsys):
-    got = _golden_sweep_digests(tmp_path, capsys, 1.0)
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+           for path in sorted(out.glob("*.csv"))}
     assert got == GOLDEN_SWEEP_DIGESTS_UNDAMPED
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from scnsim.clustering import (
     ClusterPartition,
-    SimilarityConfig,
     build_adjacency,
     build_similarity,
     distance_similarity,
@@ -20,6 +19,7 @@ from scnsim.clustering import (
     spectral_cluster,
     zero_eigenvalue_count,
 )
+from scnsim.config import ClusteringConfig
 from scnsim.netmodel import cluster_labels
 
 
@@ -175,9 +175,9 @@ def _oracle_matrices():
         loads = rng.uniform(0, 1, size=len(pos))
         for eps_d in (150.0, 250.0, 400.0):
             for variant in ("standard", "rowsum"):
-                graph = build_similarity(pos, loads, SimilarityConfig(eps_d=eps_d),
-                                         laplacian=variant)
-                yield f"drop{seed}-{eps_d}-{variant}", graph.laplacian
+                graph = build_similarity(pos, loads, ClusteringConfig(eps_d_m=eps_d))
+                yield (f"drop{seed}-{eps_d}-{variant}",
+                       laplacian_matrix(graph.s_joint, variant))
     rng = np.random.default_rng(53)
     for n in range(1, 21):
         for rep in range(2):
@@ -260,7 +260,7 @@ def test_spectral_two_geographic_groups():
     pos = np.array([[0, 0], [30, 0], [0, 30], [800, 800], [830, 800], [800, 830]],
                    dtype=float)
     ids = [1, 2, 3, 4, 5, 6]
-    cfg = SimilarityConfig(theta=1.0)
+    cfg = ClusteringConfig(theta=1.0)
     graph = build_similarity(pos, np.zeros(6), cfg)
     part = spectral_cluster(graph.s_joint, ids, np.random.default_rng(0))
     assert part.clusters == ((1, 2, 3), (4, 5, 6))
@@ -276,14 +276,14 @@ def test_spectral_load_groups_identical_positions():
     pos = np.tile([[500.0, 500.0]], (6, 1))
     loads = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     ids = [1, 2, 3, 4, 5, 6]
-    cfg = SimilarityConfig(theta=0.0, sigma_l=0.25)
+    cfg = ClusteringConfig(theta=0.0, sigma_l=0.25)
     graph = build_similarity(pos, loads, cfg)
     part = spectral_cluster(graph.s_joint, ids, np.random.default_rng(0),
                             loads=loads)
     assert part.clusters == ((1, 2, 3), (4, 5, 6))
     assert part.heads == (1, 4)  # equal loads tie toward the lowest id
     # with the default sigma_l the blocks are softer; k = 2 still splits them
-    cfg = SimilarityConfig(theta=0.0, sigma_l=1.0)
+    cfg = ClusteringConfig(theta=0.0, sigma_l=1.0)
     graph = build_similarity(pos, loads, cfg)
     part = spectral_cluster(graph.s_joint, ids, np.random.default_rng(0),
                             k=2, loads=loads)
@@ -308,7 +308,7 @@ def test_spectral_partition_validity_random():
         pos = rng.uniform(0, 1000, size=(n, 2))
         loads = rng.uniform(0, 1, size=n)
         ids = list(range(1, n + 1))
-        graph = build_similarity(pos, loads, SimilarityConfig())
+        graph = build_similarity(pos, loads, ClusteringConfig())
         part = spectral_cluster(graph.s_joint, ids, np.random.default_rng(trial),
                                 loads=loads)
         members = sorted(b for c in part.clusters for b in c)
@@ -324,7 +324,7 @@ def test_spectral_determinism():
     pos = rng.uniform(0, 1000, size=(9, 2))
     loads = rng.uniform(0, 1, size=9)
     ids = list(range(9))
-    graph = build_similarity(pos, loads, SimilarityConfig())
+    graph = build_similarity(pos, loads, ClusteringConfig())
     p1 = spectral_cluster(graph.s_joint, ids, np.random.default_rng(42), loads=loads)
     p2 = spectral_cluster(graph.s_joint, ids, np.random.default_rng(42), loads=loads)
     assert p1.clusters == p2.clusters and p1.heads == p2.heads
@@ -334,8 +334,7 @@ def test_spectral_rowsum_variant_runs():
     pos = np.array([[0, 0], [30, 0], [0, 30], [800, 800], [830, 800], [800, 830]],
                    dtype=float)
     ids = [1, 2, 3, 4, 5, 6]
-    graph = build_similarity(pos, np.zeros(6), SimilarityConfig(theta=1.0),
-                             laplacian="rowsum")
+    graph = build_similarity(pos, np.zeros(6), ClusteringConfig(theta=1.0))
     part = spectral_cluster(graph.s_joint, ids, np.random.default_rng(0),
                             laplacian="rowsum")
     assert sorted(b for c in part.clusters for b in c) == ids
@@ -345,7 +344,7 @@ def _line_similarity(n, spacing=100.0):
     """Path graph: n SBSs on a line, each adjacent to its neighbours only."""
     pos = np.column_stack([np.arange(n) * spacing, np.zeros(n)])
     return build_similarity(pos, np.zeros(n),
-                            SimilarityConfig(eps_d=1.5 * spacing, theta=1.0)).s_joint
+                            ClusteringConfig(eps_d_m=1.5 * spacing, theta=1.0)).s_joint
 
 
 def test_bisection_splits_by_fiedler_order():
@@ -386,8 +385,7 @@ def test_bisection_bounds_random_partitions():
         pos = rng.uniform(0, 1000, size=(n, 2))
         loads = rng.uniform(0, 1, size=n)
         ids = list(range(1, n + 1))
-        graph = build_similarity(pos, loads, SimilarityConfig(eps_d=600.0),
-                                 laplacian="rowsum" if trial % 2 else "standard")
+        graph = build_similarity(pos, loads, ClusteringConfig(eps_d_m=600.0))
         part = spectral_cluster(graph.s_joint, ids, np.random.default_rng(trial),
                                 loads=loads, max_size=max_size,
                                 laplacian="rowsum" if trial % 2 else "standard")
@@ -408,9 +406,9 @@ def test_partition_helpers():
 def test_build_similarity_bundle():
     pos = np.array([[0.0, 0.0], [100.0, 0.0], [600.0, 0.0]])
     loads = np.array([0.1, 0.3, 0.9])
-    graph = build_similarity(pos, loads, SimilarityConfig())
+    graph = build_similarity(pos, loads, ClusteringConfig())
     assert graph.adjacency[0, 1] == 1 and graph.adjacency[0, 2] == 0
     assert graph.s_joint[0, 2] == 0.0
     expected = np.sqrt(graph.s_dist[0, 1] * graph.s_load[0, 1])
     assert graph.s_joint[0, 1] == pytest.approx(expected, rel=1e-12)
-    assert np.allclose(graph.laplacian.sum(axis=1), 0.0, atol=1e-15)
+    assert np.allclose(laplacian_matrix(graph.s_joint).sum(axis=1), 0.0, atol=1e-15)

@@ -21,7 +21,6 @@ def test_defaults_are_valid():
     assert cfg.layout.n_small == 10
     assert cfg.channel.bandwidth_hz == 10e6
     assert cfg.power.idle_scale_active > 1.0
-    assert cfg.run.load_gamma == 1.0  # undamped fixed point
 
 
 def test_derived_views():
@@ -29,11 +28,6 @@ def test_derived_views():
     chan = cfg.channel_model()
     assert chan.bandwidth_hz == cfg.channel.bandwidth_hz
     assert chan.min_dist_small_m == cfg.layout.min_dist_small_ue_m
-    sim = cfg.similarity_config()
-    assert sim.eps_d == cfg.clustering.eps_d_m
-    assert sim.theta == cfg.clustering.theta
-    costs = cfg.cost_params()
-    assert costs.alpha == cfg.learning.alpha
 
 
 def test_load_ini(tmp_path):
@@ -84,6 +78,14 @@ def test_unknown_key(tmp_path):
         load_config(str(path))
 
 
+def test_load_gamma_is_an_unknown_key(tmp_path):
+    # the load fixed point is always undamped; the old damping key is gone
+    path = tmp_path / "old.ini"
+    path.write_text("[run]\nload_gamma = 1.0\n")
+    with pytest.raises(ConfigError, match="unknown key 'load_gamma'"):
+        load_config(str(path))
+
+
 def test_bad_type(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[run]\nsteps = soon\n")
@@ -99,7 +101,6 @@ def test_bad_type(tmp_path):
         (lambda c: setattr(c.run, "runs", 0), "run.runs"),
         (lambda c: setattr(c.run, "seed", -1), "run.seed"),
         (lambda c: setattr(c.run, "burn_in_frac", 1.0), "burn_in_frac"),
-        (lambda c: setattr(c.run, "load_gamma", 0.0), "load_gamma"),
         (lambda c: setattr(c.layout, "side_m", -5.0), "side_m"),
         (lambda c: setattr(c.power, "idle_scale_active", 1.0), "idle_scale"),
         (lambda c: setattr(c.traffic, "distribution", "pareto"), "traffic"),
@@ -127,6 +128,20 @@ def test_bad_type(tmp_path):
         (lambda c: setattr(c.learning, "policy_exp", -1.0), "learning.policy_exp"),
         (lambda c: setattr(c.association, "nu_exponent", -1.0),
          "association.nu_exponent"),
+        # decreasing gains need exponents in (0, 1]; above 1 their sum
+        # converges, and 1 / t**1e300 overflows at t = 2
+        *(
+            pytest.param(
+                lambda c, s=section, k=key, v=value: setattr(getattr(c, s), k, v),
+                rf"{section}\.{key} must be in \(0, 1\]",
+                id=f"{section}.{key}={value:g}",
+            )
+            for section, key in [
+                ("learning", "utility_exp"), ("learning", "regret_exp"),
+                ("learning", "policy_exp"), ("association", "nu_exponent"),
+            ]
+            for value in (1.5, 1e300)
+        ),
         (lambda c: setattr(c.learning, "alpha", -5.0), "learning.alpha"),
         (lambda c: setattr(c.learning, "beta", -0.5), "learning.beta"),
         (lambda c: setattr(c.clustering, "eps_d_m", -1.0), "clustering.eps_d_m"),
@@ -169,6 +184,16 @@ def test_validation_rejects_overflowing_p_max(key):
     cfg = default_config()
     setattr(cfg.power, key, 1e6)
     with pytest.raises(ConfigError, match=f"power.{key}.*overflows"):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("psd_dbm_hz", [1e6, 3080.0])
+def test_validation_rejects_overflowing_noise_power(psd_dbm_hz):
+    # 10 ** ((1e6 - 30) / 10) W/Hz overflows a float; 10 ** 305 W/Hz is
+    # finite, but not over the default 10 MHz
+    cfg = default_config()
+    cfg.channel.noise_psd_dbm_hz = psd_dbm_hz
+    with pytest.raises(ConfigError, match="channel.noise_psd_dbm_hz.*overflows"):
         validate_config(cfg)
 
 

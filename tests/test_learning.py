@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from scnsim.config import LearningConfig
 from scnsim.learning import (
     ClusterLearner,
-    CostParams,
     bg_distribution,
     build_action_set,
     penalty_cost,
@@ -81,7 +81,7 @@ def test_action_set_cap():
 
 
 def test_cost_values():
-    params = CostParams(alpha=0.5, beta=0.5)
+    params = LearningConfig(alpha=0.5, beta=0.5)
     assert penalty_cost([6.3, 6.3], params) == pytest.approx(7.3)
     # one cost per row for a stack of clusters
     rows = penalty_cost(np.array([[6.3, 6.3], [1.0, 3.0]]), params)

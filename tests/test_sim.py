@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 
 from scnsim import association, clustering, netmodel
 from scnsim.cli import _fmt
-from scnsim.clustering import ClusterPartition
-from scnsim.config import ConfigError, default_config, validate_config
+from scnsim.clustering import LAPLACIAN_MODES, LOAD_SIGN_MODES, ClusterPartition
+from scnsim.config import (
+    MODES,
+    TRAFFIC_DISTRIBUTIONS,
+    ConfigError,
+    default_config,
+    validate_config,
+)
 from scnsim.coordination import rebalance
 from scnsim.sim import (
     MEMO_SIZE,
@@ -271,10 +277,11 @@ def _fresh_step_inputs(world, rec, prev_load, delta, associate=None):
     rc = world.cfg.run
     net = netmodel.compute_loads(
         world.channel, world.gains, world.p_max, state, serving, world.traffic,
-        excl=world.excl, gamma=rc.load_gamma, tol=rc.load_tol,
-        max_iter=rc.load_max_iter, init=prev_load)
+        excl=world.excl, tol=rc.load_tol, max_iter=rc.load_max_iter,
+        init=prev_load)
     totals = netmodel.total_powers(world.p_max, world.p_idle, world.idle_scale, net)
-    cost = world.cost.alpha * totals + world.cost.beta * net.load_raw
+    lcfg = world.cfg.learning
+    cost = lcfg.alpha * totals + lcfg.beta * net.load_raw
     return serving, net, totals[world.sbs_idx], cost[world.sbs_idx]
 
 
@@ -300,46 +307,42 @@ def _assert_step_equals_fresh(world, rec, prev_load, delta, associate=None):
 def test_reused_solves_equal_fresh_solves(mode, delta, scenario_seed, monkeypatch):
     # World skips the fixed point (and, with delta = 0, the association)
     # when its inputs repeat a remembered solve's bit for bit; every
-    # step must still equal a solve from that step's own inputs, damped or
-    # not. In drop 0 the macro serves every UE, so even learning-mode solves
-    # repeat; in drop 3 SBSs serve some UEs under RSSI, so the reused
-    # association matters
+    # step must still equal a solve from that step's own inputs. In drop 0
+    # the macro serves every UE, so even learning-mode solves repeat; in
+    # drop 3 SBSs serve some UEs under RSSI, so the reused association
+    # matters
     associations = []
     monkeypatch.setattr(association, "associate_all",
                         lambda *args: associations.append(1) or _associate_all(*args))
-    for load_gamma in (0.5, 1.0):
-        associations.clear()
-        cfg = small_cfg(mode, n_small=4, n_ues=24, steps=150)
-        cfg.association.delta = delta
-        cfg.run.load_gamma = load_gamma
-        cfg.clustering.eps_d_m = 400.0
-        cfg.clustering.recluster_every = 5
-        world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scenario_seed)),
-                      np.random.default_rng(1), np.random.default_rng(2))
-        effective_delta = 0.0 if mode == "classical" else delta
-        sbs_served = 0
-        for t in range(1, cfg.run.steps + 1):
-            prev_load = world.net.load.copy()
-            rec = world.step(t)
-            _assert_step_equals_fresh(world, rec, prev_load, effective_delta)
-            sbs_served += int(np.any(world.last_serving > 0))
-        assert 1 <= world.fp_solves <= cfg.run.steps
-        if mode == "classical" or scenario_seed == 0:
-            assert world.fp_solves < cfg.run.steps
-        if effective_delta == 0:
-            assert len(associations) < cfg.run.steps
-            assert (sbs_served > 0) == (scenario_seed == 3)
-        else:
-            assert len(associations) == cfg.run.steps
+    cfg = small_cfg(mode, n_small=4, n_ues=24, steps=150)
+    cfg.association.delta = delta
+    cfg.clustering.eps_d_m = 400.0
+    cfg.clustering.recluster_every = 5
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scenario_seed)),
+                  np.random.default_rng(1), np.random.default_rng(2))
+    effective_delta = 0.0 if mode == "classical" else delta
+    sbs_served = 0
+    for t in range(1, cfg.run.steps + 1):
+        prev_load = world.net.load.copy()
+        rec = world.step(t)
+        _assert_step_equals_fresh(world, rec, prev_load, effective_delta)
+        sbs_served += int(np.any(world.last_serving > 0))
+    assert 1 <= world.fp_solves <= cfg.run.steps
+    if mode == "classical" or scenario_seed == 0:
+        assert world.fp_solves < cfg.run.steps
+    if effective_delta == 0:
+        assert len(associations) < cfg.run.steps
+        assert (sbs_served > 0) == (scenario_seed == 3)
+    else:
+        assert len(associations) == cfg.run.steps
 
 
 def test_period_two_solve_keys_run_two_solves():
-    # planted: at gamma = 1 the warm-started iterate of classical drop 1
-    # ends in a period-2 cycle a -> b -> a in the last bit. A World started
-    # on a alternates its solve keys A, B, A, B, which a memo of only the
+    # planted: the warm-started iterate of classical drop 1 ends in a
+    # period-2 cycle a -> b -> a in the last bit. A World started on a
+    # alternates its solve keys A, B, A, B, which a memo of only the
     # last solve never matches; with two entries it solves exactly twice
     cfg = small_cfg("classical", n_small=4, n_ues=24, steps=12)
-    cfg.run.load_gamma = 1.0
     world = World(cfg, *generate_scenario(cfg, np.random.default_rng(1)),
                   np.random.default_rng(1), np.random.default_rng(2))
     state = np.ones(world.n_bs, dtype=np.int64)
@@ -350,7 +353,7 @@ def test_period_two_solve_keys_run_two_solves():
         assert len(loads) < 100
         loads.append(netmodel.compute_loads(
             world.channel, world.gains, world.p_max, state, serving, world.traffic,
-            gamma=rc.load_gamma, tol=rc.load_tol, max_iter=rc.load_max_iter,
+            tol=rc.load_tol, max_iter=rc.load_max_iter,
             init=loads[-1]).load)
     a, b = loads[-3], loads[-2]
     assert a.tobytes() != b.tobytes()
@@ -368,7 +371,7 @@ def test_period_two_solve_keys_run_two_solves():
 
 @pytest.mark.parametrize("run_index, period", [(0, 12), (2, 16)])
 def test_long_solve_cycles_are_held_whole(run_index, period):
-    # planted: at gamma = 1 the warm-started iterate of classical 75-UE
+    # planted: the warm-started iterate of classical 75-UE
     # drops 0 and 2 (seed 1) ends in a cycle of 12 and 16 distinct loads in
     # the last bits, so a memo of the last two solves solves every step.
     # The memo holds whole cycles: once the iterate is on its cycle no step
@@ -547,6 +550,67 @@ def test_step_invariants_hold_in_every_mode(
     )
 
 
+_DEFAULT = default_config()
+# (section, key) of every int and float field of ScenarioConfig
+_NUMERIC_FIELDS = [
+    (section.name, f.name)
+    for section in dataclasses.fields(_DEFAULT)
+    for f in dataclasses.fields(getattr(_DEFAULT, section.name))
+    if isinstance(getattr(getattr(_DEFAULT, section.name), f.name), (int, float))
+]
+# the counts that size a run stay small, so an example takes milliseconds
+_COUNT_CAPS = {("layout", "n_small"): 12, ("layout", "n_ues"): 30,
+               ("run", "steps"): 8, ("run", "load_max_iter"): 500}
+
+
+def _field_values(section, key):
+    default = getattr(getattr(_DEFAULT, section), key)
+    if isinstance(default, int):
+        cap = _COUNT_CAPS.get((section, key), 10**6)
+        return st.sampled_from([default, 0, -1]) | st.integers(-cap, cap)
+    return st.sampled_from(
+        [default, 0.0, -1.0, 1e6, -1e6, math.inf, -math.inf, math.nan]
+    ) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _scenario_configs(draw):
+    """Default configs with about three numeric fields drawn from a hostile pool."""
+    cfg = default_config()
+    cfg.run.mode = draw(st.sampled_from(MODES))
+    cfg.traffic.distribution = draw(st.sampled_from(TRAFFIC_DISTRIBUTIONS))
+    cfg.clustering.load_sign = draw(st.sampled_from(LOAD_SIGN_MODES))
+    cfg.clustering.laplacian = draw(st.sampled_from(LAPLACIAN_MODES))
+    for (section, key), cap in _COUNT_CAPS.items():
+        setattr(getattr(cfg, section), key, draw(st.integers(-1, cap)))
+    for section, key in _NUMERIC_FIELDS:
+        if draw(st.integers(0, 12)) == 0:
+            setattr(getattr(cfg, section), key, draw(_field_values(section, key)))
+    return cfg
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cfg=_scenario_configs())
+def test_random_configs_are_rejected_or_run_finite(cfg):
+    # a config either fails as a ConfigError naming its fault, or runs to
+    # the end with finite numbers and loads in [0, 1]; it never crashes
+    # mid-run
+    try:
+        validate_config(cfg)
+        result = run_once(cfg, 0, keep_records=True)
+    except ConfigError:
+        return
+    numbers = [
+        result.mean_cost_per_bs, result.mean_energy_per_bs, result.total_energy,
+        result.mean_load, result.cluster_count, result.mean_cluster_size,
+        result.converged_frac, *result.energy_per_sbs,
+    ]
+    assert np.all(np.isfinite(numbers))
+    for rec in result.records:
+        assert np.all((rec.sbs_load >= 0.0) & (rec.sbs_load <= 1.0))
+        assert np.all(np.isfinite(rec.sbs_cost))
+
+
 def test_burn_in_steps():
     assert burn_in_steps(400, 0.3) == 120
     assert burn_in_steps(10, 0.0) == 0
@@ -633,17 +697,8 @@ def test_sweep_emits_one_result_per_point():
 
 
 # SHA-256 prefixes of every StepRecord field at 9 significant digits (the
-# CSV format) with the damped fixed point (run.load_gamma = 0.5), recorded
-# before the per-step invariants were hoisted out of World.step; a refactor
-# that keeps the simulator's numbers keeps these.
-GOLDEN_STEP_DIGESTS = {
-    "classical": "58593ff92e741c78",
-    "learning_no_clusters": "fb28d3c258ce39e2",
-    "learning_clustered": "190690f970ff266b",
-}
-
-# the same records with the undamped fixed point (run.load_gamma = 1.0, the
-# default), recorded when undamped iteration became the default
+# CSV format), recorded when the undamped fixed point became the default; a
+# refactor that keeps the simulator's numbers keeps these.
 GOLDEN_STEP_DIGESTS_UNDAMPED = {
     "classical": "65766a5640994482",
     "learning_no_clusters": "a0d30a649fd6f8ed",
@@ -661,11 +716,10 @@ def _records_digest(records):
     return h.hexdigest()[:16]
 
 
-def _golden_records_digest(mode, load_gamma):
+def _golden_records_digest(mode):
     cfg = default_config()
     cfg.run.mode = mode
     cfg.run.steps = 80
-    cfg.run.load_gamma = load_gamma
     cfg.layout.n_ues = 32
     cfg.clustering.eps_d_m = 400.0  # wide adjacency: multi-SBS clusters
     cfg.clustering.recluster_every = 5
@@ -675,11 +729,6 @@ def _golden_records_digest(mode, load_gamma):
     return _records_digest(result.records)
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN_STEP_DIGESTS))
-def test_golden_step_records(mode):
-    assert _golden_records_digest(mode, 0.5) == GOLDEN_STEP_DIGESTS[mode]
-
-
-@pytest.mark.parametrize("mode", sorted(GOLDEN_STEP_DIGESTS))
+@pytest.mark.parametrize("mode", sorted(GOLDEN_STEP_DIGESTS_UNDAMPED))
 def test_golden_step_records_undamped(mode):
-    assert _golden_records_digest(mode, 1.0) == GOLDEN_STEP_DIGESTS_UNDAMPED[mode]
+    assert _golden_records_digest(mode) == GOLDEN_STEP_DIGESTS_UNDAMPED[mode]
