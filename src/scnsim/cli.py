@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sim
-from .config import MODES, ConfigError, load_config
+from .config import MODES, ConfigError, load_config, validate_config
 
 SUMMARY_HEADER = [
     "mode", "ue_count", "mean_cost_per_bs", "mean_energy_per_bs", "mean_load",
@@ -216,13 +216,12 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.run.seed = args.seed
         if args.jobs is not None:
-            if args.jobs < 1:
-                raise ConfigError("--jobs must be >= 1")
             cfg.run.jobs = args.jobs
+        if getattr(args, "mode", None) is not None:  # only `run` has --mode
+            cfg.run.mode = args.mode
+        validate_config(cfg)
 
         if args.command == "run":
-            if args.mode is not None:
-                cfg.run.mode = args.mode
             results = [sim.run_experiment(cfg, keep_records=args.trace,
                                           keep_clusters=args.dump_clusters)]
             per_mode_cdf = False

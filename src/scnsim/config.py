@@ -10,11 +10,14 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .association import AssociationConfig
 from .clustering import LAPLACIAN_MODES, LOAD_SIGN_MODES
-from .netmodel import ChannelModel, dbm_to_watt
+from .netmodel import MACRO, SMALL, ChannelModel, dbm_to_watt
 
 MODES = ("classical", "learning_no_clusters", "learning_clustered")
 TRAFFIC_DISTRIBUTIONS = ("exponential", "constant")
@@ -147,6 +150,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
     small_p_max = _watts("power.small_p_max_dbm", pw.small_p_max_dbm)
     ch = cfg.channel
     noise_w = _watts("channel.noise_psd_dbm_hz", ch.noise_psd_dbm_hz) * ch.bandwidth_hz
+    with np.errstate(all="ignore"):  # gains at the clamp distances; 0 m gives inf
+        ue_gains = {kind: cfg.channel_model().gain(kind, 0.0) for kind in (MACRO, SMALL)}
     checks = [
         (run.mode in MODES, f"run.mode must be one of {MODES}, got {run.mode!r}"),
         (run.steps >= 1, "run.steps must be >= 1"),
@@ -167,10 +172,14 @@ def validate_config(cfg: ScenarioConfig) -> None:
             )
         ),
         (ch.bandwidth_hz > 0, "channel.bandwidth_hz must be positive"),
+        # below the least normal float, every SINR at zero load is inf
         (
-            math.isfinite(noise_w),
-            "channel.noise_psd_dbm_hz over channel.bandwidth_hz overflows in watts",
+            sys.float_info.min <= noise_w < math.inf,
+            "channel.noise_psd_dbm_hz over channel.bandwidth_hz overflows or "
+            "underflows in watts",
         ),
+        (ue_gains[MACRO] <= 1, "layout.min_dist_macro_ue_m must keep the macro gain <= 1"),
+        (ue_gains[SMALL] <= 1, "layout.min_dist_small_ue_m must keep the small gain <= 1"),
         (pw.idle_scale_active > 1.0, "power.idle_scale_active must exceed 1"),
         (
             0.0 < pw.macro_p_idle_w < macro_p_max,

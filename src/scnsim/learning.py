@@ -22,6 +22,11 @@ if TYPE_CHECKING:
     from .config import LearningConfig
 
 
+# 1 / t**x at step count t (row) per gain exponent x (column), one table per
+# exponent triple: it depends on its key alone, so all learners share it
+_GAINS: dict[tuple[float, float, float], np.ndarray] = {}
+
+
 def build_action_set(size: int, cap: int) -> np.ndarray:
     """On/off table of a cluster of `size` members: 2^size rows, one per action.
 
@@ -75,8 +80,8 @@ class ClusterLearner:
     right-hand side.
 
     Rows are stacked only to batch the arithmetic. Every reduction runs
-    along one row, and the decreasing gains are computed per row from its
-    own t, so a row's numbers are those of a lone learner, bit for bit.
+    along one row, and the decreasing gains are read per row at its own
+    t, so a row's numbers are those of a lone learner, bit for bit.
     """
 
     def __init__(
@@ -93,9 +98,8 @@ class ClusterLearner:
         # (n_actions, members) on/off states, for indexing by draw
         self.actions = np.asarray(actions)
         self.kappa = float(kappa)
-        self.utility_exp = float(utility_exp)
-        self.regret_exp = float(regret_exp)
-        self.policy_exp = float(policy_exp)
+        # the gain exponents, which key this learner's gain table
+        self.exps = (float(utility_exp), float(regret_exp), float(policy_exp))
         n = len(self.actions)
         self.pi = self.utility_est = self.regret_est = np.empty((0, n))
         self.prev_utility = np.empty(0)
@@ -137,10 +141,15 @@ class ClusterLearner:
     def update(self, played, utilities) -> None:
         """Fold one observed (action, utility) pair per row into the estimates."""
         self.t += 1
-        # Python-float powers call C pow once per row, as a lone learner
-        # does; np.power may take a SIMD path that rounds differently
-        exps = (self.utility_exp, self.regret_exp, self.policy_exp)
-        gains = np.reshape([[1.0 / t**x for x in exps] for t in self.t.tolist()], (-1, 3))
+        try:
+            gains = _GAINS[self.exps][self.t]
+        except (KeyError, IndexError):
+            # Python-float powers call C pow, as a lone learner's scalar gains
+            # do; np.power may take a SIMD path that rounds differently
+            size = 2 * int(self.t.max(initial=0)) + 1
+            _GAINS[self.exps] = np.array([[np.nan] * 3] + [
+                [1.0 / t**x for x in self.exps] for t in range(1, size)])
+            gains = _GAINS[self.exps][self.t]
         tau, iota, eps = gains[:, 0], gains[:, 1:2], gains[:, 2:3]
         rows = np.arange(self.n_rows)
 

@@ -42,7 +42,8 @@ class ChannelModel:
     PL_small(d) = 140.7 + 37.6 log10(d_km)   [dB]
 
     Gains are 10^(-PL/10). Distances below the per-kind minimum are clamped
-    to that minimum, which also keeps every gain inside (0, 1].
+    to that minimum; validate_config holds each minimum where its gain is
+    at most 1, so every gain lies inside (0, 1].
     """
 
     bandwidth_hz: float = 10e6

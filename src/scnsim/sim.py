@@ -151,6 +151,7 @@ class World:
         self.p_idle = np.where(macro, float(pw.macro_p_idle_w), float(pw.small_p_idle_w))
         self.idle_scale = float(pw.idle_scale_active)
         self._all_on = np.ones(self.n_bs, dtype=np.int64)
+        self._all_on.flags.writeable = False  # learners act on a copy
         # each member is on or asleep, so a cluster of s members has 2^s
         # joint actions: bound s so the action set fits max_actions
         self.max_cluster_size = int(cfg.learning.max_actions).bit_length() - 1
@@ -160,6 +161,7 @@ class World:
         self.net = netmodel.NetworkConfiguration(
             np.ones(self.n_bs, dtype=np.int64), np.zeros(self.n_bs), np.zeros(self.n_bs)
         )
+        # stays at zeros in classical mode, where nothing reads rho_hat
         self.estimate = assoc.LoadEstimate(np.zeros(self.n_bs))
         self.kmeans_rng = kmeans_rng
         self.learner_rng = learner_rng
@@ -188,7 +190,7 @@ class World:
         self._assoc: tuple[bytes, np.ndarray, bool] | None = None
         # up to MEMO_SIZE solves under the exclusion matrix object
         # _solves_excl, oldest first: (state, serving, prev_load bytes) ->
-        # (net, total powers, per-BS cost)
+        # (net, per-BS cost, read-only SBS arrays of its StepRecord)
         self._solves: dict[tuple[bytes, bytes, bytes], tuple] = {}
         self._solves_excl: np.ndarray | None = None
 
@@ -280,10 +282,12 @@ class World:
         prev_load = self.net.load
         prev_state = self.net.state
 
-        # (1) advertised loads trail realized loads by one step
-        assoc.update_load_estimate(
-            self.estimate, prev_load, t, self.cfg.association.nu_exponent
-        )
+        # (1) advertised loads trail realized loads by one step. Classical
+        # association ignores them (delta = 0) and never reclusters
+        if self.mode != "classical":
+            assoc.update_load_estimate(
+                self.estimate, prev_load, t, self.cfg.association.nu_exponent
+            )
 
         # (2) partition refresh when due
         if self.mode == "learning_clustered":
@@ -295,9 +299,10 @@ class World:
 
         # (3) clusters draw sleep/wake actions; classical stays on. One
         # uniform per cluster, drawn in partition order
-        state = self._all_on.copy()
+        state = self._all_on
         played = []
         if self.groups:
+            state = state.copy()
             draws = self.learner_rng.random(self.n_clusters)
             for learner, members, order in self.groups:
                 idx = learner.sample(draws[order])
@@ -343,7 +348,8 @@ class World:
         # (7) the running cost per BS. Both are pure functions of excl,
         # state, serving and prev_load (power, traffic, gains and the solver
         # settings are fixed per World), so a step whose inputs equal those
-        # of a remembered solve under the same excl reuses its results
+        # of a remembered solve under the same excl reuses its results,
+        # SBS slices for the record included
         if self.excl is not self._solves_excl:
             self._solves, self._solves_excl = {}, self.excl
         key = (state_key, serving.tobytes(), prev_load.tobytes())
@@ -358,10 +364,15 @@ class World:
             totals = netmodel.total_powers(self.p_max, self.p_idle, self.idle_scale, net)
             lcfg = self.cfg.learning
             per_bs_cost = lcfg.alpha * totals + lcfg.beta * net.load_raw
+            # the record's sbs_* arrays, in field order; every reuse shares them
+            sbs = tuple(a[self.sbs_idx] for a in (
+                net.state, totals, net.load, net.load_raw, per_bs_cost))
+            for a in sbs:
+                a.flags.writeable = False
             if len(self._solves) == MEMO_SIZE:
                 del self._solves[next(iter(self._solves))]
-            entry = self._solves[key] = (net, totals, per_bs_cost)
-        self.net, totals, per_bs_cost = entry
+            entry = self._solves[key] = (net, per_bs_cost, sbs)
+        self.net, per_bs_cost, sbs = entry
 
         # (8) every learner observes the negated cost of its own members;
         # a step that left UEs uncovered charges the bounded penalty instead
@@ -374,19 +385,10 @@ class World:
 
         # (9) SBS-scope bookkeeping
         self.last_serving = serving.copy()
-        s = self.sbs_idx
+        # the macro never sleeps, so every flip is an SBS flip
+        flips = int(state_key != prev_state.tobytes() and np.count_nonzero(state != prev_state))
         return StepRecord(
-            step=t,
-            n_clusters=self.n_clusters,
-            mean_cluster_size=self.mean_cluster_size,
-            # the macro never sleeps, so every flip is an SBS flip
-            state_changes=int(np.count_nonzero(state != prev_state)),
-            converged=self.net.converged,
-            sbs_state=state[s],
-            sbs_power=totals[s],
-            sbs_load=self.net.load[s],
-            sbs_load_raw=self.net.load_raw[s],
-            sbs_cost=per_bs_cost[s],
+            t, self.n_clusters, self.mean_cluster_size, flips, self.net.converged, *sbs
         )
 
 

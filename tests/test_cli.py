@@ -100,6 +100,22 @@ def test_bad_sweep_point_is_reported(tmp_path, capsys, vary, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--vary", "ues=4,8"]],
+                         ids=["run", "sweep"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "run.seed must be >= 0"),
+    ("--jobs", "0", "run.jobs must be >= 1"),
+], ids=["seed=-1", "jobs=0"])
+def test_overrides_are_validated(tmp_path, capsys, command, flag, value, message):
+    # the command-line overrides pass validate_config like the INI values
+    cfg = write_tiny_config(tmp_path)
+    out = tmp_path / "out"
+    rc = main([*command, "--config", str(cfg), flag, value, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_infeasible_density_is_reported(tmp_path, capsys):
     # a 100 m square cannot hold an SBS 75 m from the central macro
     path = tmp_path / "dense.ini"

@@ -93,6 +93,11 @@ def test_bad_type(tmp_path):
         load_config(str(path))
 
 
+def _set(group, **values):
+    for key, value in values.items():
+        setattr(group, key, value)
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -153,6 +158,32 @@ def test_bad_type(tmp_path):
          "layout.min_dist_small_small_m"),
         (lambda c: setattr(c.layout, "min_dist_small_ue_m", -1.0),
          "layout.min_dist_small_ue_m"),
+        # a noise power below the least normal float (here about 4e-321 W)
+        # makes every SINR at zero load inf, so x = 0 is a spurious fixed point
+        pytest.param(lambda c: setattr(c.channel, "bandwidth_hz", 1e-300),
+                     "channel.bandwidth_hz", id="bandwidth_hz=1e-300"),
+        pytest.param(lambda c: setattr(c.channel, "noise_psd_dbm_hz", -4000.0),
+                     "channel.noise_psd_dbm_hz", id="noise_psd_dbm_hz=-4000"),
+        # a UE at 0 m from a BS has an infinite channel gain; the gain
+        # passes 1 below about 0.39 m (macro) and 0.18 m (small cell)
+        pytest.param(
+            lambda c: _set(c.layout, side_m=1e-300, min_dist_macro_small_m=0.0,
+                           min_dist_macro_ue_m=0.0, min_dist_small_small_m=0.0,
+                           min_dist_small_ue_m=0.0),
+            r"layout\.min_dist_macro_ue_m must keep the macro gain <= 1",
+            id="side_m=1e-300,min_dist_*=0"),
+        *(
+            pytest.param(
+                lambda c, k=key, v=value: setattr(c.layout, k, v),
+                rf"layout\.{key} must keep the {kind} gain <= 1",
+                id=f"{key}={value:g}",
+            )
+            for key, kind, value in [
+                ("min_dist_macro_ue_m", "macro", 0.3),
+                ("min_dist_small_ue_m", "small", 0.0),
+                ("min_dist_small_ue_m", "small", 0.1),
+            ]
+        ),
     ],
 )
 def test_validation_rejects(mutate, message):
@@ -160,6 +191,15 @@ def test_validation_rejects(mutate, message):
     mutate(cfg)
     with pytest.raises(ConfigError, match=message):
         validate_config(cfg)
+
+
+def test_gain_bound_admits_the_boundary_distances():
+    # gains at 0.4 m (macro) and 0.2 m (small cell) are just below 1
+    cfg = default_config()
+    cfg.layout.min_dist_macro_ue_m, cfg.layout.min_dist_small_ue_m = 0.4, 0.2
+    validate_config(cfg)
+    channel = cfg.channel_model()
+    assert channel.gain("macro", 0.0) < 1 and channel.gain("small", 0.0) < 1
 
 
 _GROUPS = {s.name: getattr(default_config(), s.name)

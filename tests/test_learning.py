@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from scnsim import learning
 from scnsim.config import LearningConfig
 from scnsim.learning import (
     ClusterLearner,
@@ -232,3 +233,32 @@ def test_stacked_rows_match_independent_learners():
                 assert learner.prev_utility[r] == ref.prev_utility
                 assert learner.t[r] == ref.t
     assert len({int(t) for learner in stacked for t in learner.t}) > 3
+
+
+def test_gain_table_matches_per_row_powers(monkeypatch):
+    # update reads 1 / t**x from a table grown on demand. Its rows must be
+    # the per-row Python-float powers, reshaped to (rows, 3), bit for bit;
+    # rows that joined at different steps read their own t
+    monkeypatch.setattr(learning, "_GAINS", {})
+    learner = ClusterLearner(build_action_set(2, 4), rows=1)
+    refs = [ReferenceLearner(4)]
+    rng = np.random.default_rng(9)
+    sizes = set()
+    for step in range(3000):
+        if step == 700:
+            learner.restack([0], 1)
+            refs.append(ReferenceLearner(4))
+        played = rng.integers(0, 4, size=learner.n_rows)
+        utilities = rng.uniform(-3.0, 0.0, size=learner.n_rows)
+        learner.update(played, utilities)
+        for r, ref in enumerate(refs):
+            ref.update(int(played[r]), utilities[r])
+        sizes.add(len(learning._GAINS[learner.exps]))
+    assert len(sizes) > 1  # the table grew at least once
+    table = learning._GAINS[learner.exps]
+    want = np.reshape(
+        [[1.0 / t**x for x in learner.exps] for t in range(1, 3001)], (-1, 3))
+    assert table[1:3001].tobytes() == want.tobytes()
+    for r, ref in enumerate(refs):
+        assert learner.pi[r].tobytes() == ref.pi.tobytes()
+        assert learner.regret_est[r].tobytes() == ref.regret_est.tobytes()

@@ -337,6 +337,43 @@ def test_reused_solves_equal_fresh_solves(mode, delta, scenario_seed, monkeypatc
         assert len(associations) == cfg.run.steps
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_reused_step_records_are_read_only_solve_slices(mode):
+    # the memo holds each solve's SBS record arrays, sliced once; a reused
+    # step's record shares them, so they must equal fresh slices of that
+    # step's own solve and refuse writes. At 12 Mbit/s per UE in drop 1,
+    # every mode reuses most solves and some reused steps overload an SBS,
+    # so its clamped and raw loads differ
+    cfg = small_cfg(mode, n_small=4, n_ues=24, steps=150)
+    cfg.traffic.mean_rate_bps = 12e6
+    cfg.clustering.eps_d_m = 400.0
+    cfg.clustering.recluster_every = 5
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(1)),
+                  np.random.default_rng(1), np.random.default_rng(2))
+    delta = 0.0 if mode == "classical" else cfg.association.delta
+    s = world.sbs_idx
+    reused = overloaded = 0
+    for t in range(1, cfg.run.steps + 1):
+        prev_load = world.net.load.copy()
+        solves = world.fp_solves
+        rec = world.step(t)
+        if world.fp_solves > solves:
+            continue
+        reused += 1
+        _, fresh, power, cost = _fresh_step_inputs(world, rec, prev_load, delta)
+        want = [world.net.state[s], power, fresh.load[s], fresh.load_raw[s], cost]
+        got = [rec.sbs_state, rec.sbs_power, rec.sbs_load, rec.sbs_load_raw,
+               rec.sbs_cost]
+        for have, expected in zip(got, want):
+            assert have.tobytes() == expected.tobytes()
+            assert not have.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rec.sbs_load[:] = 0.0
+        overloaded += bool(np.any(rec.sbs_load_raw > 1.0))
+    assert reused > cfg.run.steps // 2
+    assert overloaded > 0
+
+
 def test_period_two_solve_keys_run_two_solves():
     # planted: the warm-started iterate of classical drop 1 ends in a
     # period-2 cycle a -> b -> a in the last bit. A World started on a
@@ -611,6 +648,30 @@ def test_random_configs_are_rejected_or_run_finite(cfg):
         assert np.all(np.isfinite(rec.sbs_cost))
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cfg=_scenario_configs())
+def test_random_valid_configs_keep_step_invariants(cfg):
+    # over the same hostile pool, every config that validates keeps two
+    # invariants at every step: each UE is served by an awake station
+    # while any station is awake, and every learner row of pi is on the
+    # simplex
+    try:
+        validate_config(cfg)
+        scen, kmeans, learner_seed = np.random.SeedSequence([cfg.run.seed, 0]).spawn(3)
+        world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
+                      np.random.default_rng(kmeans), np.random.default_rng(learner_seed))
+    except ConfigError:
+        return
+    for t in range(1, cfg.run.steps + 1):
+        world.step(t)
+        if world.net.state.any():
+            assert np.all(world.last_serving >= 0)
+            assert np.all(world.net.state[world.last_serving] == 1)
+        for row in (r for learner in world.learners.values() for r in learner.pi):
+            assert np.all(row >= 0.0)
+            assert abs(row.sum() - 1.0) <= 1e-9
+
+
 def test_burn_in_steps():
     assert burn_in_steps(400, 0.3) == 120
     assert burn_in_steps(10, 0.0) == 0
@@ -716,14 +777,18 @@ def _records_digest(records):
     return h.hexdigest()[:16]
 
 
-def _golden_records_digest(mode):
+def _golden_cfg(mode):
     cfg = default_config()
     cfg.run.mode = mode
     cfg.run.steps = 80
     cfg.layout.n_ues = 32
     cfg.clustering.eps_d_m = 400.0  # wide adjacency: multi-SBS clusters
     cfg.clustering.recluster_every = 5
-    result = run_once(cfg, 0, keep_records=True)
+    return cfg
+
+
+def _golden_records_digest(mode):
+    result = run_once(_golden_cfg(mode), 0, keep_records=True)
     if mode == "learning_clustered":
         assert max(r.mean_cluster_size for r in result.records) > 1.0
     return _records_digest(result.records)
@@ -732,3 +797,18 @@ def _golden_records_digest(mode):
 @pytest.mark.parametrize("mode", sorted(GOLDEN_STEP_DIGESTS_UNDAMPED))
 def test_golden_step_records_undamped(mode):
     assert _golden_records_digest(mode) == GOLDEN_STEP_DIGESTS_UNDAMPED[mode]
+
+
+def test_classical_world_keeps_no_load_estimate():
+    # classical association ignores rho_hat (delta = 0) and classical never
+    # reclusters, so its World skips the estimate: rho_hat stays at zeros,
+    # and the records keep the digest recorded while it was still updated
+    cfg = _golden_cfg("classical")
+    # the same three streams run_once spawns for run 0
+    scen, kmeans, learner = np.random.SeedSequence([cfg.run.seed, 0]).spawn(3)
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
+                  np.random.default_rng(kmeans), np.random.default_rng(learner))
+    records = [world.step(t) for t in range(1, cfg.run.steps + 1)]
+    assert world.net.load.any()
+    assert not world.estimate.rho_hat.any()
+    assert _records_digest(records) == GOLDEN_STEP_DIGESTS_UNDAMPED["classical"]
