@@ -18,7 +18,6 @@ from .clustering import (
     ClusterPartition,
     SimilarityGraph,
     build_similarity,
-    jacobi_eigh,
     select_k,
     spectral_cluster,
 )
@@ -60,7 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssociationConfig", "LoadEstimate", "NoCoverageError", "associate_all",
     "update_load_estimate", "ClusterPartition", "SimilarityGraph",
-    "build_similarity", "jacobi_eigh", "select_k", "spectral_cluster", "MODES",
+    "build_similarity", "select_k", "spectral_cluster", "MODES",
     "ConfigError", "ScenarioConfig", "default_config", "load_config",
     "validate_config", "elect_head", "ClusterLearner", "bg_distribution",
     "build_action_set", "penalty_cost", "ChannelModel", "InactiveServerError",

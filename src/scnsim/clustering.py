@@ -2,9 +2,14 @@
 
 Pipeline: epsilon-neighbourhood adjacency -> Gaussian distance similarity ->
 load similarity -> geometric blend S = (S_dist^theta) * (S_load^(1-theta))
-(build_similarity), then graph Laplacian of S -> eigendecomposition (cyclic
-Jacobi) -> eigengap choice of k -> k-means on the spectral embedding
-(spectral_cluster). Deterministic given the caller's RNG.
+(build_similarity), then graph Laplacian of S -> eigendecomposition (LAPACK,
+via np.linalg.eigh) -> eigengap choice of k -> k-means on the spectral
+embedding (spectral_cluster). Deterministic given the caller's RNG.
+
+Within a block of equal eigenvalues the eigensolver may return any
+orthonormal basis. The partition never depends on that choice: the
+embedding takes whole blocks, so its pairwise distances are basis-free,
+and bisection falls back to id order when the Fiedler value is repeated.
 
 The macro BS is never part of the similarity graph; partitions cover small
 BSs only.
@@ -12,7 +17,6 @@ BSs only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -142,70 +146,6 @@ def build_similarity(
     return SimilarityGraph(adj, s_d, s_l, joint_similarity(s_d, s_l, cfg.theta))
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps the upper triangle in fixed row order, so the result is
-    deterministic. Returns (eigenvalues ascending, eigenvectors as columns).
-    tol is relative to the Frobenius norm of the input.
-
-    Rotations run on Python floats (numpy dispatch per row costs more than
-    the arithmetic at these sizes): rows p, q of a and columns p, q of the
-    eigenvectors, then columns p, q of the row-rotated a, each element a
-    correctly rounded scalar operation, so the rotations do not depend on
-    the BLAS build.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n > 1 and np.max(np.abs(a - a.T)) > 1e-8 * max(1.0, np.max(np.abs(a))):
-        raise ValueError("matrix must be symmetric")
-    if n <= 1:
-        return a.diagonal().copy(), np.eye(n)
-    # Frobenius norm from an exactly rounded sum, not a BLAS dot product
-    scale = math.sqrt(math.fsum(x * x for x in a.ravel().tolist()))
-    if scale == 0.0:
-        return np.zeros(n), np.eye(n)
-    thresh = tol * scale
-    skip = thresh / (n * n)
-    # rows[j] is row j of a followed by eigenvector column j, so one pair of
-    # list comprehensions rotates rows p, q of a and columns p, q of v
-    rows = np.hstack([a, np.eye(n)]).tolist()
-    for _ in range(max_sweeps):
-        # pairwise summation over the array keeps the stopping test's rounding
-        off = np.sqrt(np.sum(np.triu(np.array(rows)[:, :n], 1) ** 2) * 2.0)
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                rp = rows[p]
-                apq = rp[q]
-                if abs(apq) <= skip:
-                    continue
-                rq = rows[q]
-                # rotation angle zeroing a[p, q]
-                theta = (rq[q] - rp[p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rows[p] = [c * x - s * y for x, y in zip(rp, rq)]
-                rows[q] = [s * x + c * y for x, y in zip(rp, rq)]
-                for row in rows:
-                    x, y = row[p], row[q]
-                    row[p] = c * x - s * y
-                    row[q] = s * x + c * y
-    av = np.array(rows)
-    vals = av.diagonal().copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], av[:, n:].T[:, order]
-
-
 def select_k(eigenvalues: np.ndarray) -> int:
     """Eigengap heuristic: the 1-based index of the largest ascending gap.
 
@@ -217,6 +157,11 @@ def select_k(eigenvalues: np.ndarray) -> int:
         return int(vals.size)
     gaps = np.abs(np.diff(vals))
     return int(np.argmax(gaps)) + 1
+
+
+def _block_tol(eigenvalues: np.ndarray) -> float:
+    """Gap below which two ascending eigenvalues count as one block."""
+    return 1e-8 * max(1.0, float(np.max(np.abs(eigenvalues))))
 
 
 def zero_eigenvalue_count(eigenvalues: np.ndarray, tol: float = 1e-8) -> int:
@@ -275,32 +220,22 @@ def kmeans(
     for _ in range(max_iter):
         dist = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(dist, axis=1)
-        for j in range(k):
-            if not np.any(new_labels == j):
-                counts = np.bincount(new_labels, minlength=k)
-                big = int(np.argmax(counts))
-                members = np.where(new_labels == big)[0]
-                centroid = pts[members].mean(axis=0)
-                far = members[int(np.argmax(np.sum((pts[members] - centroid) ** 2, axis=1)))]
-                new_labels[far] = j
+        # one count per iteration; the repair below runs only if one is 0
+        if not np.bincount(new_labels, minlength=k).all():
+            for j in range(k):
+                if not np.any(new_labels == j):
+                    counts = np.bincount(new_labels, minlength=k)
+                    big = int(np.argmax(counts))
+                    members = np.where(new_labels == big)[0]
+                    centroid = pts[members].mean(axis=0)
+                    far = members[int(np.argmax(np.sum((pts[members] - centroid) ** 2, axis=1)))]
+                    new_labels[far] = j
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
         for j in range(k):
             centers[j] = pts[labels == j].mean(axis=0)
     return labels
-
-
-def _canonical_signs(vecs: np.ndarray) -> np.ndarray:
-    """Copy of vecs with each column flipped so its largest-magnitude entry
-    is positive, so an embedding does not jump between +-v as the
-    underlying loads drift."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        lead = int(np.argmax(np.abs(out[:, j])))
-        if out[lead, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
 
 
 def _bisect(
@@ -314,13 +249,22 @@ def _bisect(
 
     A cluster above max_size splits into halves of floor and ceil size by
     the order of the Fiedler vector of its own sub-Laplacian, ties broken
-    by id; each half recurses until it fits.
+    by id; each half recurses until it fits. Entries are rounded to 1e-9
+    first, so SBSs the graph cannot tell apart (equal entries but for the
+    eigensolver's rounding) tie and go by id. The vector's sign puts its
+    largest-magnitude entry positive. A Fiedler value equal to its
+    neighbour leaves the vector up to the eigensolver's choice of basis,
+    so the order is then by id alone.
     """
     if max_size is None or len(members) <= max_size:
         return [members]
     idx = np.asarray(members)
-    _, vecs = jacobi_eigh(laplacian_matrix(similarity[np.ix_(idx, idx)], laplacian))
-    fiedler = _canonical_signs(vecs[:, 1:2])[:, 0]
+    vals, vecs = np.linalg.eigh(laplacian_matrix(similarity[np.ix_(idx, idx)], laplacian))
+    fiedler = np.round(vecs[:, 1], 9)
+    if np.any(np.diff(vals[:3]) <= _block_tol(vals)):
+        fiedler = np.zeros(len(idx))
+    elif fiedler[np.argmax(np.abs(fiedler))] < 0:
+        fiedler = -fiedler
     order = idx[np.lexsort((ids[idx], fiedler))].tolist()
     half = len(order) // 2
     return _bisect(similarity, order[:half], ids, laplacian, max_size) + _bisect(
@@ -345,13 +289,16 @@ def spectral_cluster(
     When k is not given it comes from the eigengap heuristic, floored by the
     zero-eigenvalue multiplicity so disconnected components are never merged
     (k-means on fewer clusters than components would pair arbitrary far-apart
-    BSs). Heads are elected by estimated load (`loads`, default all-zero,
-    which degrades to lowest-id heads). init_labels (aligned with ids)
-    warm-starts k-means from a previous partition when its group count still
-    matches the selected k. max_iter caps the k-means Lloyd iterations.
-    max_size (None: unbounded) caps the members per cluster: a larger
-    k-means cluster is split by recursive spectral bisection (`_bisect`)
-    before heads are elected.
+    BSs). k-means looks for k clusters in an embedding of at least k
+    eigenvectors: it runs on through the block of eigenvalues equal to the
+    k-th, so the partition does not depend on the basis the eigensolver
+    picks inside that block. Heads are elected by estimated load (`loads`,
+    default all-zero, which degrades to lowest-id heads). init_labels
+    (aligned with ids) warm-starts k-means from a previous partition when
+    its group count still matches the selected k. max_iter caps the k-means
+    Lloyd iterations. max_size (None: unbounded) caps the members per
+    cluster: a larger k-means cluster is split by recursive spectral
+    bisection (`_bisect`) before heads are elected.
     """
     s = np.asarray(similarity, dtype=float)
     n = s.shape[0]
@@ -371,13 +318,15 @@ def spectral_cluster(
     if n == 1:
         return ClusterPartition(clusters=((int(ids[0]),),), heads=(int(ids[0]),), epoch=epoch)
 
-    lap = laplacian_matrix(s, laplacian)
-    vals, vecs = jacobi_eigh(lap)
+    vals, vecs = np.linalg.eigh(laplacian_matrix(s, laplacian))
     if k is None:
         k = max(select_k(vals), zero_eigenvalue_count(vals))
     k = int(min(max(k, 1), n))
-    embedding = _canonical_signs(vecs[:, :k])
-    labels = kmeans(embedding, k, rng, max_iter=max_iter, init_labels=init_labels)
+    # the embedding runs to the end of the eigenvalue block holding column k:
+    # any basis of a whole block gives the same pairwise distances, which
+    # are all k-means reads (a column's sign does not change them either)
+    dim = int(np.searchsorted(vals, vals[k - 1] + _block_tol(vals), side="right"))
+    labels = kmeans(vecs[:, :dim], k, rng, max_iter=max_iter, init_labels=init_labels)
 
     groups: dict[int, list[int]] = {}
     for idx, lab in enumerate(labels):

@@ -150,8 +150,19 @@ def validate_config(cfg: ScenarioConfig) -> None:
     small_p_max = _watts("power.small_p_max_dbm", pw.small_p_max_dbm)
     ch = cfg.channel
     noise_w = _watts("channel.noise_psd_dbm_hz", ch.noise_psd_dbm_hz) * ch.bandwidth_hz
+    model = cfg.channel_model()
     with np.errstate(all="ignore"):  # gains at the clamp distances; 0 m gives inf
-        ue_gains = {kind: cfg.channel_model().gain(kind, 0.0) for kind in (MACRO, SMALL)}
+        ue_gains = {kind: model.gain(kind, 0.0) for kind in (MACRO, SMALL)}
+        # noise-limited rates at the farthest UE each kind of station can
+        # serve: the macro from the center to a corner, an SBS corner to corner
+        far_rates = ch.bandwidth_hz * np.log2(1.0 + np.array([
+            macro_p_max * model.gain(MACRO, lay.side_m / math.sqrt(2.0)),
+            small_p_max * model.gain(SMALL, lay.side_m * math.sqrt(2.0)),
+        ]) / noise_w)
+    # load estimates lie in [0, 1], so the reciprocal load kernel is at most
+    # exp(1 / (2 sigma_l^2)); 4 n_small^2 times that bounds the Laplacian's
+    # spectrum and its gaps, which must stay finite
+    kernel_room = math.log(sys.float_info.max / 4) - 2 * math.log(max(lay.n_small, 1))
     checks = [
         (run.mode in MODES, f"run.mode must be one of {MODES}, got {run.mode!r}"),
         (run.steps >= 1, "run.steps must be >= 1"),
@@ -189,6 +200,12 @@ def validate_config(cfg: ScenarioConfig) -> None:
             0.0 < pw.small_p_idle_w < small_p_max,
             "need 0 < power.small_p_idle_w < small p_max (small_p_max_dbm in W)",
         ),
+        # a UE at a zero rate would need infinite airtime
+        (
+            bool(np.all(far_rates > 0.0)),
+            "channel.noise_psd_dbm_hz leaves a station a zero rate across "
+            "layout.side_m",
+        ),
         (
             cfg.traffic.distribution in TRAFFIC_DISTRIBUTIONS,
             f"traffic.distribution must be one of {TRAFFIC_DISTRIBUTIONS}",
@@ -198,6 +215,12 @@ def validate_config(cfg: ScenarioConfig) -> None:
         (cfg.clustering.kmeans_iters >= 1, "clustering.kmeans_iters must be >= 1"),
         (cfg.clustering.sigma_d_m > 0, "clustering.sigma_d_m must be positive"),
         (cfg.clustering.sigma_l > 0, "clustering.sigma_l must be positive"),
+        (
+            cfg.clustering.load_sign != "reciprocal"
+            or kernel_room > 0 and cfg.clustering.sigma_l > 1.0 / math.sqrt(2.0 * kernel_room),
+            "clustering.sigma_l is too small for load_sign = reciprocal: its load "
+            "kernel overflows",
+        ),
         (cfg.clustering.eps_d_m >= 0, "clustering.eps_d_m must be >= 0"),
         (0.0 <= cfg.clustering.theta <= 1.0, "clustering.theta must be in [0, 1]"),
         (
@@ -216,6 +239,12 @@ def validate_config(cfg: ScenarioConfig) -> None:
         *(
             (0.0 < getattr(cfg.learning, key) <= 1.0, f"learning.{key} must be in (0, 1]")
             for key in ("utility_exp", "regret_exp", "policy_exp")
+        ),
+        # two-timescale learning: the utility estimate moves fastest and
+        # the mixed strategy slowest
+        (
+            cfg.learning.utility_exp < cfg.learning.regret_exp < cfg.learning.policy_exp,
+            "need learning.utility_exp < learning.regret_exp < learning.policy_exp",
         ),
         (
             0.0 < cfg.association.nu_exponent <= 1.0,

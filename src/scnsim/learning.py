@@ -9,7 +9,9 @@ Boltzmann-Gibbs distribution over positive regrets:
 
 The three estimator gains decay as 1/t^x with exponents ordered
 utility < regret < policy so the utility estimate moves fastest and the
-mixed strategy slowest.
+mixed strategy slowest; validate_config rejects any other order. The
+two-timescale convergence argument also wants each exponent in (0.5, 1];
+that is advice only, and validation holds each exponent to (0, 1].
 """
 
 from __future__ import annotations

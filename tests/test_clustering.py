@@ -1,16 +1,18 @@
-"""Similarity graph, eigensolver, k selection, and spectral partition tests."""
+"""Similarity graph, k selection, spectral partition and eigenbasis-invariance tests."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scnsim.clustering import (
+    LAPLACIAN_MODES,
     ClusterPartition,
     build_adjacency,
     build_similarity,
     distance_similarity,
-    jacobi_eigh,
     joint_similarity,
     kmeans,
     laplacian_matrix,
@@ -19,7 +21,7 @@ from scnsim.clustering import (
     spectral_cluster,
     zero_eigenvalue_count,
 )
-from scnsim.config import ClusteringConfig
+from scnsim.config import ClusteringConfig, default_config
 from scnsim.netmodel import cluster_labels
 
 
@@ -99,36 +101,9 @@ def test_laplacian_variants():
         laplacian_matrix(s, "normalized")
 
 
-def test_jacobi_matches_reference_solver():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        m = rng.normal(size=(10, 10))
-        a = (m + m.T) / 2.0
-        vals, vecs = jacobi_eigh(a)
-        ref = np.linalg.eigvalsh(a)
-        assert np.max(np.abs(vals - ref)) < 1e-8
-        assert np.all(np.diff(vals) >= -1e-10)
-        # reconstruction and orthonormality
-        assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.T - a)) < 1e-8
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(10))) < 1e-10
-
-
-def test_jacobi_edge_cases():
-    vals, vecs = jacobi_eigh(np.array([[3.0]]))
-    assert vals[0] == 3.0 and vecs[0, 0] == 1.0
-    vals, vecs = jacobi_eigh(np.zeros((4, 4)))
-    assert np.all(vals == 0.0) and np.array_equal(vecs, np.eye(4))
-    vals, _ = jacobi_eigh(np.diag([4.0, -1.0, 2.0]))
-    assert np.array_equal(vals, np.array([-1.0, 2.0, 4.0]))
-    with pytest.raises(ValueError):
-        jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        jacobi_eigh(np.zeros((2, 3)))
-
-
 def reference_jacobi_eigh(a, tol=1e-12, max_sweeps=60):
-    """The cyclic Jacobi solver with numpy row/column rotations; the oracle
-    the Python-float rotations must match bit for bit."""
+    """Cyclic Jacobi with numpy row/column rotations: an eigensolver that
+    shares no code with LAPACK, the oracle for the one clustering calls."""
     a = np.array(a, dtype=float)
     n = a.shape[0]
     v = np.eye(n)
@@ -165,7 +140,9 @@ def reference_jacobi_eigh(a, tol=1e-12, max_sweeps=60):
 
 
 def _oracle_matrices():
-    from scnsim.config import default_config
+    """(name, matrix, similarity, laplacian): Laplacians of default drops,
+    with the similarity and variant they come from, then random symmetric
+    matrices and edge cases, which have neither."""
     from scnsim.sim import generate_scenario
 
     cfg = default_config()
@@ -177,30 +154,52 @@ def _oracle_matrices():
             for variant in ("standard", "rowsum"):
                 graph = build_similarity(pos, loads, ClusteringConfig(eps_d_m=eps_d))
                 yield (f"drop{seed}-{eps_d}-{variant}",
-                       laplacian_matrix(graph.s_joint, variant))
+                       laplacian_matrix(graph.s_joint, variant), graph.s_joint, variant)
     rng = np.random.default_rng(53)
     for n in range(1, 21):
         for rep in range(2):
             m = rng.normal(size=(n, n))
-            yield f"random{n}-{rep}", (m + m.T) / 2.0
+            yield f"random{n}-{rep}", (m + m.T) / 2.0, None, None
     m = rng.normal(size=(7, 7))
     m = (m + m.T) / 2.0
     m[2, 5] += 5e-9  # asymmetric, inside the symmetry tolerance
-    yield "near-symmetric", m
+    yield "near-symmetric", m, None, None
     # equal diagonal entries: the first rotation takes the theta == 0 branch
-    yield "theta0-2x2", np.array([[2.0, 1.0], [1.0, 2.0]])
-    yield "theta0-4x4", np.full((4, 4), 0.5) + np.eye(4)
-    yield "zero", np.zeros((5, 5))
+    yield "theta0-2x2", np.array([[2.0, 1.0], [1.0, 2.0]]), None, None
+    yield "theta0-4x4", np.full((4, 4), 0.5) + np.eye(4), None, None
+    yield "zero", np.zeros((5, 5)), None, None
 
 
-@pytest.mark.parametrize(
-    "a", [pytest.param(a, id=name) for name, a in _oracle_matrices()]
-)
-def test_jacobi_bitwise_equals_numpy_rotations(a):
-    vals, vecs = jacobi_eigh(a)
+@pytest.mark.parametrize("a, similarity, laplacian", [
+    pytest.param(a, s, lap, id=name) for name, a, s, lap in _oracle_matrices()
+])
+def test_jacobi_bitwise_equals_numpy_rotations(monkeypatch, a, similarity, laplacian):
+    """np.linalg.eigh, the solver clustering calls, against the Jacobi
+    oracle: the spectra and each eigenvalue block's projector agree to
+    rounding, and every choice made from the spectrum (block cuts, eigengap
+    k, zero count) is identical. On a drop's Laplacian the spectral
+    partition is bitwise the same with either solver."""
+    vals, vecs = np.linalg.eigh(a)
     ref_vals, ref_vecs = reference_jacobi_eigh(a)
-    assert np.array_equal(vals, ref_vals)
-    assert np.array_equal(vecs, ref_vecs)
+    assert np.max(np.abs(vals - ref_vals)) <= _tol(ref_vals)
+    assert select_k(vals) == select_k(ref_vals)
+    assert zero_eigenvalue_count(vals) == zero_eigenvalue_count(ref_vals)
+    cuts = (np.flatnonzero(np.diff(ref_vals) > _tol(ref_vals)) + 1).tolist()
+    assert (np.flatnonzero(np.diff(vals) > _tol(vals)) + 1).tolist() == cuts
+    for lo, hi in zip([0, *cuts], [*cuts, len(a)]):
+        block, ref_block = vecs[:, lo:hi], ref_vecs[:, lo:hi]
+        assert np.max(np.abs(block @ block.T - ref_block @ ref_block.T)) <= 1e-7
+    if similarity is None:
+        return
+    ids = list(range(1, len(similarity) + 1))
+
+    def partition():
+        return spectral_cluster(similarity, ids, np.random.default_rng(0),
+                                laplacian=laplacian, max_size=4)
+
+    base = partition()
+    monkeypatch.setattr(np.linalg, "eigh", reference_jacobi_eigh)
+    assert partition() == base
 
 
 def test_select_k_examples():
@@ -212,7 +211,7 @@ def test_select_k_examples():
     s = np.zeros((4, 4))
     s[0, 1] = s[1, 0] = 1.0
     s[2, 3] = s[3, 2] = 1.0
-    vals, _ = jacobi_eigh(laplacian_matrix(s))
+    vals = np.linalg.eigvalsh(laplacian_matrix(s))
     assert zero_eigenvalue_count(vals) == 2
     assert select_k(vals) == 2
 
@@ -393,6 +392,151 @@ def test_bisection_bounds_random_partitions():
         assert all(1 <= len(c) <= max_size for c in part.clusters)
         for head, cluster in zip(part.heads, part.clusters):
             assert loads[head - 1] == max(loads[b - 1] for b in cluster)
+
+
+def _tol(vals):
+    return 1e-8 * max(1.0, np.max(np.abs(vals)))
+
+
+def _rotating_eigh(seed):
+    """np.linalg.eigh, then a random orthogonal change of basis inside each
+    block of equal eigenvalues (a random sign on a lone eigenvector): any
+    basis LAPACK could have returned."""
+    eigh = np.linalg.eigh
+    rng = np.random.default_rng(seed)
+
+    def rotated(a):
+        vals, vecs = eigh(a)
+        vecs = vecs.copy()
+        cuts = (np.flatnonzero(np.diff(vals) > _tol(vals)) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(vals)]):
+            q, _ = np.linalg.qr(rng.normal(size=(hi - lo, hi - lo)))
+            vecs[:, lo:hi] = vecs[:, lo:hi] @ (q * rng.choice([-1.0, 1.0], hi - lo))
+        return vals, vecs
+
+    return rotated
+
+
+def _partition_under_rotations(monkeypatch, partition, seeds):
+    """partition() with the plain solver, then under each rotation seed."""
+    base = partition()
+    for seed in seeds:
+        monkeypatch.setattr(np.linalg, "eigh", _rotating_eigh(seed))
+        assert partition() == base, f"rotation seed {seed}"
+        monkeypatch.undo()
+    return base
+
+
+def _components_similarity(sizes, rng):
+    """Disjoint components of the given sizes with random weights, shuffled;
+    the standard Laplacian has one zero eigenvalue per component."""
+    n = sum(sizes)
+    s = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        w = np.triu(rng.uniform(0.2, 1.0, size=(size, size)), 1)
+        s[start:start + size, start:start + size] = w + w.T
+        start += size
+    perm = rng.permutation(n)
+    return s[np.ix_(perm, perm)]
+
+
+def _sparse_drop_similarity():
+    """SBSs of a default drop at eps_d = 150 m (seed 1, run 6) at zero
+    load: the rowsum Laplacian's spectrum is two negative eigenvalues, a
+    zero of multiplicity 4, then positive ones."""
+    from scnsim.sim import generate_scenario
+
+    cfg = default_config()
+    cfg.clustering.eps_d_m = 150.0
+    scen, _, _ = np.random.SeedSequence([1, 6]).spawn(3)
+    pos = generate_scenario(cfg, np.random.default_rng(scen))[0][1:]
+    return build_similarity(pos, np.zeros(len(pos)), cfg.clustering).s_joint
+
+
+@pytest.mark.parametrize("laplacian, k, similarity", [
+    # the eigengap and zero-count rules pick k = 4, inside the zero block
+    pytest.param("rowsum", None, _sparse_drop_similarity, id="rowsum-drop"),
+    # a caller's k below the component count cuts the zero block
+    pytest.param("standard", 2,
+                 lambda: _components_similarity((1, 2, 3, 4), np.random.default_rng(7)),
+                 id="standard-k2"),
+    pytest.param("standard", 3,
+                 lambda: _components_similarity((1, 2, 3, 5), np.random.default_rng(8)),
+                 id="standard-k3"),
+])
+def test_partition_is_invariant_to_the_eigenbasis(monkeypatch, laplacian, k, similarity):
+    s = similarity()
+    ids = list(range(1, len(s) + 1))
+    vals = np.linalg.eigvalsh(laplacian_matrix(s, laplacian))
+    used_k = k or max(select_k(vals), zero_eigenvalue_count(vals))
+    assert vals[used_k] - vals[used_k - 1] <= _tol(vals)  # k ends inside a block
+
+    def partition():
+        return spectral_cluster(s, ids, np.random.default_rng(0), k=k,
+                                laplacian=laplacian)
+
+    base = _partition_under_rotations(monkeypatch, partition, range(20))
+    assert base.n_clusters == used_k  # k itself is not raised
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    sizes=st.sets(st.integers(1, 5), min_size=1, max_size=4),
+    k=st.none() | st.integers(1, 15),
+    laplacian=st.sampled_from(LAPLACIAN_MODES),
+    seed=st.integers(0, 2**16),
+)
+def test_random_partitions_are_invariant_to_the_eigenbasis(sizes, k, laplacian, seed):
+    # components of distinct sizes keep the embedded points free of exact
+    # distance ties, which rounding alone would break
+    rng = np.random.default_rng(seed)
+    s = _components_similarity(sorted(sizes), rng)
+    ids = list(range(1, len(s) + 1))
+    k = None if k is None else min(k, len(s))
+
+    def partition():
+        return spectral_cluster(s, ids, np.random.default_rng(seed), k=k,
+                                laplacian=laplacian)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _partition_under_rotations(monkeypatch, partition, range(3))
+
+
+def _cycle_similarity(n):
+    """Uniform ring: each SBS similar (weight 1) to its two neighbours. Its
+    eigenvalues come in pairs, so the Fiedler value is repeated under
+    either Laplacian."""
+    s = np.zeros((n, n))
+    for i in range(n):
+        s[i, (i + 1) % n] = s[(i + 1) % n, i] = 1.0
+    return s
+
+
+@pytest.mark.parametrize("laplacian, similarity", [
+    # lambda_2 = lambda_3
+    pytest.param("standard", lambda: _cycle_similarity(6), id="standard-ring"),
+    # lambda_1 = lambda_2
+    pytest.param("rowsum", lambda: _cycle_similarity(6), id="rowsum-ring"),
+    # lambda_1 = lambda_2 = 0
+    pytest.param("standard",
+                 lambda: _components_similarity((3, 4), np.random.default_rng(3)),
+                 id="standard-two-components"),
+])
+def test_bisection_of_a_repeated_fiedler_value_is_by_id(monkeypatch, laplacian, similarity):
+    s = similarity()
+    n = len(s)
+    ids = [int(b) for b in np.random.default_rng(5).permutation(n) + 1]
+    vals = np.linalg.eigvalsh(laplacian_matrix(s, laplacian))
+    assert np.min(np.diff(vals[:3])) <= _tol(vals)
+
+    def partition():
+        return spectral_cluster(s, ids, np.random.default_rng(0), k=1,
+                                laplacian=laplacian, max_size=(n + 1) // 2)
+
+    base = _partition_under_rotations(monkeypatch, partition, range(20))
+    half = n // 2
+    assert base.clusters == (tuple(range(1, half + 1)), tuple(range(half + 1, n + 1)))
 
 
 def test_partition_helpers():

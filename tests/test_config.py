@@ -147,6 +147,35 @@ def _set(group, **values):
             ]
             for value in (1.5, 1e300)
         ),
+        # the gain exponents must be strictly ordered utility < regret < policy
+        *(
+            pytest.param(
+                lambda c, v=values: _set(c.learning, **dict(zip(
+                    ("utility_exp", "regret_exp", "policy_exp"), v))),
+                r"need learning\.utility_exp < learning\.regret_exp < "
+                r"learning\.policy_exp",
+                id="exps={},{},{}".format(*values),
+            )
+            for values in [(0.7, 0.7, 0.8), (0.6, 0.8, 0.8), (0.8, 0.7, 0.6),
+                           (0.6, 0.9, 0.8), (1.0, 1.0, 1.0)]
+        ),
+        # noise so strong that 1 + SINR rounds to 1: a station's rate is 0
+        # and a UE it serves needs infinite airtime
+        pytest.param(lambda c: setattr(c.channel, "noise_psd_dbm_hz", 30.0),
+                     r"channel\.noise_psd_dbm_hz leaves a station a zero rate",
+                     id="noise_psd_dbm_hz=30"),
+        # still under the macro's bound, but over an SBS's corner to corner
+        pytest.param(lambda c: setattr(c.channel, "noise_psd_dbm_hz", 0.0),
+                     r"channel\.noise_psd_dbm_hz leaves a station a zero rate",
+                     id="noise_psd_dbm_hz=0"),
+        # exp(1 / (2 sigma_l^2)) at a load gap of 1 overflows, and the
+        # Laplacian of an infinite similarity is NaN: LAPACK cannot solve it
+        pytest.param(lambda c: _set(c.clustering, load_sign="reciprocal", sigma_l=1e-6),
+                     r"clustering\.sigma_l is too small for load_sign = reciprocal",
+                     id="reciprocal,sigma_l=1e-6"),
+        pytest.param(lambda c: _set(c.clustering, load_sign="reciprocal", sigma_l=0.026),
+                     r"clustering\.sigma_l is too small for load_sign = reciprocal",
+                     id="reciprocal,sigma_l=0.026"),
         (lambda c: setattr(c.learning, "alpha", -5.0), "learning.alpha"),
         (lambda c: setattr(c.learning, "beta", -0.5), "learning.beta"),
         (lambda c: setattr(c.clustering, "eps_d_m", -1.0), "clustering.eps_d_m"),
@@ -191,6 +220,19 @@ def test_validation_rejects(mutate, message):
     mutate(cfg)
     with pytest.raises(ConfigError, match=message):
         validate_config(cfg)
+
+
+def test_validation_admits_values_next_to_the_new_bounds():
+    cfg = default_config()
+    _set(cfg.learning, utility_exp=0.5, regret_exp=0.51, policy_exp=1.0)
+    cfg.channel.noise_psd_dbm_hz = -30.0  # an SBS still reaches across the area
+    validate_config(cfg)
+    # the reciprocal kernel's bound holds for 10 SBSs at sigma_l = 0.027; the
+    # gaussian kernel only underflows, so it takes any positive sigma_l
+    _set(cfg.clustering, load_sign="reciprocal", sigma_l=0.027)
+    validate_config(cfg)
+    _set(cfg.clustering, load_sign="gaussian", sigma_l=1e-6)
+    validate_config(cfg)
 
 
 def test_gain_bound_admits_the_boundary_distances():

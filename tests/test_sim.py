@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scnsim import association, clustering, netmodel
@@ -626,12 +626,41 @@ def _scenario_configs(draw):
     return cfg
 
 
+def _edge_cfg(mode, **values):
+    """A short default run in `mode`; values maps "section.key" to a value."""
+    cfg = default_config()
+    cfg.run.mode, cfg.run.steps, cfg.layout.n_ues = mode, 8, 20
+    for name, value in values.items():
+        section, key = name.split(".")
+        setattr(getattr(cfg, section), key, value)
+    return cfg
+
+
+# each of these passed validation before its bound existed, then divided by
+# a zero rate (1 + SINR rounds to 1 far from the serving station) or
+# overflowed in the reciprocal load kernel mid-run
+_EDGE_CFGS = [
+    _edge_cfg("classical", **{"channel.noise_psd_dbm_hz": 30.0}),
+    # the macro still reaches the corners; a far SBS does not, and load-aware
+    # association hands it UEs once the macro's estimate nears 1
+    _edge_cfg("learning_no_clusters", **{"channel.noise_psd_dbm_hz": 0.0, "run.steps": 40}),
+    _edge_cfg("learning_clustered", **{
+        "clustering.load_sign": "reciprocal", "clustering.sigma_l": 1e-6,
+        "clustering.recluster_every": 2,
+    }),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(cfg=_scenario_configs())
+@example(cfg=_EDGE_CFGS[0])
+@example(cfg=_EDGE_CFGS[1])
+@example(cfg=_EDGE_CFGS[2])
 def test_random_configs_are_rejected_or_run_finite(cfg):
     # a config either fails as a ConfigError naming its fault, or runs to
     # the end with finite numbers and loads in [0, 1]; it never crashes
-    # mid-run
+    # mid-run, and no division by zero or overflow happens on the way
     try:
         validate_config(cfg)
         result = run_once(cfg, 0, keep_records=True)
