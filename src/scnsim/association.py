@@ -53,7 +53,7 @@ def associate_all(
     rx_power = np.asarray(rx_power, dtype=float)
     state = np.asarray(state)
     rho_hat = np.asarray(rho_hat, dtype=float)
-    if not np.any(state != 0):
+    if not state.any():
         raise NoCoverageError("all stations are asleep")
     # 0^0 = 1 under numpy power, so delta = 0 degrades cleanly to RSSI even
     # at a fully loaded station
@@ -63,7 +63,7 @@ def associate_all(
     # among the stations at the best score, the strongest raw signal;
     # argmax then keeps the lowest index
     tied = scores == scores.max(axis=0)
-    return np.argmax(np.where(tied, rx_power, -np.inf), axis=0)
+    return np.where(tied, rx_power, -np.inf).argmax(axis=0)
 
 
 def update_load_estimate(

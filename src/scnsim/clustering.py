@@ -155,18 +155,17 @@ def select_k(eigenvalues: np.ndarray) -> int:
     vals = np.asarray(eigenvalues, dtype=float)
     if vals.size < 2:
         return int(vals.size)
-    gaps = np.abs(np.diff(vals))
-    return int(np.argmax(gaps)) + 1
+    return int(abs(vals[1:] - vals[:-1]).argmax()) + 1
 
 
 def _block_tol(eigenvalues: np.ndarray) -> float:
     """Gap below which two ascending eigenvalues count as one block."""
-    return 1e-8 * max(1.0, float(np.max(np.abs(eigenvalues))))
+    return 1e-8 * max(1.0, float(abs(eigenvalues).max()))
 
 
 def zero_eigenvalue_count(eigenvalues: np.ndarray, tol: float = 1e-8) -> int:
     """Multiplicity of (numerically) zero eigenvalues = connected components."""
-    return int(np.sum(np.abs(np.asarray(eigenvalues, dtype=float)) <= tol))
+    return int((abs(np.asarray(eigenvalues, dtype=float)) <= tol).sum())
 
 
 def kmeans(
@@ -186,7 +185,8 @@ def kmeans(
     assignment (one center per label group). It is used only when it has
     exactly k non-empty groups; otherwise seeding falls back to k-means++.
     Warm starts keep a slowly drifting embedding from flipping between
-    equivalent partitions run over run.
+    equivalent partitions run over run. They seed the labels too, so a warm
+    start that already fits stops after one Lloyd pass.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
@@ -197,12 +197,13 @@ def kmeans(
     if init_labels is not None:
         init = np.asarray(init_labels)
         if init.shape == (n,):
-            _, groups = np.unique(init, return_inverse=True)
-            if groups.max() + 1 == k:
-                centers = np.array(
-                    [pts[groups == j].mean(axis=0) for j in range(k)]
-                )
+            # np.unique's inverse: each label's rank among the distinct ones
+            rank = {lab: j for j, lab in enumerate(sorted(set(init.tolist())))}
+            if len(rank) == k:
+                labels = np.array([rank[lab] for lab in init.tolist()])
+                centers = np.array([pts[labels == j].mean(axis=0) for j in range(k)])
     if centers is None:
+        labels = np.full(n, -1, dtype=np.int64)
         centers = np.empty((k, pts.shape[1]))
         centers[0] = pts[rng.integers(n)]
         d2 = np.sum((pts - centers[0]) ** 2, axis=1)
@@ -216,10 +217,9 @@ def kmeans(
                 centers[j] = pts[rng.choice(n, p=d2 / total)]
             d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
 
-    labels = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iter):
-        dist = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(dist, axis=1)
+        dist = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dist.argmin(axis=1)
         # one count per iteration; the repair below runs only if one is 0
         if not np.bincount(new_labels, minlength=k).all():
             for j in range(k):
@@ -230,7 +230,7 @@ def kmeans(
                     centroid = pts[members].mean(axis=0)
                     far = members[int(np.argmax(np.sum((pts[members] - centroid) ** 2, axis=1)))]
                     new_labels[far] = j
-        if np.array_equal(new_labels, labels):
+        if (new_labels == labels).all():
             break
         labels = new_labels
         for j in range(k):
@@ -306,8 +306,12 @@ def spectral_cluster(
         raise ValueError("similarity must be square")
     if len(ids) != n:
         raise ValueError("ids must align with the similarity matrix")
-    if n > 0 and (np.max(np.abs(s - s.T)) > 1e-10 * max(1.0, np.max(np.abs(s))) or np.min(s) < 0):
-        raise ValueError("similarity must be symmetric and non-negative")
+    # NaN fails every comparison, so non-finite input stops before s - s.T
+    if n > 0 and not (
+        s.min() >= 0 and (top := s.max()) < np.inf
+        and abs(s - s.T).max() <= 1e-10 * max(1.0, top)
+    ):
+        raise ValueError("similarity must be finite, symmetric and non-negative")
     if max_size is not None and max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     if loads is None:
@@ -325,13 +329,14 @@ def spectral_cluster(
     # the embedding runs to the end of the eigenvalue block holding column k:
     # any basis of a whole block gives the same pairwise distances, which
     # are all k-means reads (a column's sign does not change them either)
-    dim = int(np.searchsorted(vals, vals[k - 1] + _block_tol(vals), side="right"))
+    dim = int(vals.searchsorted(vals[k - 1] + _block_tol(vals), side="right"))
     labels = kmeans(vecs[:, :dim], k, rng, max_iter=max_iter, init_labels=init_labels)
 
     groups: dict[int, list[int]] = {}
-    for idx, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(idx)
+    for idx, lab in enumerate(labels.tolist()):
+        groups.setdefault(lab, []).append(idx)
     id_arr = np.asarray(ids)
+    id_list = id_arr.tolist()
     parts = [
         part
         for members in groups.values()
@@ -339,9 +344,9 @@ def spectral_cluster(
     ]
     # deterministic ordering: clusters sorted by their smallest member id
     clusters = tuple(
-        sorted((tuple(sorted(int(id_arr[i]) for i in g)) for g in parts), key=min)
+        sorted((tuple(sorted(id_list[i] for i in g)) for g in parts), key=min)
     )
-    load_of = {int(b): float(loads[i]) for i, b in enumerate(ids)}
+    load_of = dict(zip(id_list, np.asarray(loads, dtype=float).tolist()))
     heads = tuple(
         elect_head(members, [load_of[b] for b in members]) for members in clusters
     )

@@ -44,5 +44,5 @@ def rebalance(
     """
     lab = label[serving]
     members = (label[:, None] == lab[None, :]) & active[:, None]
-    choice = np.argmin(np.where(members, costs, np.inf), axis=0)
+    choice = np.where(members, costs, np.inf).argmin(axis=0)
     return np.where(lab >= 0, choice, serving)

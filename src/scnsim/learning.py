@@ -63,7 +63,7 @@ def bg_distribution(regrets: np.ndarray, kappa: float) -> np.ndarray:
     All-nonpositive regrets give the uniform distribution; larger kappa
     concentrates mass on the largest positive regret.
     """
-    r_plus = np.maximum(np.asarray(regrets, dtype=float), 0.0)
+    r_plus = np.maximum(regrets, 0.0)
     z = kappa * r_plus
     z = z - z.max(axis=-1, keepdims=True)
     w = np.exp(z)
@@ -128,6 +128,7 @@ class ClusterLearner:
         self.regret_est = np.concatenate([self.regret_est[keep], np.zeros((fresh, n))])
         self.prev_utility = np.concatenate([self.prev_utility[keep], np.zeros(fresh)])
         self.t = np.concatenate([self.t[keep], np.zeros(fresh, dtype=np.int64)])
+        self._rows = np.arange(self.n_rows)  # row index for update's gathers
 
     def sample(self, draws) -> np.ndarray:
         """Action index per row from its mixed strategy and a uniform draw.
@@ -138,7 +139,7 @@ class ClusterLearner:
         below the draw).
         """
         cdf = self.pi[:, :-1].cumsum(axis=1)
-        return (cdf <= np.reshape(draws, (-1, 1))).sum(axis=1)
+        return (cdf <= np.asarray(draws).reshape(-1, 1)).sum(axis=1)
 
     def update(self, played, utilities) -> None:
         """Fold one observed (action, utility) pair per row into the estimates."""
@@ -153,7 +154,7 @@ class ClusterLearner:
                 [1.0 / t**x for x in self.exps] for t in range(1, size)])
             gains = _GAINS[self.exps][self.t]
         tau, iota, eps = gains[:, 0], gains[:, 1:2], gains[:, 2:3]
-        rows = np.arange(self.n_rows)
+        rows = self._rows
 
         # the target and the regret step read the pre-update estimates
         target = bg_distribution(self.regret_est, self.kappa)

@@ -171,12 +171,12 @@ def compute_loads(
     """
     n_bs, n_ue = gains.shape
     serving = np.asarray(serving, dtype=np.intp)
-    everyone = bool(np.all(serving >= 0))
+    everyone = bool((serving >= 0).all())
     cols = np.arange(n_ue) if everyone else np.flatnonzero(serving >= 0)
     srv = serving if everyone else serving[cols]
-    if np.any(state[srv] == 0):
-        bad = cols[state[srv] == 0]
-        raise InactiveServerError(f"UEs {bad.tolist()} assigned to sleeping BSs")
+    asleep = state[srv] == 0
+    if asleep.any():
+        raise InactiveServerError(f"UEs {cols[asleep].tolist()} assigned to sleeping BSs")
 
     # loop invariants; state is 0/1, so x * (power * state) rounds as
     # (x * power) * state does
@@ -185,10 +185,11 @@ def compute_loads(
     own_gain = gains.take(flat)
     signal = tx[srv] * own_gain
     demand = traffic if everyone else traffic[cols]
-    excl_w = None if excl is None else excl.astype(float)
+    excl_w = None if excl is None else np.asarray(excl, dtype=float)
     noise_w, bandwidth = channel.noise_w, channel.bandwidth_hz
     rate = np.empty(cols.size)
-    x = np.zeros(n_bs) if init is None else np.clip(np.asarray(init, dtype=float), 0.0, 1.0)
+    # clamped as np.clip does it, -0.0 to +0.0 included
+    x = np.zeros(n_bs) if init is None else np.minimum(np.maximum(init, 0.0), 1.0)
     raw = np.zeros(n_bs)
     converged, iterations = False, 0
     for iterations in range(1, max_iter + 1):

@@ -28,11 +28,6 @@ from .config import MODES, ConfigError, LayoutConfig, ScenarioConfig, validate_c
 
 STEP_SECONDS = 1.0  # logical tick length; energy (J) = power (W) x ticks
 MAX_PLACEMENT_TRIES = 10000
-# fixed-point solves a World keeps for exact reuse. The warm-started iterate
-# often ends in a cycle in the last bits rather than at an exact fixed
-# point, so a steady run repeats a whole cycle of solve inputs; over 300
-# classical 75-UE drops the longest period was 51
-MEMO_SIZE = 64
 
 SWEEP_PARAMS = ("ues", "eps_d", "theta")
 
@@ -167,12 +162,14 @@ class World:
         self.learner_rng = learner_rng
         self.partition: clust.ClusterPartition | None = None
         # per-partition caches: cluster count and mean size, cluster index
-        # per BS (-1: none), exclusion matrix (None: only singletons, so
-        # each BS excludes only itself and stage (5) is the identity)
+        # per BS (-1: none), float exclusion matrix (None: only singletons,
+        # so each BS excludes only itself and stage (5) is the identity)
         self.n_clusters = 0
         self.mean_cluster_size = 0.0
         self.label = np.full(self.n_bs, -1, dtype=int)
         self.excl: np.ndarray | None = None
+        # SBS distance similarity, fixed per drop; the first recluster builds it
+        self.s_dist: np.ndarray | None = None
         # one stacked learner per cluster size, playing the on/off table of
         # that many members; groups lists (learner, member ids per row,
         # partition index per row) and slots maps a cluster's member ids to
@@ -188,9 +185,10 @@ class World:
         self.fp_solves = 0
         # last association with delta = 0: (state bytes, serving, no_coverage)
         self._assoc: tuple[bytes, np.ndarray, bool] | None = None
-        # up to MEMO_SIZE solves under the exclusion matrix object
-        # _solves_excl, oldest first: (state, serving, prev_load bytes) ->
-        # (net, per-BS cost, read-only SBS arrays of its StepRecord)
+        # every solve of the run under the exclusion matrix object
+        # _solves_excl, so a steady run's cycle of solve inputs in the last
+        # bits is held whole, whatever its period: (state, serving,
+        # prev_load bytes) -> (net, per-BS cost, read-only SBS record arrays)
         self._solves: dict[tuple[bytes, bytes, bytes], tuple] = {}
         self._solves_excl: np.ndarray | None = None
 
@@ -212,8 +210,9 @@ class World:
         self.n_clusters = partition.n_clusters
         self.mean_cluster_size = partition.mean_size()
         self.label = netmodel.cluster_labels(self.n_bs, clusters)
-        singletons = all(len(members) == 1 for members in clusters)
-        self.excl = None if singletons else netmodel.exclusion_matrix(self.n_bs, clusters)
+        self.excl = None
+        if any(len(members) > 1 for members in clusters):
+            self.excl = netmodel.exclusion_matrix(self.n_bs, clusters).astype(float)
 
         by_size: dict[int, list[int]] = {}
         for i, members in enumerate(clusters):
@@ -249,27 +248,31 @@ class World:
         if ids.size == 0:
             self._set_partition(clust.ClusterPartition((), (), epoch=t), t)
             return
-        pos = self.bs_positions[ids]
+        cc = self.cfg.clustering
+        if self.s_dist is None:
+            pos = self.bs_positions[ids]
+            adj = clust.build_adjacency(pos, cc.eps_d_m)
+            self.s_dist = clust.distance_similarity(pos, adj, cc.sigma_d_m)
         loads = self.estimate.rho_hat[ids]
-        graph = clust.build_similarity(pos, loads, self.cfg.clustering)
+        s_load = clust.load_similarity(loads, cc.sigma_l, cc.load_sign)
         init_labels = self.label[ids]  # warm start from the current partition
-        if np.any(init_labels < 0):
+        if (init_labels < 0).any():
             init_labels = None
         part = clust.spectral_cluster(
-            graph.s_joint,
-            [int(b) for b in ids],
+            clust.joint_similarity(self.s_dist, s_load, cc.theta),
+            ids,
             self.kmeans_rng,
             loads=loads,
-            laplacian=self.cfg.clustering.laplacian,
+            laplacian=cc.laplacian,
             epoch=t,
             init_labels=init_labels,
-            max_iter=self.cfg.clustering.kmeans_iters,
+            max_iter=cc.kmeans_iters,
             max_size=self.max_cluster_size,
         )
         self._set_partition(part, t)
 
     def _singletons(self, t: int) -> None:
-        ids = [int(b) for b in self.sbs_idx]
+        ids = self.sbs_idx.tolist()
         part = clust.ClusterPartition(
             tuple((b,) for b in ids), tuple(ids), epoch=t
         )
@@ -368,9 +371,7 @@ class World:
             sbs = tuple(a[self.sbs_idx] for a in (
                 net.state, totals, net.load, net.load_raw, per_bs_cost))
             for a in sbs:
-                a.flags.writeable = False
-            if len(self._solves) == MEMO_SIZE:
-                del self._solves[next(iter(self._solves))]
+                a.setflags(write=False)
             entry = self._solves[key] = (net, per_bs_cost, sbs)
         self.net, per_bs_cost, sbs = entry
 

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -248,6 +249,27 @@ def test_golden_sweep_csvs_undamped(tmp_path, capsys):
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
            for path in sorted(out.glob("*.csv"))}
     assert got == GOLDEN_SWEEP_DIGESTS_UNDAMPED
+
+
+# configs/example.ini through `scnsim run --trace --dump-clusters`, with
+# BLAS on one thread: 20 clustered runs of 400 steps, reclustering every 50
+EXAMPLE_CONFIG_DIGESTS = {
+    "clusters.csv": "d9faf7b8f535321c",
+    "energy_cdf.csv": "789541ec49870097",
+    "steps.csv": "461342a5ba2cba49",
+    "summary.csv": "ba40c48c6ee96e3c",
+}
+
+
+def test_example_config_csvs_are_pinned(tmp_path, capsys):
+    config = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out),
+                 "--trace", "--dump-clusters"]) == 0
+    capsys.readouterr()
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+           for path in sorted(out.glob("*.csv"))}
+    assert got == EXAMPLE_CONFIG_DIGESTS
 
 
 def _trace_rows_per_record(results):

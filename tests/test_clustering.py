@@ -242,6 +242,129 @@ def test_kmeans_degenerate_and_validation():
         kmeans(np.zeros((2, 2)), 3, np.random.default_rng(0))
 
 
+def reference_kmeans(points, k, rng, max_iter=100, init_labels=None):
+    """kmeans as it ran before a fitting warm start stopped after one Lloyd
+    pass: the labels start at -1, so the first pass never matches and a
+    second confirms it. The oracle for the early exit. Returns the labels,
+    the Lloyd passes run and whether any pass repaired an empty cluster."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    centers = None
+    if init_labels is not None:
+        init = np.asarray(init_labels)
+        if init.shape == (n,):
+            _, groups = np.unique(init, return_inverse=True)
+            if groups.max() + 1 == k:
+                centers = np.array([pts[groups == j].mean(axis=0) for j in range(k)])
+    if centers is None:
+        centers = np.empty((k, pts.shape[1]))
+        centers[0] = pts[rng.integers(n)]
+        d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+        for j in range(1, k):
+            total = d2.sum()
+            if total <= 0.0:
+                centers[j] = pts[int(np.argmax(d2))]
+            else:
+                centers[j] = pts[rng.choice(n, p=d2 / total)]
+            d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+    labels = np.full(n, -1, dtype=np.int64)
+    passes, repaired = 0, False
+    for _ in range(max_iter):
+        passes += 1
+        dist = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(dist, axis=1)
+        for j in range(k):
+            if not np.any(new_labels == j):
+                repaired = True
+                counts = np.bincount(new_labels, minlength=k)
+                big = int(np.argmax(counts))
+                members = np.where(new_labels == big)[0]
+                centroid = pts[members].mean(axis=0)
+                far = members[int(np.argmax(np.sum((pts[members] - centroid) ** 2, axis=1)))]
+                new_labels[far] = j
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            centers[j] = pts[labels == j].mean(axis=0)
+    return labels, passes, repaired
+
+
+def _kmeans_case(start, n, d, k, seed):
+    """(points, init_labels) of one k-means input.
+
+    cold: no warm start. fit: the oracle's own converged labels, renumbered,
+    so the warm start already fits. shuffled: k random groups, which mostly
+    need more passes. repair: k random groups over fewer distinct points
+    than clusters, so a pass must repair. miscount: random labels of a
+    random group count, which mostly fall back to k-means++.
+    """
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, d))
+    if start == "repair":
+        pts = pts[rng.integers(0, max(1, k - 1), size=n)]
+    if start == "cold":
+        return pts, None
+    if start == "fit":
+        labels = reference_kmeans(pts, k, np.random.default_rng(seed))[0]
+        return pts, 3 * labels + 2
+    if start == "miscount":
+        return pts, rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+    return pts, rng.permutation(np.arange(n) % k)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    start=st.sampled_from(["cold", "fit", "shuffled", "repair", "miscount"]),
+    n=st.integers(2, 16),
+    d=st.integers(1, 9),
+    k_frac=st.floats(0.0, 1.0),
+    max_iter=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_kmeans_equals_the_two_pass_oracle(start, n, d, k_frac, max_iter, seed):
+    k = 1 + min(int(k_frac * n), n - 1)
+    pts, init = _kmeans_case(start, n, d, k, seed)
+    got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = kmeans(pts, k, got_rng, max_iter=max_iter, init_labels=init)
+    want = reference_kmeans(pts, k, want_rng, max_iter=max_iter, init_labels=init)[0]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("start, k, seed, passes, repaired", [
+    ("cold", 3, 1, 3, False),
+    ("fit", 3, 0, 2, False),  # the second pass only confirms the first
+    ("shuffled", 3, 2, 3, False),
+    ("repair", 4, 2, 3, True),
+    ("miscount", 3, 1, 3, False),  # 7 groups for k = 3: k-means++ seeding
+])
+def test_kmeans_oracle_cases_cover_each_start(start, k, seed, passes, repaired):
+    # one fixed 12-point input per start kind of the property test above,
+    # with the oracle's pass count and repair flag showing the kind does
+    # what it says; only the fitting warm start ends where it began
+    pts, init = _kmeans_case(start, 12, 2, k, seed)
+    want, want_passes, want_repaired = reference_kmeans(
+        pts, k, np.random.default_rng(1), init_labels=init)
+    assert (want_passes, want_repaired) == (passes, repaired)
+    fits = init is not None and np.array_equal(np.unique(init, return_inverse=True)[1], want)
+    assert fits == (start == "fit")
+    got = kmeans(pts, k, np.random.default_rng(1), init_labels=init)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("row, col, value", [
+    (0, 1, np.nan), (0, 1, np.inf), (2, 2, np.inf),
+])
+def test_spectral_rejects_non_finite_similarity(row, col, value):
+    # NaN and inf would otherwise reach the eigensolver, which raises
+    # LinAlgError on a non-finite Laplacian
+    s = np.ones((3, 3)) - np.eye(3)
+    s[row, col] = s[col, row] = value
+    with pytest.raises(ValueError, match="finite"):
+        spectral_cluster(s, [1, 2, 3], np.random.default_rng(0))
+
+
 def brute_force_min_cut(s):
     """Minimum-weight 2-cut over all bipartitions; independent oracle."""
     n = s.shape[0]

@@ -21,7 +21,6 @@ from scnsim.config import (
 )
 from scnsim.coordination import rebalance
 from scnsim.sim import (
-    MEMO_SIZE,
     STEP_SECONDS,
     World,
     burn_in_steps,
@@ -428,13 +427,34 @@ def test_long_solve_cycles_are_held_whole(run_index, period):
     # classical state and serving never change, so the loads are the key
     cycle = next(p for p in range(1, len(keys)) if keys[-1] == keys[-1 - p])
     transient = next(i for i in range(len(keys)) if keys[i] == keys[i + cycle])
-    assert cycle == period <= MEMO_SIZE
+    assert cycle == period
     assert world.fp_solves <= transient + cycle < len(keys)
+
+
+def test_solve_cycles_longer_than_a_fifo_memo_are_held_whole():
+    # planted: the warm-started iterate of this classical 75-UE drop ends
+    # in a cycle of 81 distinct loads in the last bits. A memo that evicts
+    # its oldest of 64 entries misses every key of it and solves all 400
+    # steps; the run-long memo solves each key of the cycle once
+    cfg = default_config()
+    cfg.run.mode = "classical"
+    cfg.layout.n_ues = 75
+    scen, kmeans, learner = np.random.SeedSequence([165327925, 4]).spawn(3)
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
+                  np.random.default_rng(kmeans), np.random.default_rng(learner))
+    keys = []
+    for t in range(1, cfg.run.steps + 1):
+        prev_load = world.net.load.copy()
+        rec = world.step(t)
+        keys.append(prev_load.tobytes())
+        _assert_step_equals_fresh(world, rec, prev_load, 0.0)
+    assert next(p for p in range(1, len(keys)) if keys[-1] == keys[-1 - p]) == 81
+    assert world.fp_solves < 400
 
 
 def test_memo_stays_bounded_in_learning_mode():
     # learning-mode loads rarely repeat, so nearly every step adds a solve;
-    # the oldest are evicted once MEMO_SIZE are held
+    # the memo holds at most one entry per solve of the run
     cfg = small_cfg("learning_clustered", n_small=6, n_ues=30, steps=200)
     cfg.clustering.eps_d_m = 400.0
     cfg.clustering.recluster_every = 500  # one partition, one memo
@@ -442,8 +462,8 @@ def test_memo_stays_bounded_in_learning_mode():
                   np.random.default_rng(1), np.random.default_rng(2))
     for t in range(1, cfg.run.steps + 1):
         world.step(t)
-        assert len(world._solves) <= MEMO_SIZE
-    assert world.fp_solves > MEMO_SIZE
+        assert len(world._solves) <= world.fp_solves <= t
+    assert world.fp_solves > 64
 
 
 @pytest.mark.parametrize("change", ["serving", "excl"])
