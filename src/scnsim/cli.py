@@ -169,7 +169,6 @@ def _cluster_rows(results):
 
 def _write_outputs(out_dir: Path, results, trace: bool, dump_clusters: bool,
                    per_mode_cdf: bool) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     summary = out_dir / "summary.csv"
@@ -222,17 +221,19 @@ def main(argv=None) -> int:
         validate_config(cfg)
 
         if args.command == "run":
-            results = [sim.run_experiment(cfg, keep_records=args.trace,
-                                          keep_clusters=args.dump_clusters)]
-            per_mode_cdf = False
+            points, per_mode_cdf = [cfg], False
         else:
             param, values = parse_vary(args.vary)
             modes = _parse_modes(args.modes)
-            results = sim.sweep(cfg, param, values, modes=modes,
-                                keep_records=args.trace,
-                                keep_clusters=args.dump_clusters)
+            points = sim.sweep_points(cfg, param, values, modes)
             per_mode_cdf = len(modes) > 1
-    except (ConfigError, ValueError, RuntimeError) as exc:
+        # made before the first run, so an unusable --out fails up front
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        results = [sim.run_experiment(point, keep_records=args.trace,
+                                      keep_clusters=args.dump_clusters)
+                   for point in points]
+    except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -243,7 +244,7 @@ def main(argv=None) -> int:
             f"energy/BS {r.mean_energy_per_bs:.5g} J, load {r.mean_load:.3g}, "
             f"clusters {r.cluster_count:.3g} x {r.mean_cluster_size:.3g}"
         )
-    written = _write_outputs(Path(args.out), results, args.trace,
+    written = _write_outputs(out_dir, results, args.trace,
                              args.dump_clusters, per_mode_cdf)
     print("wrote " + ", ".join(str(p) for p in written))
     return 0

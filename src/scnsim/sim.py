@@ -14,6 +14,7 @@ worker scheduling.
 from __future__ import annotations
 
 import copy
+import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -39,11 +40,11 @@ def _sample_position(
     min_dists: np.ndarray,
 ) -> np.ndarray:
     """Uniform point in the square, at least min_dists[i] from anchors[i]."""
+    ax, ay = anchors[:, 0], anchors[:, 1]
     for _ in range(MAX_PLACEMENT_TRIES):
         p = rng.uniform(0.0, lay.side_m, size=2)
-        if anchors.size == 0 or np.all(
-            np.hypot(anchors[:, 0] - p[0], anchors[:, 1] - p[1]) >= min_dists
-        ):
+        x, y = p.tolist()
+        if (np.hypot(ax - x, ay - y) >= min_dists).all():
             return p
     raise ConfigError(
         f"infeasible density: could not place a node after {MAX_PLACEMENT_TRIES} "
@@ -188,9 +189,14 @@ class World:
         # every solve of the run under the exclusion matrix object
         # _solves_excl, so a steady run's cycle of solve inputs in the last
         # bits is held whole, whatever its period: (state, serving,
-        # prev_load bytes) -> (net, per-BS cost, read-only SBS record arrays)
+        # prev_load bytes) -> (net, per-BS cost, read-only SBS record
+        # arrays, step that solved it)
         self._solves: dict[tuple[bytes, bytes, bytes], tuple] = {}
         self._solves_excl: np.ndarray | None = None
+        # classical only: (first, repeat) steps of the first solve reuse; a
+        # classical step is a function of the previous loads alone, so from
+        # step first on the run repeats with period repeat - first
+        self.cycle: tuple[int, int] | None = None
 
     def _set_partition(self, partition: clust.ClusterPartition, step: int) -> None:
         """Install a partition, keeping the learner row of every unchanged cluster.
@@ -372,8 +378,10 @@ class World:
                 net.state, totals, net.load, net.load_raw, per_bs_cost))
             for a in sbs:
                 a.setflags(write=False)
-            entry = self._solves[key] = (net, per_bs_cost, sbs)
-        self.net, per_bs_cost, sbs = entry
+            entry = self._solves[key] = (net, per_bs_cost, sbs, t)
+        elif self.mode == "classical" and self.cycle is None:
+            self.cycle = (entry[3], t)
+        self.net, per_bs_cost, sbs, _ = entry
 
         # (8) every learner observes the negated cost of its own members;
         # a step that left UEs uncovered charges the bounded penalty instead
@@ -437,25 +445,40 @@ def run_once(
         cfg, *generate_scenario(cfg, np.random.default_rng(scen_seed)),
         np.random.default_rng(kmeans_seed), np.random.default_rng(learn_seed),
     )
-    records = [world.step(t) for t in range(1, cfg.run.steps + 1)]
-    burn = burn_in_steps(cfg.run.steps, cfg.run.burn_in_frac)
-    window = records[burn:]
+    steps = cfg.run.steps
+    records = []
+    for t in range(1, steps + 1):
+        records.append(world.step(t))
+        if world.cycle is not None:
+            break
+    # step u (0-based) reads the stepped record index[u]: the identity, but
+    # from a classical run's first solve reuse on, the steps replay its cycle
+    index = np.arange(steps)
+    if world.cycle is not None:
+        first, repeat = world.cycle
+        f = first - 1
+        index[f:] = f + (index[f:] - f) % (repeat - first)
+    burn = burn_in_steps(steps, cfg.run.burn_in_frac)
+    window = index[burn:]
     n_sbs = int(world.sbs_idx.size)
+
+    def stack(name, rows):
+        """Record field `name` at the steps in rows, byte-equal to stepping them."""
+        return np.array([getattr(r, name) for r in records])[rows]
 
     if n_sbs:
         # (steps, n_sbs) stacks; a row sum rounds as np.sum of that record
-        power = np.array([r.sbs_power for r in records])
-        cost_rows = np.array([r.sbs_cost for r in window])
-        cost = float((cost_rows.sum(axis=1) / n_sbs).mean())
+        power = stack("sbs_power", index)
+        cost = float((stack("sbs_cost", window).sum(axis=1) / n_sbs).mean())
         energy = power[burn:].sum(axis=0) * STEP_SECONDS
         mean_energy = float(np.mean(energy))
-        mean_load = float(np.mean([r.sbs_load for r in window]))
+        mean_load = float(np.mean(stack("sbs_load", window)))
         total_energy = float(power.sum(axis=1).sum() * STEP_SECONDS)
     else:
         cost, mean_energy, mean_load, total_energy = 0.0, 0.0, 0.0, 0.0
         energy = np.zeros(0)
 
-    return RunResult(
+    result = RunResult(
         run=run_index,
         mode=cfg.run.mode,
         n_sbs=n_sbs,
@@ -465,13 +488,18 @@ def run_once(
         energy_per_sbs=energy,
         total_energy=total_energy,
         mean_load=mean_load,
-        cluster_count=float(np.mean([r.n_clusters for r in window])),
-        mean_cluster_size=float(np.mean([r.mean_cluster_size for r in window])),
-        state_changes=int(sum(r.state_changes for r in records)),
-        converged_frac=float(np.mean([r.converged for r in records])),
+        cluster_count=float(np.mean(stack("n_clusters", window))),
+        mean_cluster_size=float(np.mean(stack("mean_cluster_size", window))),
+        state_changes=int(stack("state_changes", index).sum()),
+        converged_frac=float(np.mean(stack("converged", index))),
         records=records if keep_records else None,
         cluster_events=world.cluster_events if keep_clusters else None,
     )
+    if keep_records:  # a replayed step's record is its cycle record renumbered
+        stepped = len(records)
+        records += [dataclasses.replace(records[i], step=u)
+                    for u, i in enumerate(index[stepped:].tolist(), stepped + 1)]
+    return result
 
 
 def _run_once_star(args):
@@ -549,20 +577,11 @@ def apply_sweep_param(cfg: ScenarioConfig, param: str, value: float) -> None:
         )
 
 
-def sweep(
-    cfg: ScenarioConfig,
-    param: str,
-    values,
-    modes=None,
-    keep_records: bool = False,
-    keep_clusters: bool = False,
-) -> list[ExperimentResult]:
-    """Run every (mode, value) combination; outer loop over modes.
+def sweep_points(cfg: ScenarioConfig, param: str, values, modes=None) -> list[ScenarioConfig]:
+    """One validated config per (mode, value) combination; outer loop over modes.
 
-    Every point passes validate_config before the first run, so a bad value
-    raises ConfigError naming its key and nothing runs. All sweep points
-    reuse the same base seed, so scenario draws are common random numbers
-    across points (identical BS drops; shared UE prefixes).
+    Every point passes validate_config before any is returned, so a bad
+    value raises ConfigError naming its key and nothing runs.
     """
     modes = list(MODES) if modes is None else list(modes)
     points = []
@@ -573,7 +592,23 @@ def sweep(
             apply_sweep_param(point, param, v)
             validate_config(point)
             points.append(point)
+    return points
+
+
+def sweep(
+    cfg: ScenarioConfig,
+    param: str,
+    values,
+    modes=None,
+    keep_records: bool = False,
+    keep_clusters: bool = False,
+) -> list[ExperimentResult]:
+    """Run every point of sweep_points(cfg, param, values, modes).
+
+    All sweep points reuse the same base seed, so scenario draws are common
+    random numbers across points (identical BS drops; shared UE prefixes).
+    """
     return [
         run_experiment(point, keep_records=keep_records, keep_clusters=keep_clusters)
-        for point in points
+        for point in sweep_points(cfg, param, values, modes)
     ]

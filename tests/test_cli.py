@@ -16,6 +16,7 @@ from scnsim.cli import (
     main,
     parse_vary,
 )
+from scnsim import sim
 from scnsim.sim import StepRecord
 
 
@@ -115,6 +116,26 @@ def test_overrides_are_validated(tmp_path, capsys, command, flag, value, message
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--vary", "ues=4,8"]],
+                         ids=["run", "sweep"])
+def test_out_naming_a_file_is_reported(tmp_path, capsys, monkeypatch, command):
+    # the output directory is made before the first run, so an --out that
+    # names a file fails up front with a one-line error, and nothing runs
+    cfg = write_tiny_config(tmp_path, mode="classical")
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("an experiment ran")
+
+    monkeypatch.setattr(sim, "run_experiment", no_run)
+    rc = main([*command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+    assert out.read_text() == "keep me\n"
 
 
 def test_infeasible_density_is_reported(tmp_path, capsys):
@@ -261,15 +282,27 @@ EXAMPLE_CONFIG_DIGESTS = {
 }
 
 
+# the same with --mode classical: 20 runs of 400 steps, nearly all replayed
+# from each run's load cycle
+EXAMPLE_CLASSICAL_DIGESTS = {
+    "clusters.csv": "4a9c864714fc7c12",
+    "energy_cdf.csv": "c198eca2f7c2ec41",
+    "steps.csv": "5700768acf05cd9b",
+    "summary.csv": "6a84a3a7979cce12",
+}
+
+
 def test_example_config_csvs_are_pinned(tmp_path, capsys):
     config = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(config), "--out", str(out),
-                 "--trace", "--dump-clusters"]) == 0
-    capsys.readouterr()
-    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-           for path in sorted(out.glob("*.csv"))}
-    assert got == EXAMPLE_CONFIG_DIGESTS
+    for mode, digests in [([], EXAMPLE_CONFIG_DIGESTS),
+                          (["--mode", "classical"], EXAMPLE_CLASSICAL_DIGESTS)]:
+        out = tmp_path / (mode[-1] if mode else "default")
+        assert main(["run", "--config", str(config), "--out", str(out), *mode,
+                     "--trace", "--dump-clusters"]) == 0
+        capsys.readouterr()
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+               for path in sorted(out.glob("*.csv"))}
+        assert got == digests
 
 
 def _trace_rows_per_record(results):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from scnsim import association, clustering, netmodel
@@ -22,6 +22,8 @@ from scnsim.config import (
 from scnsim.coordination import rebalance
 from scnsim.sim import (
     STEP_SECONDS,
+    RunResult,
+    StepRecord,
     World,
     burn_in_steps,
     generate_scenario,
@@ -861,3 +863,156 @@ def test_classical_world_keeps_no_load_estimate():
     assert world.net.load.any()
     assert not world.estimate.rho_hat.any()
     assert _records_digest(records) == GOLDEN_STEP_DIGESTS_UNDAMPED["classical"]
+
+
+def _stepped_run(cfg, run_index):
+    """(run_once(cfg, run_index, keep_records=True), World) by the per-record path.
+
+    The oracle for the classical replay: every step of the run is stepped,
+    and the records are reduced one by one as run_once reduced them before
+    it replayed load cycles.
+    """
+    ss = np.random.SeedSequence([int(cfg.run.seed), int(run_index)])
+    scen_seed, kmeans_seed, learn_seed = ss.spawn(3)
+    world = World(
+        cfg, *generate_scenario(cfg, np.random.default_rng(scen_seed)),
+        np.random.default_rng(kmeans_seed), np.random.default_rng(learn_seed),
+    )
+    records = [world.step(t) for t in range(1, cfg.run.steps + 1)]
+    burn = burn_in_steps(cfg.run.steps, cfg.run.burn_in_frac)
+    window = records[burn:]
+    n_sbs = int(world.sbs_idx.size)
+
+    if n_sbs:
+        power = np.array([r.sbs_power for r in records])
+        cost_rows = np.array([r.sbs_cost for r in window])
+        cost = float((cost_rows.sum(axis=1) / n_sbs).mean())
+        energy = power[burn:].sum(axis=0) * STEP_SECONDS
+        mean_energy = float(np.mean(energy))
+        mean_load = float(np.mean([r.sbs_load for r in window]))
+        total_energy = float(power.sum(axis=1).sum() * STEP_SECONDS)
+    else:
+        cost, mean_energy, mean_load, total_energy = 0.0, 0.0, 0.0, 0.0
+        energy = np.zeros(0)
+
+    return RunResult(
+        run=run_index,
+        mode=cfg.run.mode,
+        n_sbs=n_sbs,
+        n_ues=int(world.traffic.size),
+        mean_cost_per_bs=cost,
+        mean_energy_per_bs=mean_energy,
+        energy_per_sbs=energy,
+        total_energy=total_energy,
+        mean_load=mean_load,
+        cluster_count=float(np.mean([r.n_clusters for r in window])),
+        mean_cluster_size=float(np.mean([r.mean_cluster_size for r in window])),
+        state_changes=int(sum(r.state_changes for r in records)),
+        converged_frac=float(np.mean([r.converged for r in records])),
+        records=records,
+        cluster_events=world.cluster_events,
+    ), world
+
+
+def _assert_same_bytes(got, want, where):
+    assert type(got) is type(want), where
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), where
+
+
+def _assert_replay_equals_stepping(cfg, run_index, monkeypatch):
+    """run_once equals the stepped oracle field by field, in bytes.
+
+    Also checks that run_once steps a classical World only up to its first
+    solve reuse, min(fp_solves + 1, steps) times, and a learning World for
+    every step. Returns the oracle's World.
+    """
+    want, oracle = _stepped_run(cfg, run_index)
+    worlds = []
+    step = World.step
+
+    def counted(self, t):
+        worlds.append(self)
+        return step(self, t)
+
+    with monkeypatch.context() as m:
+        m.setattr(World, "step", counted)
+        got = run_once(cfg, run_index, keep_records=True, keep_clusters=True)
+    world = worlds[0]
+    assert all(w is world for w in worlds)
+    if cfg.run.mode == "classical":
+        assert len(worlds) == min(world.fp_solves + 1, cfg.run.steps)
+    else:
+        assert len(worlds) == cfg.run.steps
+    assert world.cycle == oracle.cycle
+
+    # records are built only when asked for, and the summary is the same
+    plain = run_once(cfg, run_index)
+    assert plain.records is None and plain.cluster_events is None
+    for f in dataclasses.fields(RunResult):
+        if f.name not in ("records", "cluster_events"):
+            for res in (got, plain):
+                _assert_same_bytes(getattr(res, f.name), getattr(want, f.name), f.name)
+    assert [(e.step, e.partition) for e in got.cluster_events] == [
+        (e.step, e.partition) for e in want.cluster_events]
+    assert len(got.records) == len(want.records) == cfg.run.steps
+    for u, (a, b) in enumerate(zip(got.records, want.records), 1):
+        for f in dataclasses.fields(StepRecord):
+            _assert_same_bytes(getattr(a, f.name), getattr(b, f.name), (u, f.name))
+    return oracle
+
+
+@pytest.mark.parametrize("seed, run_index, period", [
+    (131592065, 6, 110), (165327925, 4, 81), (1863244118, 0, 75),
+])
+def test_long_classical_cycles_replay_as_stepped(seed, run_index, period, monkeypatch):
+    # planted: classical 75-UE drops whose loads cycle with a long period;
+    # run_once stops at the first solve reuse and replays the cycle
+    cfg = default_config()
+    cfg.run.mode = "classical"
+    cfg.layout.n_ues = 75
+    cfg.run.seed = seed
+    oracle = _assert_replay_equals_stepping(cfg, run_index, monkeypatch)
+    first, repeat = oracle.cycle
+    assert repeat - first == period
+    assert repeat < cfg.run.steps
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("edge", [
+    {"n_ues": 0}, {"n_small": 0}, {"steps": 1}, {},
+], ids=["no_ues", "no_sbs", "one_step", "default"])
+def test_edge_runs_replay_as_stepped(mode, edge, monkeypatch):
+    cfg = small_cfg(mode, n_small=edge.get("n_small", 5),
+                    n_ues=edge.get("n_ues", 12), steps=edge.get("steps", 40))
+    _assert_replay_equals_stepping(cfg, 1, monkeypatch)
+
+
+def _classical(cfg):
+    # ten times the drawn step count (still <= 0 where it was), so more
+    # runs reach their first solve reuse before the end
+    cfg.run.mode = "classical"
+    cfg.run.steps *= 10
+    return cfg
+
+
+def _valid(cfg):
+    """cfg passes validate_config and places the drop of its run 0."""
+    try:
+        validate_config(cfg)
+        scen = np.random.SeedSequence([cfg.run.seed, 0]).spawn(3)[0]
+        generate_scenario(cfg, np.random.default_rng(scen))
+    except ConfigError:
+        return False
+    return True
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(cfg=_scenario_configs().map(_classical))
+def test_random_classical_configs_replay_as_stepped(cfg):
+    # 100 draws that pass, out of about 850 drawn
+    assume(_valid(cfg))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_replay_equals_stepping(cfg, 0, monkeypatch)
