@@ -7,20 +7,6 @@ UEs inside each cluster through the cluster head, and lets every cluster
 learn when to sleep via Boltzmann-Gibbs regret learning.
 """
 
-from .association import (
-    AssociationConfig,
-    LoadEstimate,
-    NoCoverageError,
-    associate_all,
-    update_load_estimate,
-)
-from .clustering import (
-    ClusterPartition,
-    SimilarityGraph,
-    build_similarity,
-    select_k,
-    spectral_cluster,
-)
 from .config import (
     MODES,
     ConfigError,
@@ -28,21 +14,6 @@ from .config import (
     default_config,
     load_config,
     validate_config,
-)
-from .coordination import elect_head
-from .learning import (
-    ClusterLearner,
-    bg_distribution,
-    build_action_set,
-    penalty_cost,
-)
-from .netmodel import (
-    ChannelModel,
-    InactiveServerError,
-    NetworkConfiguration,
-    compute_loads,
-    rate_matrix,
-    total_powers,
 )
 from .sim import (
     ExperimentResult,
@@ -56,14 +27,9 @@ from .sim import (
 
 __version__ = "0.1.0"
 
+# the run API; the building blocks are imported from their submodules
 __all__ = [
-    "AssociationConfig", "LoadEstimate", "NoCoverageError", "associate_all",
-    "update_load_estimate", "ClusterPartition", "SimilarityGraph",
-    "build_similarity", "select_k", "spectral_cluster", "MODES",
-    "ConfigError", "ScenarioConfig", "default_config", "load_config",
-    "validate_config", "elect_head", "ClusterLearner", "bg_distribution",
-    "build_action_set", "penalty_cost", "ChannelModel", "InactiveServerError",
-    "NetworkConfiguration", "compute_loads", "rate_matrix", "total_powers",
-    "ExperimentResult", "RunResult", "World", "generate_scenario",
-    "run_experiment", "run_once", "sweep",
+    "MODES", "ConfigError", "ScenarioConfig", "default_config", "load_config",
+    "validate_config", "World", "generate_scenario", "run_once",
+    "run_experiment", "sweep", "RunResult", "ExperimentResult",
 ]

@@ -13,29 +13,7 @@ association. Estimates follow a standard decreasing-gain recursion
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-class NoCoverageError(RuntimeError):
-    """No station is active, so a UE cannot attach anywhere."""
-
-
-@dataclass
-class AssociationConfig:
-    delta: float = 1.0  # load-awareness exponent, 0 = RSSI
-    nu_exponent: float = 0.9  # load-estimate gain decay
-
-
-@dataclass
-class LoadEstimate:
-    """Per-station slow load tracker fed with one-step-delayed true loads."""
-
-    rho_hat: np.ndarray
-
-    def __post_init__(self):
-        self.rho_hat = np.asarray(self.rho_hat, dtype=float)
 
 
 def associate_all(
@@ -47,14 +25,14 @@ def associate_all(
     """Serving station index per UE; rx_power is (stations, UEs).
 
     Scores active stations by (1 - rho_hat)^delta * rx_power; ties break by
-    raw received power, then by lowest station index. Raises NoCoverageError
-    when everything sleeps.
+    raw received power, then by lowest station index. When everything
+    sleeps, every UE gets -1 (uncovered).
     """
     rx_power = np.asarray(rx_power, dtype=float)
     state = np.asarray(state)
     rho_hat = np.asarray(rho_hat, dtype=float)
     if not state.any():
-        raise NoCoverageError("all stations are asleep")
+        return np.full(rx_power.shape[1], -1, dtype=int)
     # 0^0 = 1 under numpy power, so delta = 0 degrades cleanly to RSSI even
     # at a fully loaded station
     weight = np.where(state != 0, np.power(1.0 - rho_hat, delta), -np.inf)
@@ -67,11 +45,12 @@ def associate_all(
 
 
 def update_load_estimate(
-    estimate: LoadEstimate, rho_prev: np.ndarray, t: int, nu_exponent: float = 0.9
+    rho_hat: np.ndarray, rho_prev: np.ndarray, t: int, nu_exponent: float = 0.9
 ) -> None:
-    """One estimator step at time t >= 1 using the previous step's loads."""
+    """One in-place step of the float array rho_hat at time t >= 1, fed
+    with the previous step's loads."""
     if t < 1:
         raise ValueError("time index starts at 1")
     nu = 1.0 / t**nu_exponent
     rho_prev = np.asarray(rho_prev, dtype=float)
-    estimate.rho_hat += nu * (rho_prev - estimate.rho_hat)
+    rho_hat += nu * (rho_prev - rho_hat)

@@ -157,12 +157,11 @@ def _cluster_rows(results):
         for rr in res.runs:
             if rr.cluster_events is None:
                 continue
-            for event in rr.cluster_events:
-                part = event.partition
+            for part in rr.cluster_events:
                 for i, members in enumerate(part.clusters):
                     yield [
                         res.mode, res.ue_count, res.eps_d, res.theta, rr.run,
-                        event.step, i, part.heads[i], len(members),
+                        part.epoch, i, part.heads[i], len(members),
                         ";".join(str(b) for b in members),
                     ]
 
@@ -244,8 +243,12 @@ def main(argv=None) -> int:
             f"energy/BS {r.mean_energy_per_bs:.5g} J, load {r.mean_load:.3g}, "
             f"clusters {r.cluster_count:.3g} x {r.mean_cluster_size:.3g}"
         )
-    written = _write_outputs(out_dir, results, args.trace,
-                             args.dump_clusters, per_mode_cdf)
+    try:
+        written = _write_outputs(out_dir, results, args.trace,
+                                 args.dump_clusters, per_mode_cdf)
+    except OSError as exc:  # e.g. an output file name held by a directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("wrote " + ", ".join(str(p) for p in written))
     return 0
 

@@ -2,9 +2,10 @@
 
 Pipeline: epsilon-neighbourhood adjacency -> Gaussian distance similarity ->
 load similarity -> geometric blend S = (S_dist^theta) * (S_load^(1-theta))
-(build_similarity), then graph Laplacian of S -> eigendecomposition (LAPACK,
-via np.linalg.eigh) -> eigengap choice of k -> k-means on the spectral
-embedding (spectral_cluster). Deterministic given the caller's RNG.
+(build_adjacency, distance_similarity, load_similarity, joint_similarity),
+then graph Laplacian of S -> eigendecomposition (LAPACK, via np.linalg.eigh)
+-> eigengap choice of k -> k-means on the spectral embedding
+(spectral_cluster). Deterministic given the caller's RNG.
 
 Within a block of equal eigenvalues the eigensolver may return any
 orthonormal basis. The partition never depends on that choice: the
@@ -18,25 +19,14 @@ BSs only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .coordination import elect_head
 
-if TYPE_CHECKING:
-    from .config import ClusteringConfig
-
 LOAD_SIGN_MODES = ("gaussian", "reciprocal")
 LAPLACIAN_MODES = ("standard", "rowsum")
-
-
-@dataclass
-class SimilarityGraph:
-    adjacency: np.ndarray  # binary, zero diagonal
-    s_dist: np.ndarray
-    s_load: np.ndarray
-    s_joint: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,19 +121,6 @@ def laplacian_matrix(similarity: np.ndarray, variant: str = "standard") -> np.nd
         l_row = deg[:, None] - n * s
         return (l_row + l_row.T) / 2.0
     raise ValueError(f"laplacian variant must be one of {LAPLACIAN_MODES}")
-
-
-def build_similarity(
-    positions: np.ndarray, loads: np.ndarray, cfg: ClusteringConfig
-) -> SimilarityGraph:
-    """Similarity graph of SBSs under cfg's clustering settings.
-
-    spectral_cluster takes s_joint and builds its Laplacian.
-    """
-    adj = build_adjacency(positions, cfg.eps_d_m)
-    s_d = distance_similarity(positions, adj, cfg.sigma_d_m)
-    s_l = load_similarity(loads, cfg.sigma_l, cfg.load_sign)
-    return SimilarityGraph(adj, s_d, s_l, joint_similarity(s_d, s_l, cfg.theta))
 
 
 def select_k(eigenvalues: np.ndarray) -> int:

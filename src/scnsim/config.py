@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import AssociationConfig
 from .clustering import LAPLACIAN_MODES, LOAD_SIGN_MODES
-from .netmodel import MACRO, SMALL, ChannelModel, dbm_to_watt
+from .netmodel import MACRO, SMALL, dbm_to_watt, gain, noise_w
 
 MODES = ("classical", "learning_no_clusters", "learning_clustered")
 TRAFFIC_DISTRIBUTIONS = ("exponential", "constant")
@@ -74,6 +73,12 @@ class ClusteringConfig:
 
 
 @dataclass
+class AssociationConfig:
+    delta: float = 1.0  # load-awareness exponent, 0 = RSSI
+    nu_exponent: float = 0.9  # load-estimate gain decay
+
+
+@dataclass
 class LearningConfig:
     alpha: float = 0.5  # cost weight on power
     beta: float = 0.5  # cost weight on load
@@ -107,15 +112,6 @@ class ScenarioConfig:
     learning: LearningConfig = field(default_factory=LearningConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
-    def channel_model(self) -> ChannelModel:
-        lay = self.layout
-        return ChannelModel(
-            bandwidth_hz=self.channel.bandwidth_hz,
-            noise_psd_dbm_hz=self.channel.noise_psd_dbm_hz,
-            min_dist_macro_m=lay.min_dist_macro_ue_m,
-            min_dist_small_m=lay.min_dist_small_ue_m,
-        )
-
 
 def default_config() -> ScenarioConfig:
     return ScenarioConfig()
@@ -131,9 +127,10 @@ def _coerce(section: str, key: str, raw: str, current):
         ) from exc
 
 
-def _watts(key: str, dbm: float) -> float:
+def _watts(key: str, dbm: float, watts=None) -> float:
+    """dbm in watts, or watts() when given; an overflow names config key."""
     try:
-        return dbm_to_watt(dbm)
+        return dbm_to_watt(dbm) if watts is None else watts()
     except OverflowError:
         raise ConfigError(f"{key} = {dbm:g} dBm overflows in watts") from None
 
@@ -149,16 +146,15 @@ def validate_config(cfg: ScenarioConfig) -> None:
     macro_p_max = _watts("power.macro_p_max_dbm", pw.macro_p_max_dbm)
     small_p_max = _watts("power.small_p_max_dbm", pw.small_p_max_dbm)
     ch = cfg.channel
-    noise_w = _watts("channel.noise_psd_dbm_hz", ch.noise_psd_dbm_hz) * ch.bandwidth_hz
-    model = cfg.channel_model()
+    noise = _watts("channel.noise_psd_dbm_hz", ch.noise_psd_dbm_hz, lambda: noise_w(ch))
     with np.errstate(all="ignore"):  # gains at the clamp distances; 0 m gives inf
-        ue_gains = {kind: model.gain(kind, 0.0) for kind in (MACRO, SMALL)}
+        ue_gains = {kind: gain(kind, 0.0, lay) for kind in (MACRO, SMALL)}
         # noise-limited rates at the farthest UE each kind of station can
         # serve: the macro from the center to a corner, an SBS corner to corner
         far_rates = ch.bandwidth_hz * np.log2(1.0 + np.array([
-            macro_p_max * model.gain(MACRO, lay.side_m / math.sqrt(2.0)),
-            small_p_max * model.gain(SMALL, lay.side_m * math.sqrt(2.0)),
-        ]) / noise_w)
+            macro_p_max * gain(MACRO, lay.side_m / math.sqrt(2.0), lay),
+            small_p_max * gain(SMALL, lay.side_m * math.sqrt(2.0), lay),
+        ]) / noise)
     # load estimates lie in [0, 1], so the reciprocal load kernel is at most
     # exp(1 / (2 sigma_l^2)); 4 n_small^2 times that bounds the Laplacian's
     # spectrum and its gaps, which must stay finite
@@ -185,7 +181,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
         (ch.bandwidth_hz > 0, "channel.bandwidth_hz must be positive"),
         # below the least normal float, every SINR at zero load is inf
         (
-            sys.float_info.min <= noise_w < math.inf,
+            sys.float_info.min <= noise < math.inf,
             "channel.noise_psd_dbm_hz over channel.bandwidth_hz overflows or "
             "underflows in watts",
         ),

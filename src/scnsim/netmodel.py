@@ -16,9 +16,12 @@ All powers are in watts, distances in metres, rates in bit/s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .config import ChannelConfig, LayoutConfig
 
 MACRO = "macro"
 SMALL = "small"
@@ -34,52 +37,49 @@ def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-@dataclass
-class ChannelModel:
-    """Log-distance path loss per BS kind, plus thermal noise.
+def noise_w(channel: ChannelConfig) -> float:
+    """Thermal noise power over the full band, watts."""
+    return dbm_to_watt(channel.noise_psd_dbm_hz) * channel.bandwidth_hz
+
+
+def pathloss_db(
+    kind: str, distance_m: np.ndarray | float, layout: LayoutConfig
+) -> np.ndarray:
+    """Log-distance path loss per BS kind:
 
     PL_macro(d) = 128.1 + 37.6 log10(d_km)   [dB]
     PL_small(d) = 140.7 + 37.6 log10(d_km)   [dB]
 
-    Gains are 10^(-PL/10). Distances below the per-kind minimum are clamped
-    to that minimum; validate_config holds each minimum where its gain is
-    at most 1, so every gain lies inside (0, 1].
+    Distances below the kind's UE minimum in layout are clamped to it;
+    validate_config holds each minimum where its gain 10^(-PL/10) is at
+    most 1, so every gain lies inside (0, 1].
     """
+    if kind not in PATHLOSS_DB:
+        raise ValueError(f"unknown BS kind {kind!r}")
+    offset, slope = PATHLOSS_DB[kind]
+    floor = layout.min_dist_macro_ue_m if kind == MACRO else layout.min_dist_small_ue_m
+    d = np.maximum(np.asarray(distance_m, dtype=float), floor)
+    return offset + slope * np.log10(d / 1000.0)
 
-    bandwidth_hz: float = 10e6
-    noise_psd_dbm_hz: float = -174.0
-    min_dist_macro_m: float = 35.0
-    min_dist_small_m: float = 10.0
 
-    @property
-    def noise_w(self) -> float:
-        """Thermal noise power over the full band, watts."""
-        return dbm_to_watt(self.noise_psd_dbm_hz) * self.bandwidth_hz
+def gain(kind: str, distance_m: np.ndarray | float, layout: LayoutConfig) -> np.ndarray:
+    return 10.0 ** (-pathloss_db(kind, distance_m, layout) / 10.0)
 
-    def pathloss_db(self, kind: str, distance_m: np.ndarray | float) -> np.ndarray:
-        if kind not in PATHLOSS_DB:
-            raise ValueError(f"unknown BS kind {kind!r}")
-        offset, slope = PATHLOSS_DB[kind]
-        floor = self.min_dist_macro_m if kind == MACRO else self.min_dist_small_m
-        d = np.maximum(np.asarray(distance_m, dtype=float), floor)
-        return offset + slope * np.log10(d / 1000.0)
 
-    def gain(self, kind: str, distance_m: np.ndarray | float) -> np.ndarray:
-        return 10.0 ** (-self.pathloss_db(kind, distance_m) / 10.0)
+def gain_matrix(
+    bs_positions: np.ndarray, macro: np.ndarray, ue_positions: np.ndarray,
+    layout: LayoutConfig,
+) -> np.ndarray:
+    """(n_bs, n_ue) channel gains; positions are (n, 2) in metres.
 
-    def gain_matrix(
-        self, bs_positions: np.ndarray, macro: np.ndarray, ue_positions: np.ndarray
-    ) -> np.ndarray:
-        """(n_bs, n_ue) channel gains; positions are (n, 2) in metres.
-
-        macro[b] selects the macro path-loss law for BS b, else the small-cell one.
-        """
-        pos = np.asarray(ue_positions, dtype=float).reshape(-1, 2)
-        out = np.empty((len(macro), pos.shape[0]))
-        for i, (x, y) in enumerate(np.asarray(bs_positions, dtype=float).tolist()):
-            d = np.hypot(pos[:, 0] - x, pos[:, 1] - y)
-            out[i] = self.gain(MACRO if macro[i] else SMALL, d)
-        return out
+    macro[b] selects the macro path-loss law for BS b, else the small-cell one.
+    """
+    pos = np.asarray(ue_positions, dtype=float).reshape(-1, 2)
+    out = np.empty((len(macro), pos.shape[0]))
+    for i, (x, y) in enumerate(np.asarray(bs_positions, dtype=float).tolist()):
+        d = np.hypot(pos[:, 0] - x, pos[:, 1] - y)
+        out[i] = gain(MACRO if macro[i] else SMALL, d, layout)
+    return out
 
 
 @dataclass
@@ -113,7 +113,7 @@ def exclusion_matrix(n_bs: int, clusters: Sequence[Sequence[int]] | None) -> np.
 
 
 def rate_matrix(
-    channel: ChannelModel,
+    channel: ChannelConfig,
     gains: np.ndarray,
     power: np.ndarray,
     state: np.ndarray,
@@ -131,13 +131,13 @@ def rate_matrix(
     total = w @ gains  # (n_ue,) all-BS interference at each UE
     # remove each serving BS's own exclusion set from the total
     excluded = (excl * w[None, :]) @ gains  # (n_bs, n_ue)
-    denom = total[None, :] - excluded + channel.noise_w
+    denom = total[None, :] - excluded + noise_w(channel)
     sinr = (power * state)[:, None] * gains / denom
     return channel.bandwidth_hz * np.log2(1.0 + sinr)
 
 
 def compute_loads(
-    channel: ChannelModel,
+    channel: ChannelConfig,
     gains: np.ndarray,
     power: np.ndarray,
     state: np.ndarray,
@@ -186,7 +186,7 @@ def compute_loads(
     signal = tx[srv] * own_gain
     demand = traffic if everyone else traffic[cols]
     excl_w = None if excl is None else np.asarray(excl, dtype=float)
-    noise_w, bandwidth = channel.noise_w, channel.bandwidth_hz
+    noise, bandwidth = noise_w(channel), channel.bandwidth_hz
     rate = np.empty(cols.size)
     # clamped as np.clip does it, -0.0 to +0.0 included
     x = np.zeros(n_bs) if init is None else np.minimum(np.maximum(init, 0.0), 1.0)
@@ -203,7 +203,7 @@ def compute_loads(
             excluded = ((excl_w * w) @ gains).take(flat)
         denom = total if everyone else total.take(cols)
         denom -= excluded
-        denom += noise_w
+        denom += noise
         np.divide(signal, denom, out=rate)
         rate += 1.0
         np.log2(rate, out=rate)

@@ -105,12 +105,6 @@ class StepRecord:
     sbs_cost: np.ndarray  # alpha * power + beta * raw load
 
 
-@dataclass
-class ClusterEvent:
-    step: int
-    partition: clust.ClusterPartition
-
-
 class World:
     """One dropped network stepped through time under a single mode."""
 
@@ -137,7 +131,6 @@ class World:
         self.bs_positions = np.asarray(bs_positions, dtype=float).reshape(-1, 2)
         self.n_bs = macro.size
         self.sbs_idx = np.flatnonzero(~macro)
-        self.channel = cfg.channel_model()
         self.traffic = np.asarray(traffic, dtype=float)
         pw = cfg.power
         self.p_max = np.where(
@@ -151,14 +144,17 @@ class World:
         # each member is on or asleep, so a cluster of s members has 2^s
         # joint actions: bound s so the action set fits max_actions
         self.max_cluster_size = int(cfg.learning.max_actions).bit_length() - 1
-        self.gains = self.channel.gain_matrix(self.bs_positions, macro, ue_positions)
+        self.gains = netmodel.gain_matrix(
+            self.bs_positions, macro, ue_positions, cfg.layout
+        )
         # every station transmits at its p_max, so received powers are fixed
         self.rx = self.p_max[:, None] * self.gains
         self.net = netmodel.NetworkConfiguration(
             np.ones(self.n_bs, dtype=np.int64), np.zeros(self.n_bs), np.zeros(self.n_bs)
         )
-        # stays at zeros in classical mode, where nothing reads rho_hat
-        self.estimate = assoc.LoadEstimate(np.zeros(self.n_bs))
+        # advertised load estimates; stay at zeros in classical mode, where
+        # nothing reads them
+        self.rho_hat = np.zeros(self.n_bs)
         self.kmeans_rng = kmeans_rng
         self.learner_rng = learner_rng
         self.partition: clust.ClusterPartition | None = None
@@ -178,14 +174,15 @@ class World:
         self.learners: dict[int, learn.ClusterLearner] = {}
         self.groups: list[tuple[learn.ClusterLearner, np.ndarray, np.ndarray]] = []
         self.slots: dict[tuple[int, ...], tuple[learn.ClusterLearner, int]] = {}
-        self.cluster_events: list[ClusterEvent] = []
+        # every installed partition; its epoch is the step that installed it
+        self.cluster_events: list[clust.ClusterPartition] = []
         # serving station per UE after the last step (-1 = uncovered)
         self.last_serving = np.zeros(0, dtype=int)
         # fixed-point solves actually run; a step whose solver inputs repeat
         # those of a remembered solve bit for bit reuses its result instead
         self.fp_solves = 0
-        # last association with delta = 0: (state bytes, serving, no_coverage)
-        self._assoc: tuple[bytes, np.ndarray, bool] | None = None
+        # last association with delta = 0: (state bytes, serving)
+        self._assoc: tuple[bytes, np.ndarray] | None = None
         # every solve of the run under the exclusion matrix object
         # _solves_excl, so a steady run's cycle of solve inputs in the last
         # bits is held whole, whatever its period: (state, serving,
@@ -198,14 +195,14 @@ class World:
         # step first on the run repeats with period repeat - first
         self.cycle: tuple[int, int] | None = None
 
-    def _set_partition(self, partition: clust.ClusterPartition, step: int) -> None:
+    def _set_partition(self, partition: clust.ClusterPartition) -> None:
         """Install a partition, keeping the learner row of every unchanged cluster.
 
         Clusters of the same size play the same action set and share one
         stacked learner; kept rows carry over by index and new clusters get
         fresh rows. An unchanged cluster tuple only swaps in the new heads.
         """
-        self.cluster_events.append(ClusterEvent(step, partition))
+        self.cluster_events.append(partition)
         unchanged = (
             self.partition is not None and partition.clusters == self.partition.clusters
         )
@@ -252,14 +249,14 @@ class World:
     def _recluster(self, t: int) -> None:
         ids = self.sbs_idx
         if ids.size == 0:
-            self._set_partition(clust.ClusterPartition((), (), epoch=t), t)
+            self._set_partition(clust.ClusterPartition((), (), epoch=t))
             return
         cc = self.cfg.clustering
         if self.s_dist is None:
             pos = self.bs_positions[ids]
             adj = clust.build_adjacency(pos, cc.eps_d_m)
             self.s_dist = clust.distance_similarity(pos, adj, cc.sigma_d_m)
-        loads = self.estimate.rho_hat[ids]
+        loads = self.rho_hat[ids]
         s_load = clust.load_similarity(loads, cc.sigma_l, cc.load_sign)
         init_labels = self.label[ids]  # warm start from the current partition
         if (init_labels < 0).any():
@@ -275,14 +272,14 @@ class World:
             max_iter=cc.kmeans_iters,
             max_size=self.max_cluster_size,
         )
-        self._set_partition(part, t)
+        self._set_partition(part)
 
     def _singletons(self, t: int) -> None:
         ids = self.sbs_idx.tolist()
         part = clust.ClusterPartition(
             tuple((b,) for b in ids), tuple(ids), epoch=t
         )
-        self._set_partition(part, t)
+        self._set_partition(part)
 
     def step(self, t: int) -> StepRecord:
         rc = self.cfg.run
@@ -295,7 +292,7 @@ class World:
         # association ignores them (delta = 0) and never reclusters
         if self.mode != "classical":
             assoc.update_load_estimate(
-                self.estimate, prev_load, t, self.cfg.association.nu_exponent
+                self.rho_hat, prev_load, t, self.cfg.association.nu_exponent
             )
 
         # (2) partition refresh when due
@@ -318,36 +315,27 @@ class World:
                 played.append(idx)
                 state[members] = learner.actions[idx]
 
-        # (4) association against active stations only; a step with nothing
-        # awake charges penalties instead of aborting. With delta = 0 the
-        # score ignores rho_hat, so an unchanged state repeats the last pick
-        n_ue = self.traffic.size
+        # (4) association against active stations only; with nothing awake
+        # every UE is uncovered (-1) and the step charges penalties instead
+        # of aborting. With delta = 0 the score ignores rho_hat, so an
+        # unchanged state repeats the last pick
         delta = 0.0 if self.mode == "classical" else self.cfg.association.delta
-        no_coverage = False
         state_key = state.tobytes()
-        if n_ue:
-            if delta == 0 and self._assoc is not None and self._assoc[0] == state_key:
-                _, serving, no_coverage = self._assoc
-            else:
-                try:
-                    serving = assoc.associate_all(
-                        self.rx, state, self.estimate.rho_hat, delta
-                    )
-                except assoc.NoCoverageError:
-                    no_coverage = True
-                    serving = np.full(n_ue, -1, dtype=int)
-                if delta == 0:
-                    self._assoc = (state_key, serving, no_coverage)
+        if delta == 0 and self._assoc is not None and self._assoc[0] == state_key:
+            serving = self._assoc[1]
         else:
-            serving = np.zeros(0, dtype=int)
+            serving = assoc.associate_all(self.rx, state, self.rho_hat, delta)
+            if delta == 0:
+                self._assoc = (state_key, serving)
+        no_coverage = serving.size > 0 and serving[0] < 0
 
         # (5) each cluster head rebalances the UEs attached to its members,
         # with interference frozen at the previous step's loads; a UE
         # enters only when attached to an active member, so it stays covered.
         # A singleton's head can only keep its UEs where they are
-        if self.excl is not None and n_ue and not no_coverage:
+        if self.excl is not None and serving.size and not no_coverage:
             rates = netmodel.rate_matrix(
-                self.channel, self.gains, self.p_max, state, prev_load, self.excl
+                self.cfg.channel, self.gains, self.p_max, state, prev_load, self.excl
             )
             with np.errstate(divide="ignore"):
                 costs = self.traffic[None, :] / rates
@@ -365,7 +353,7 @@ class World:
         entry = self._solves.get(key)
         if entry is None:
             net = netmodel.compute_loads(
-                self.channel, self.gains, self.p_max, state, serving, self.traffic,
+                self.cfg.channel, self.gains, self.p_max, state, serving, self.traffic,
                 excl=self.excl, tol=rc.load_tol, max_iter=rc.load_max_iter,
                 init=prev_load,
             )
@@ -419,7 +407,7 @@ class RunResult:
     state_changes: int
     converged_frac: float
     records: list[StepRecord] | None = None
-    cluster_events: list[ClusterEvent] | None = None
+    cluster_events: list[clust.ClusterPartition] | None = None
 
 
 def burn_in_steps(steps: int, frac: float) -> int:

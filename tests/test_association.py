@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from scnsim.association import (
-    LoadEstimate,
-    NoCoverageError,
-    associate_all,
-    update_load_estimate,
-)
+from scnsim.association import associate_all, update_load_estimate
 
 
 def associate(rx_power, state, rho_hat, delta=1.0):
@@ -64,9 +59,10 @@ def test_sleeping_station_never_chosen():
     assert pick(rx, state, np.zeros(3), delta=1.0) == 2
 
 
-def test_no_coverage_error():
-    with pytest.raises(NoCoverageError):
-        associate_all(np.ones((2, 3)), np.array([0, 0]), np.zeros(2))
+def test_no_coverage_leaves_every_ue_uncovered():
+    serving = associate_all(np.ones((2, 3)), np.array([0, 0]), np.zeros(2))
+    assert serving.tolist() == [-1, -1, -1]
+    assert serving.dtype == int
 
 
 def test_tie_breaks_by_raw_power_then_index():
@@ -129,40 +125,40 @@ def test_associate_all_planted_ties_match_scalar():
 
 
 def test_estimator_first_step_snaps_to_load():
-    est = LoadEstimate(np.zeros(2))
-    update_load_estimate(est, np.array([0.6, 0.3]), t=1)
+    rho_hat = np.zeros(2)
+    update_load_estimate(rho_hat, np.array([0.6, 0.3]), t=1)
     # nu(1) = 1, so the estimate jumps straight onto the observed load
-    assert np.array_equal(est.rho_hat, [0.6, 0.3])
+    assert np.array_equal(rho_hat, [0.6, 0.3])
 
 
 def test_estimator_second_step_value():
-    est = LoadEstimate(np.zeros(2))
-    update_load_estimate(est, np.array([0.6, 0.3]), t=1)
-    update_load_estimate(est, np.array([0.2, 0.3]), t=2)
+    rho_hat = np.zeros(2)
+    update_load_estimate(rho_hat, np.array([0.6, 0.3]), t=1)
+    update_load_estimate(rho_hat, np.array([0.2, 0.3]), t=2)
     # 0.6 + (0.2 - 0.6) / 2^0.9
-    assert est.rho_hat[0] == pytest.approx(0.3856453074927414, abs=1e-15)
-    assert est.rho_hat[1] == pytest.approx(0.3, abs=1e-15)
+    assert rho_hat[0] == pytest.approx(0.3856453074927414, abs=1e-15)
+    assert rho_hat[1] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_estimator_tracks_constant_signal():
     rng = np.random.default_rng(5)
-    est = LoadEstimate(np.zeros(1))
+    rho_hat = np.zeros(1)
     for t in range(1, 11):
-        update_load_estimate(est, rng.uniform(0.0, 1.0, size=1), t)
+        update_load_estimate(rho_hat, rng.uniform(0.0, 1.0, size=1), t)
     for t in range(11, 2001):
-        update_load_estimate(est, np.array([0.8]), t)
-    assert abs(est.rho_hat[0] - 0.8) < 1e-3
+        update_load_estimate(rho_hat, np.array([0.8]), t)
+    assert abs(rho_hat[0] - 0.8) < 1e-3
 
 
 def test_estimator_stays_in_unit_interval():
     rng = np.random.default_rng(17)
-    est = LoadEstimate(rng.uniform(0.0, 1.0, size=4))
+    rho_hat = rng.uniform(0.0, 1.0, size=4)
     for t in range(1, 200):
-        update_load_estimate(est, rng.uniform(0.0, 1.0, size=4), t)
-        assert np.all(est.rho_hat >= 0.0) and np.all(est.rho_hat <= 1.0)
+        update_load_estimate(rho_hat, rng.uniform(0.0, 1.0, size=4), t)
+        assert np.all(rho_hat >= 0.0) and np.all(rho_hat <= 1.0)
 
 
 def test_time_index_validation():
-    est = LoadEstimate(np.zeros(2))
+    rho_hat = np.zeros(2)
     with pytest.raises(ValueError):
-        update_load_estimate(est, np.zeros(2), t=0)
+        update_load_estimate(rho_hat, np.zeros(2), t=0)

@@ -138,6 +138,20 @@ def test_out_naming_a_file_is_reported(tmp_path, capsys, monkeypatch, command):
     assert out.read_text() == "keep me\n"
 
 
+def test_unwritable_output_file_is_reported(tmp_path, capsys):
+    # an output file that cannot be opened for writing fails after the runs
+    # with a one-line error, not a traceback
+    cfg = write_tiny_config(tmp_path, mode="classical")
+    out = tmp_path / "out"
+    (out / "summary.csv").mkdir(parents=True)
+    rc = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("classical ues=")
+    err = captured.err
+    assert err.startswith("error: ") and "summary.csv" in err and err.count("\n") == 1
+
+
 def test_infeasible_density_is_reported(tmp_path, capsys):
     # a 100 m square cannot hold an SBS 75 m from the central macro
     path = tmp_path / "dense.ini"

@@ -11,7 +11,6 @@ from scnsim.clustering import (
     LAPLACIAN_MODES,
     ClusterPartition,
     build_adjacency,
-    build_similarity,
     distance_similarity,
     joint_similarity,
     kmeans,
@@ -23,6 +22,14 @@ from scnsim.clustering import (
 )
 from scnsim.config import ClusteringConfig, default_config
 from scnsim.netmodel import cluster_labels
+
+
+def joint_of(pos, loads, cc):
+    """Joint similarity of SBSs under clustering settings cc, composed as
+    World composes it: adjacency, distance kernel, load kernel, blend."""
+    s_dist = distance_similarity(pos, build_adjacency(pos, cc.eps_d_m), cc.sigma_d_m)
+    return joint_similarity(s_dist, load_similarity(loads, cc.sigma_l, cc.load_sign),
+                            cc.theta)
 
 
 def test_adjacency_radius():
@@ -152,9 +159,9 @@ def _oracle_matrices():
         loads = rng.uniform(0, 1, size=len(pos))
         for eps_d in (150.0, 250.0, 400.0):
             for variant in ("standard", "rowsum"):
-                graph = build_similarity(pos, loads, ClusteringConfig(eps_d_m=eps_d))
+                s_joint = joint_of(pos, loads, ClusteringConfig(eps_d_m=eps_d))
                 yield (f"drop{seed}-{eps_d}-{variant}",
-                       laplacian_matrix(graph.s_joint, variant), graph.s_joint, variant)
+                       laplacian_matrix(s_joint, variant), s_joint, variant)
     rng = np.random.default_rng(53)
     for n in range(1, 21):
         for rep in range(2):
@@ -383,11 +390,11 @@ def test_spectral_two_geographic_groups():
                    dtype=float)
     ids = [1, 2, 3, 4, 5, 6]
     cfg = ClusteringConfig(theta=1.0)
-    graph = build_similarity(pos, np.zeros(6), cfg)
-    part = spectral_cluster(graph.s_joint, ids, np.random.default_rng(0))
+    s_joint = joint_of(pos, np.zeros(6), cfg)
+    part = spectral_cluster(s_joint, ids, np.random.default_rng(0))
     assert part.clusters == ((1, 2, 3), (4, 5, 6))
     # agrees with the brute-force minimum cut on the same similarity
-    left, right = brute_force_min_cut(graph.s_joint)
+    left, right = brute_force_min_cut(s_joint)
     oracle = tuple(sorted((tuple(sorted(ids[i] for i in left)),
                            tuple(sorted(ids[i] for i in right))), key=min))
     assert part.clusters == oracle
@@ -399,15 +406,15 @@ def test_spectral_load_groups_identical_positions():
     loads = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     ids = [1, 2, 3, 4, 5, 6]
     cfg = ClusteringConfig(theta=0.0, sigma_l=0.25)
-    graph = build_similarity(pos, loads, cfg)
-    part = spectral_cluster(graph.s_joint, ids, np.random.default_rng(0),
+    s_joint = joint_of(pos, loads, cfg)
+    part = spectral_cluster(s_joint, ids, np.random.default_rng(0),
                             loads=loads)
     assert part.clusters == ((1, 2, 3), (4, 5, 6))
     assert part.heads == (1, 4)  # equal loads tie toward the lowest id
     # with the default sigma_l the blocks are softer; k = 2 still splits them
     cfg = ClusteringConfig(theta=0.0, sigma_l=1.0)
-    graph = build_similarity(pos, loads, cfg)
-    part = spectral_cluster(graph.s_joint, ids, np.random.default_rng(0),
+    s_joint = joint_of(pos, loads, cfg)
+    part = spectral_cluster(s_joint, ids, np.random.default_rng(0),
                             k=2, loads=loads)
     assert part.clusters == ((1, 2, 3), (4, 5, 6))
 
@@ -430,8 +437,8 @@ def test_spectral_partition_validity_random():
         pos = rng.uniform(0, 1000, size=(n, 2))
         loads = rng.uniform(0, 1, size=n)
         ids = list(range(1, n + 1))
-        graph = build_similarity(pos, loads, ClusteringConfig())
-        part = spectral_cluster(graph.s_joint, ids, np.random.default_rng(trial),
+        s_joint = joint_of(pos, loads, ClusteringConfig())
+        part = spectral_cluster(s_joint, ids, np.random.default_rng(trial),
                                 loads=loads)
         members = sorted(b for c in part.clusters for b in c)
         assert members == ids  # disjoint cover
@@ -446,9 +453,9 @@ def test_spectral_determinism():
     pos = rng.uniform(0, 1000, size=(9, 2))
     loads = rng.uniform(0, 1, size=9)
     ids = list(range(9))
-    graph = build_similarity(pos, loads, ClusteringConfig())
-    p1 = spectral_cluster(graph.s_joint, ids, np.random.default_rng(42), loads=loads)
-    p2 = spectral_cluster(graph.s_joint, ids, np.random.default_rng(42), loads=loads)
+    s_joint = joint_of(pos, loads, ClusteringConfig())
+    p1 = spectral_cluster(s_joint, ids, np.random.default_rng(42), loads=loads)
+    p2 = spectral_cluster(s_joint, ids, np.random.default_rng(42), loads=loads)
     assert p1.clusters == p2.clusters and p1.heads == p2.heads
 
 
@@ -456,8 +463,8 @@ def test_spectral_rowsum_variant_runs():
     pos = np.array([[0, 0], [30, 0], [0, 30], [800, 800], [830, 800], [800, 830]],
                    dtype=float)
     ids = [1, 2, 3, 4, 5, 6]
-    graph = build_similarity(pos, np.zeros(6), ClusteringConfig(theta=1.0))
-    part = spectral_cluster(graph.s_joint, ids, np.random.default_rng(0),
+    s_joint = joint_of(pos, np.zeros(6), ClusteringConfig(theta=1.0))
+    part = spectral_cluster(s_joint, ids, np.random.default_rng(0),
                             laplacian="rowsum")
     assert sorted(b for c in part.clusters for b in c) == ids
 
@@ -465,8 +472,7 @@ def test_spectral_rowsum_variant_runs():
 def _line_similarity(n, spacing=100.0):
     """Path graph: n SBSs on a line, each adjacent to its neighbours only."""
     pos = np.column_stack([np.arange(n) * spacing, np.zeros(n)])
-    return build_similarity(pos, np.zeros(n),
-                            ClusteringConfig(eps_d_m=1.5 * spacing, theta=1.0)).s_joint
+    return joint_of(pos, np.zeros(n), ClusteringConfig(eps_d_m=1.5 * spacing, theta=1.0))
 
 
 def test_bisection_splits_by_fiedler_order():
@@ -507,8 +513,8 @@ def test_bisection_bounds_random_partitions():
         pos = rng.uniform(0, 1000, size=(n, 2))
         loads = rng.uniform(0, 1, size=n)
         ids = list(range(1, n + 1))
-        graph = build_similarity(pos, loads, ClusteringConfig(eps_d_m=600.0))
-        part = spectral_cluster(graph.s_joint, ids, np.random.default_rng(trial),
+        s_joint = joint_of(pos, loads, ClusteringConfig(eps_d_m=600.0))
+        part = spectral_cluster(s_joint, ids, np.random.default_rng(trial),
                                 loads=loads, max_size=max_size,
                                 laplacian="rowsum" if trial % 2 else "standard")
         assert sorted(b for c in part.clusters for b in c) == ids
@@ -574,7 +580,7 @@ def _sparse_drop_similarity():
     cfg.clustering.eps_d_m = 150.0
     scen, _, _ = np.random.SeedSequence([1, 6]).spawn(3)
     pos = generate_scenario(cfg, np.random.default_rng(scen))[0][1:]
-    return build_similarity(pos, np.zeros(len(pos)), cfg.clustering).s_joint
+    return joint_of(pos, np.zeros(len(pos)), cfg.clustering)
 
 
 @pytest.mark.parametrize("laplacian, k, similarity", [
@@ -670,12 +676,17 @@ def test_partition_helpers():
     assert cluster_labels(8, part.clusters).tolist() == [-1, 0, 0, 1, 2, 2, 2, -1]
 
 
-def test_build_similarity_bundle():
+def test_joint_similarity_composition():
     pos = np.array([[0.0, 0.0], [100.0, 0.0], [600.0, 0.0]])
     loads = np.array([0.1, 0.3, 0.9])
-    graph = build_similarity(pos, loads, ClusteringConfig())
-    assert graph.adjacency[0, 1] == 1 and graph.adjacency[0, 2] == 0
-    assert graph.s_joint[0, 2] == 0.0
-    expected = np.sqrt(graph.s_dist[0, 1] * graph.s_load[0, 1])
-    assert graph.s_joint[0, 1] == pytest.approx(expected, rel=1e-12)
-    assert np.allclose(laplacian_matrix(graph.s_joint).sum(axis=1), 0.0, atol=1e-15)
+    cc = ClusteringConfig()
+    adj = build_adjacency(pos, cc.eps_d_m)
+    s_dist = distance_similarity(pos, adj, cc.sigma_d_m)
+    s_load = load_similarity(loads, cc.sigma_l, cc.load_sign)
+    s_joint = joint_similarity(s_dist, s_load, cc.theta)
+    assert adj[0, 1] == 1 and adj[0, 2] == 0
+    assert s_joint[0, 2] == 0.0
+    expected = np.sqrt(s_dist[0, 1] * s_load[0, 1])
+    assert s_joint[0, 1] == pytest.approx(expected, rel=1e-12)
+    assert np.allclose(laplacian_matrix(s_joint).sum(axis=1), 0.0, atol=1e-15)
+    assert np.array_equal(joint_of(pos, loads, cc), s_joint)

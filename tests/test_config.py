@@ -12,6 +12,7 @@ from scnsim.config import (
     load_config,
     validate_config,
 )
+from scnsim.netmodel import gain
 
 
 def test_defaults_are_valid():
@@ -21,13 +22,6 @@ def test_defaults_are_valid():
     assert cfg.layout.n_small == 10
     assert cfg.channel.bandwidth_hz == 10e6
     assert cfg.power.idle_scale_active > 1.0
-
-
-def test_derived_views():
-    cfg = default_config()
-    chan = cfg.channel_model()
-    assert chan.bandwidth_hz == cfg.channel.bandwidth_hz
-    assert chan.min_dist_small_m == cfg.layout.min_dist_small_ue_m
 
 
 def test_load_ini(tmp_path):
@@ -240,8 +234,7 @@ def test_gain_bound_admits_the_boundary_distances():
     cfg = default_config()
     cfg.layout.min_dist_macro_ue_m, cfg.layout.min_dist_small_ue_m = 0.4, 0.2
     validate_config(cfg)
-    channel = cfg.channel_model()
-    assert channel.gain("macro", 0.0) < 1 and channel.gain("small", 0.0) < 1
+    assert gain("macro", 0.0, cfg.layout) < 1 and gain("small", 0.0, cfg.layout) < 1
 
 
 _GROUPS = {s.name: getattr(default_config(), s.name)

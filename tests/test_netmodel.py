@@ -10,16 +10,23 @@ from scnsim.config import default_config
 from scnsim.netmodel import (
     MACRO,
     SMALL,
-    ChannelModel,
     InactiveServerError,
     NetworkConfiguration,
     compute_loads,
     dbm_to_watt,
     exclusion_matrix,
+    gain,
+    gain_matrix,
+    noise_w,
+    pathloss_db,
     rate_matrix,
     total_powers,
 )
 from scnsim.sim import generate_scenario
+
+
+# the default clamp distances: 35 m (macro) and 10 m (small cell)
+LAYOUT = default_config().layout
 
 
 def all_on(n):
@@ -44,50 +51,46 @@ def test_dbm_watt_conversions():
 
 
 def test_pathloss_reference_values():
-    ch = ChannelModel()
     # at d = 1 km the log term vanishes and the offsets read off directly
-    assert ch.pathloss_db(MACRO, 1000.0) == pytest.approx(128.1, abs=1e-12)
-    assert ch.pathloss_db(SMALL, 1000.0) == pytest.approx(140.7, abs=1e-12)
+    assert pathloss_db(MACRO, 1000.0, LAYOUT) == pytest.approx(128.1, abs=1e-12)
+    assert pathloss_db(SMALL, 1000.0, LAYOUT) == pytest.approx(140.7, abs=1e-12)
     # one decade closer takes one slope off: 140.7 - 37.6 = 103.1
-    assert ch.pathloss_db(SMALL, 100.0) == pytest.approx(103.1, abs=1e-12)
-    assert ch.gain(MACRO, 1000.0) == pytest.approx(10 ** (-12.81), rel=1e-12)
+    assert pathloss_db(SMALL, 100.0, LAYOUT) == pytest.approx(103.1, abs=1e-12)
+    assert gain(MACRO, 1000.0, LAYOUT) == pytest.approx(10 ** (-12.81), rel=1e-12)
 
 
 def test_pathloss_minimum_distance_clamp():
-    ch = ChannelModel()
-    assert ch.pathloss_db(MACRO, 0.0) == ch.pathloss_db(MACRO, 35.0)
-    assert ch.pathloss_db(SMALL, 0.0) == ch.pathloss_db(SMALL, 10.0)
-    assert ch.pathloss_db(MACRO, 1.0) == ch.pathloss_db(MACRO, 35.0)
+    assert pathloss_db(MACRO, 0.0, LAYOUT) == pathloss_db(MACRO, 35.0, LAYOUT)
+    assert pathloss_db(SMALL, 0.0, LAYOUT) == pathloss_db(SMALL, 10.0, LAYOUT)
+    assert pathloss_db(MACRO, 1.0, LAYOUT) == pathloss_db(MACRO, 35.0, LAYOUT)
     # the clamp caps the gain at the min-distance value, inside (0, 1]
     rng = np.random.default_rng(7)
     d = rng.uniform(0.0, 5000.0, size=200)
     for kind in (MACRO, SMALL):
-        g = ch.gain(kind, d)
+        g = gain(kind, d, LAYOUT)
         assert np.all(g > 0.0) and np.all(g <= 1.0)
 
 
 def test_gain_monotone_in_distance():
-    ch = ChannelModel()
     d = np.linspace(10.0, 3000.0, 300)
     for kind in (MACRO, SMALL):
-        g = ch.gain(kind, d)
+        g = gain(kind, d, LAYOUT)
         assert np.all(np.diff(g) <= 0.0)
 
 
 def test_gain_matrix_against_scalar():
-    ch = ChannelModel()
     pts = np.array([[30.0, 40.0], [500.0, 0.0]])
-    mat = ch.gain_matrix(np.array([[0.0, 0.0], [100.0, 0.0]]),
-                         np.array([True, False]), pts)
+    mat = gain_matrix(np.array([[0.0, 0.0], [100.0, 0.0]]),
+                      np.array([True, False]), pts, LAYOUT)
     assert mat.shape == (2, 2)
-    assert mat[0, 0] == pytest.approx(ch.gain(MACRO, 50.0))
-    assert mat[1, 1] == pytest.approx(ch.gain(SMALL, 400.0))
+    assert mat[0, 0] == pytest.approx(gain(MACRO, 50.0, LAYOUT))
+    assert mat[1, 1] == pytest.approx(gain(SMALL, 400.0, LAYOUT))
 
 
 def test_rate_snr_one_identity():
     # single BS, gain tuned so P * h equals the noise power: R = bw * log2(2)
-    ch = ChannelModel()
-    gains = np.array([[ch.noise_w / 1.0]])
+    ch = default_config().channel
+    gains = np.array([[noise_w(ch) / 1.0]])
     r = rate_matrix(ch, gains, *all_on(1), np.zeros(1), exclusion_matrix(1, None))
     assert r[0, 0] == pytest.approx(ch.bandwidth_hz, rel=1e-12)
 
@@ -95,9 +98,9 @@ def test_rate_snr_one_identity():
 def test_rate_two_bs_interference():
     # serving P*h = 10 noise, interferer duty-cycled power rho*P*h = 4 noise:
     # SINR = 10 / (4 + 1) = 2, R = bw * log2(3)
-    ch = ChannelModel()
+    ch = default_config().channel
     load = np.array([0.0, 0.8])
-    gains = np.array([[10.0 * ch.noise_w], [4.0 * ch.noise_w / 0.8]])
+    gains = np.array([[10.0 * noise_w(ch)], [4.0 * noise_w(ch) / 0.8]])
     r = rate_matrix(ch, gains, *all_on(2), load, exclusion_matrix(2, None))
     assert r[0, 0] == pytest.approx(ch.bandwidth_hz * np.log2(3.0), rel=1e-12)
 
@@ -105,9 +108,9 @@ def test_rate_two_bs_interference():
 def test_rate_same_cluster_orthogonalized():
     # the same interferer inside the serving BS's cluster stops counting:
     # SINR = 10, R = bw * log2(11)
-    ch = ChannelModel()
+    ch = default_config().channel
     load = np.array([0.0, 0.8])
-    gains = np.array([[10.0 * ch.noise_w], [4.0 * ch.noise_w / 0.8]])
+    gains = np.array([[10.0 * noise_w(ch)], [4.0 * noise_w(ch) / 0.8]])
     r = rate_matrix(ch, gains, *all_on(2), load, exclusion_matrix(2, [(0, 1)]))
     expected = ch.bandwidth_hz * np.log2(11.0)
     assert r[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -118,7 +121,7 @@ def test_rate_same_cluster_orthogonalized():
 
 
 def test_rate_monotonicity():
-    ch = ChannelModel()
+    ch = default_config().channel
     gains = np.array([[3e-13], [1e-13]])
     excl = exclusion_matrix(2, None)
 
@@ -135,14 +138,14 @@ def test_rate_monotonicity():
 
 
 def test_loads_empty_and_single_ue():
-    ch = ChannelModel()
+    ch = default_config().channel
     res = compute_loads(ch, np.zeros((1, 0)), *all_on(1),
                         np.zeros(0, dtype=int), np.zeros(0))
     assert res.converged and res.load[0] == 0.0 and res.load_raw[0] == 0.0
 
     # gain tuned for R = 1.8 Mbit/s; 180 kbit/s of demand then loads it to 0.1
     sinr = 2.0 ** 0.18 - 1.0
-    gains = np.array([[sinr * ch.noise_w]])
+    gains = np.array([[sinr * noise_w(ch)]])
     res = compute_loads(ch, gains, *all_on(1), np.array([0]),
                         np.array([180e3]))
     assert res.converged
@@ -151,7 +154,7 @@ def test_loads_empty_and_single_ue():
 
 
 def test_loads_symmetric_pair():
-    ch = ChannelModel()
+    ch = default_config().channel
     gains = np.array([[2e-12, 4e-14], [4e-14, 2e-12]])
     serving = np.array([0, 1])
     traffic = np.array([5e5, 5e5])
@@ -164,7 +167,7 @@ def test_loads_symmetric_pair():
 def test_load_locality_single_sweep():
     # with interference frozen, moving a UE between BSs a and b cannot
     # change the load of a third BS c
-    ch = ChannelModel()
+    ch = default_config().channel
     rng = np.random.default_rng(3)
     gains = rng.uniform(1e-14, 1e-12, size=(3, 4))
     traffic = rng.uniform(1e5, 5e5, size=4)
@@ -182,7 +185,7 @@ def test_load_locality_single_sweep():
 
 def test_load_fixed_point_identity():
     # a converged load vector reproduces itself through one frozen sweep
-    ch = ChannelModel()
+    ch = default_config().channel
     rng = np.random.default_rng(5)
     rng.uniform(0, 500, size=(4, 2))  # BS positions: unused, drawn as before
     gains = rng.uniform(1e-13, 5e-12, size=(4, 6))
@@ -232,13 +235,13 @@ def test_compute_loads_matches_rate_matrix_loop(full_share, tol, max_iter, warm)
     # transmit levels drawn per station (p_max with probability full_share,
     # else 0.6 p_max; 1.0 is World's every-station-at-p_max case): the
     # hoisted solver must equal the loop exactly
-    ch = ChannelModel()
+    ch = default_config().channel
     rng = np.random.default_rng(17)
     clusters = [(1, 2, 3), (4, 5)]
     for _ in range(8):
         pos, macro, p_max = macro_drop(rng, 7)
         n_ue = 15
-        gains = ch.gain_matrix(pos, macro, rng.uniform(0, 1000, size=(n_ue, 2)))
+        gains = gain_matrix(pos, macro, rng.uniform(0, 1000, size=(n_ue, 2)), LAYOUT)
         traffic = rng.exponential(3e5, size=n_ue)
         power = np.where(rng.random(7) < full_share, p_max, 0.6 * p_max)
         state = np.array([1, 1, 0, 1, 1, 1, 1])
@@ -267,14 +270,14 @@ def test_compute_loads_unassigned_ues_carry_no_load():
     # UEs marked -1 sit outside the load sum: bit for bit as the reference
     # loop over the one-hot matrix, and equal to a solve without their
     # columns; with nobody assigned every raw load is zero
-    ch = ChannelModel()
+    ch = default_config().channel
     rng = np.random.default_rng(29)
     clustered = exclusion_matrix(6, [(1, 2), (3, 4, 5)])
     for trial in range(40):
         pos, macro, p_max = macro_drop(rng, 6)
         state = np.ones(6, dtype=np.int64)
         n_ue = int(rng.integers(1, 30))
-        gains = ch.gain_matrix(pos, macro, rng.uniform(0, 1000, size=(n_ue, 2)))
+        gains = gain_matrix(pos, macro, rng.uniform(0, 1000, size=(n_ue, 2)), LAYOUT)
         traffic = rng.exponential(3e5, size=n_ue)
         serving = rng.integers(0, 6, size=n_ue)
         serving[rng.random(n_ue) < 0.4] = -1
@@ -303,7 +306,7 @@ def test_compute_loads_unassigned_ues_carry_no_load():
 
 
 def test_compute_loads_counts_iterations():
-    ch = ChannelModel()
+    ch = default_config().channel
     power, state = all_on(2)
     gains = np.array([[2e-12, 4e-14], [4e-14, 2e-12]])
     serving, traffic = np.array([0, 1]), np.array([5e5, 5e5])
@@ -337,12 +340,12 @@ def test_own_cell_term_equals_identity_gemm():
 
 
 def test_compute_loads_without_excl_equals_identity_excl():
-    ch = ChannelModel()
+    ch = default_config().channel
     rng = np.random.default_rng(23)
     for _ in range(60):
         n_bs, n_ue = int(rng.integers(2, 12)), int(rng.integers(0, 60))
         pos, macro, p_max = macro_drop(rng, n_bs)
-        gains = ch.gain_matrix(pos, macro, rng.uniform(0, 1000, size=(n_ue, 2)))
+        gains = gain_matrix(pos, macro, rng.uniform(0, 1000, size=(n_ue, 2)), LAYOUT)
         traffic = rng.exponential(3e5, size=n_ue)
         state = (rng.random(n_bs) < 0.7).astype(np.int64)
         state[0] = 1
@@ -357,7 +360,7 @@ def test_compute_loads_without_excl_equals_identity_excl():
 
 
 def test_compute_loads_rejects_sleeping_server():
-    ch = ChannelModel()
+    ch = default_config().channel
     with pytest.raises(InactiveServerError):
         compute_loads(ch, np.full((2, 1), 1e-13), np.ones(2), np.array([1, 0]),
                       np.array([1]), np.array([1e5]))
@@ -437,8 +440,8 @@ def test_warm_and_cold_started_loads_agree(n_small, n_ues, mean_rate, clustered,
     rng = np.random.default_rng(seed)
     bs_pos, macro, ue_pos, traffic = generate_scenario(cfg, rng)
     n_bs = macro.size
-    ch = cfg.channel_model()
-    gains = ch.gain_matrix(bs_pos, macro, ue_pos)
+    ch = cfg.channel
+    gains = gain_matrix(bs_pos, macro, ue_pos, cfg.layout)
     power = np.where(macro, 39.8, 1.0)
     state = rng.integers(0, 2, size=n_bs)
     state[0] |= not state.any()

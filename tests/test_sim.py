@@ -118,7 +118,7 @@ def test_no_clusters_mode_uses_singletons():
     result = run_once(small_cfg("learning_no_clusters"), 0,
                       keep_clusters=True)
     assert len(result.cluster_events) == 1  # installed once, never refreshed
-    part = result.cluster_events[0].partition
+    part = result.cluster_events[0]
     assert part.clusters == tuple((b,) for b in range(1, 6))
     assert part.heads == tuple(range(1, 6))
 
@@ -127,9 +127,9 @@ def test_clustered_mode_recluster_schedule():
     cfg = small_cfg(steps=12)
     cfg.clustering.recluster_every = 5
     result = run_once(cfg, 0, keep_clusters=True)
-    assert [ev.step for ev in result.cluster_events] == [1, 5, 10]
-    for ev in result.cluster_events:
-        covered = sorted(b for members in ev.partition.clusters
+    assert [part.epoch for part in result.cluster_events] == [1, 5, 10]
+    for part in result.cluster_events:
+        covered = sorted(b for members in part.clusters
                          for b in members)
         assert covered == list(range(1, 6))
 
@@ -174,21 +174,37 @@ def test_all_asleep_charges_penalty():
         assert np.all(learner.prev_utility == -1.0)  # 0.5 * 1 W + 0.5 * 1 member
 
 
+def test_all_asleep_without_ues_charges_the_cost():
+    # with no UE, nobody is left uncovered when every station sleeps: the
+    # learners observe the cost -(alpha * p_idle + beta * 0) per member,
+    # not the penalty
+    cfg = small_cfg("learning_no_clusters", n_small=0, n_ues=0, steps=5)
+    world = World(cfg, np.array([[100.0, 100.0], [900.0, 900.0]]),
+                  np.array([False, False]), np.zeros((0, 2)), np.zeros(0),
+                  np.random.default_rng(0), np.random.default_rng(0))
+    world.step(1)  # installs the singleton learners
+    for learner in world.learners.values():
+        learner.pi[:] = [0.0, 1.0]  # force the sleep action
+    rec = world.step(2)
+    assert np.all(rec.sbs_state == 0)
+    assert world.last_serving.shape == (0,)
+    for learner in world.learners.values():
+        assert learner.prev_utility.tolist() == [-0.05, -0.05]  # 0.5 * 0.1 W
+
+
 def test_learners_survive_unchanged_partition():
     cfg = small_cfg(steps=2)
     world = World(cfg, *generate_scenario(cfg, np.random.default_rng(3)),
                   np.random.default_rng(1), np.random.default_rng(2))
     part = ClusterPartition(((1, 2), (3, 4, 5)), (1, 3), epoch=1)
-    world._set_partition(part, 1)
+    world._set_partition(part)
     for learner in world.learners.values():  # one observed step per row
         learner.update(np.zeros(learner.n_rows, dtype=int), -np.ones(learner.n_rows))
     kept = world.slots[(1, 2)]
-    world._set_partition(ClusterPartition(((1, 2), (3, 4, 5)), (2, 4),
-                                          epoch=2), 2)
+    world._set_partition(ClusterPartition(((1, 2), (3, 4, 5)), (2, 4), epoch=2))
     assert world.slots[(1, 2)] == kept  # same member set, same learner
     assert kept[0].t[kept[1]] == 1
-    world._set_partition(ClusterPartition(((1, 3), (2, 4, 5)), (1, 2),
-                                          epoch=3), 3)
+    world._set_partition(ClusterPartition(((1, 3), (2, 4, 5)), (1, 2), epoch=3))
     learner, row = world.slots[(1, 3)]
     assert learner.t[row] == 0  # membership changed: reset
 
@@ -207,7 +223,7 @@ def test_rebalance_matches_per_cluster_schedules():
             tuple(int(b) + 1 for b in np.flatnonzero(labels == j))
             for j in range(4) if np.any(labels == j)
         )
-        world._set_partition(ClusterPartition(clusters, (), epoch=trial), trial)
+        world._set_partition(ClusterPartition(clusters, (), epoch=trial))
         assert np.array_equal(world.excl,
                               netmodel.exclusion_matrix(n_bs, clusters))
         active = rng.random(n_bs) < 0.6
@@ -268,16 +284,16 @@ def _fresh_step_inputs(world, rec, prev_load, delta, associate=None):
         serving = np.full(n_ue, -1)
     else:
         serving = (associate or _associate_all)(
-            world.p_max[:, None] * world.gains, state, world.estimate.rho_hat, delta)
+            world.p_max[:, None] * world.gains, state, world.rho_hat, delta)
         if world.excl is not None:
-            rates = netmodel.rate_matrix(world.channel, world.gains, world.p_max,
+            rates = netmodel.rate_matrix(world.cfg.channel, world.gains, world.p_max,
                                          state, prev_load, world.excl)
             with np.errstate(divide="ignore"):
                 costs = world.traffic[None, :] / rates
             serving = rebalance(costs, world.label, serving, state == 1)
     rc = world.cfg.run
     net = netmodel.compute_loads(
-        world.channel, world.gains, world.p_max, state, serving, world.traffic,
+        world.cfg.channel, world.gains, world.p_max, state, serving, world.traffic,
         excl=world.excl, tol=rc.load_tol, max_iter=rc.load_max_iter,
         init=prev_load)
     totals = netmodel.total_powers(world.p_max, world.p_idle, world.idle_scale, net)
@@ -390,7 +406,7 @@ def test_period_two_solve_keys_run_two_solves():
     while len(loads) < 3 or loads[-1].tobytes() != loads[-3].tobytes():
         assert len(loads) < 100
         loads.append(netmodel.compute_loads(
-            world.channel, world.gains, world.p_max, state, serving, world.traffic,
+            world.cfg.channel, world.gains, world.p_max, state, serving, world.traffic,
             tol=rc.load_tol, max_iter=rc.load_max_iter,
             init=loads[-1]).load)
     a, b = loads[-3], loads[-2]
@@ -526,9 +542,9 @@ def test_dense_clusters_fit_the_action_cap(seed):
     cfg.clustering.recluster_every = 2
     validate_config(cfg)
     result = run_once(cfg, 0, keep_clusters=True)
-    for event in result.cluster_events:
-        assert sorted(b for c in event.partition.clusters for b in c) == list(range(1, 21))
-        assert max(event.partition.sizes()) <= 10
+    for part in result.cluster_events:
+        assert sorted(b for c in part.clusters for b in c) == list(range(1, 21))
+        assert max(part.sizes()) <= 10
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -557,10 +573,10 @@ def test_clustered_runs_keep_partition_invariants(
     result = run_once(cfg, 0, keep_records=True, keep_clusters=True)
     s_max = int(np.floor(np.log2(max_actions)))
     assert result.cluster_events
-    for event in result.cluster_events:
-        members = sorted(b for c in event.partition.clusters for b in c)
+    for part in result.cluster_events:
+        members = sorted(b for c in part.clusters for b in c)
         assert members == list(range(1, n_small + 1))  # each SBS exactly once
-        assert all(len(c) <= s_max for c in event.partition.clusters)
+        assert all(len(c) <= s_max for c in part.clusters)
     for rec in result.records:
         assert np.all((rec.sbs_load >= 0.0) & (rec.sbs_load <= 1.0))
 
@@ -861,7 +877,7 @@ def test_classical_world_keeps_no_load_estimate():
                   np.random.default_rng(kmeans), np.random.default_rng(learner))
     records = [world.step(t) for t in range(1, cfg.run.steps + 1)]
     assert world.net.load.any()
-    assert not world.estimate.rho_hat.any()
+    assert not world.rho_hat.any()
     assert _records_digest(records) == GOLDEN_STEP_DIGESTS_UNDAMPED["classical"]
 
 
@@ -954,8 +970,7 @@ def _assert_replay_equals_stepping(cfg, run_index, monkeypatch):
         if f.name not in ("records", "cluster_events"):
             for res in (got, plain):
                 _assert_same_bytes(getattr(res, f.name), getattr(want, f.name), f.name)
-    assert [(e.step, e.partition) for e in got.cluster_events] == [
-        (e.step, e.partition) for e in want.cluster_events]
+    assert got.cluster_events == want.cluster_events
     assert len(got.records) == len(want.records) == cfg.run.steps
     for u, (a, b) in enumerate(zip(got.records, want.records), 1):
         for f in dataclasses.fields(StepRecord):
