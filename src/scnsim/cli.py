@@ -45,12 +45,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _formatted(rows):
+    """Rows of values as rows of their CSV spellings."""
+    return ([_fmt(v) for v in row] for row in rows)
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write header, then rows that are already lists of strings."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def parse_vary(text: str) -> tuple[str, list[float]]:
@@ -124,7 +129,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _floats(values: np.ndarray) -> list[str]:
+    """_fmt's spelling of every float of a 1-D array."""
+    return [f"{v:.9g}" for v in values.tolist()]
+
+
 def _trace_rows(results):
+    """steps.csv rows, formatted column by column, each run's constants once."""
     for res in results:
         for rr in res.runs:
             if rr.records is None:
@@ -132,24 +143,28 @@ def _trace_rows(results):
             recs = rr.records
             n_sbs = max(rr.n_sbs, 1)
 
+            def field(name):
+                return [getattr(rec, name) for rec in recs]
+
             def row_sums(name):  # of the (steps, n_sbs) stack of one field
-                return np.array([getattr(rec, name) for rec in recs]).sum(axis=1)
+                return np.array(field(name)).sum(axis=1)
 
             # a row sum rounds exactly as np.sum of that record's own vector,
             # and np.mean is that sum divided by n_sbs
             columns = [
-                row_sums("sbs_state"),
-                row_sums("sbs_power"),
-                row_sums("sbs_load") / n_sbs,
-                row_sums("sbs_load_raw") / n_sbs,
-                row_sums("sbs_cost") / n_sbs,
+                [str(v) for v in field("step")],
+                [str(v) for v in field("n_clusters")],
+                _floats(np.array(field("mean_cluster_size"), dtype=float)),
+                [str(v) for v in field("state_changes")],
+                [str(v) for v in row_sums("sbs_state").tolist()],
+                _floats(row_sums("sbs_power")),
+                _floats(row_sums("sbs_load") / n_sbs),
+                _floats(row_sums("sbs_load_raw") / n_sbs),
+                _floats(row_sums("sbs_cost") / n_sbs),
+                [str(int(v)) for v in field("converged")],
             ]
-            for rec, *sums in zip(recs, *(c.tolist() for c in columns)):
-                yield [
-                    res.mode, res.ue_count, res.eps_d, res.theta, rr.run,
-                    rec.step, rec.n_clusters, rec.mean_cluster_size,
-                    rec.state_changes, *sums, rec.converged,
-                ]
+            run = [_fmt(v) for v in (res.mode, res.ue_count, res.eps_d, res.theta, rr.run)]
+            yield from ([*run, *row] for row in zip(*columns))
 
 
 def _cluster_rows(results):
@@ -171,7 +186,7 @@ def _write_outputs(out_dir: Path, results, trace: bool, dump_clusters: bool,
     written = []
 
     summary = out_dir / "summary.csv"
-    _write_csv(summary, SUMMARY_HEADER, (
+    _write_csv(summary, SUMMARY_HEADER, _formatted(
         [r.mode, r.ue_count, r.mean_cost_per_bs, r.mean_energy_per_bs,
          r.mean_load, r.cluster_count, r.mean_cluster_size, r.ci95,
          r.eps_d, r.theta]
@@ -182,7 +197,7 @@ def _write_outputs(out_dir: Path, results, trace: bool, dump_clusters: bool,
     def cdf_rows(samples):
         pooled = np.sort(np.concatenate(samples)) if samples else np.zeros(0)
         n = pooled.size
-        return ([float(s), (i + 1) / n] for i, s in enumerate(pooled))
+        return _formatted([float(s), (i + 1) / n] for i, s in enumerate(pooled))
 
     cdf = out_dir / "energy_cdf.csv"
     _write_csv(cdf, CDF_HEADER,
@@ -202,7 +217,7 @@ def _write_outputs(out_dir: Path, results, trace: bool, dump_clusters: bool,
         written.append(path)
     if dump_clusters:
         path = out_dir / "clusters.csv"
-        _write_csv(path, CLUSTERS_HEADER, _cluster_rows(results))
+        _write_csv(path, CLUSTERS_HEADER, _formatted(_cluster_rows(results)))
         written.append(path)
     return written
 

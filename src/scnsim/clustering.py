@@ -178,7 +178,7 @@ def kmeans(
             rank = {lab: j for j, lab in enumerate(sorted(set(init.tolist())))}
             if len(rank) == k:
                 labels = np.array([rank[lab] for lab in init.tolist()])
-                centers = np.array([pts[labels == j].mean(axis=0) for j in range(k)])
+                centers = _centroids(pts, labels, k)
     if centers is None:
         labels = np.full(n, -1, dtype=np.int64)
         centers = np.empty((k, pts.shape[1]))
@@ -210,9 +210,22 @@ def kmeans(
         if (new_labels == labels).all():
             break
         labels = new_labels
-        for j in range(k):
-            centers[j] = pts[labels == j].mean(axis=0)
+        centers = _centroids(pts, labels, k)
     return labels
+
+
+def _centroids(pts: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """(k, d) mean of the points of each label 0..k-1; no label group is empty.
+
+    One scatter-add in point order, then one division: with d >= 2 that is
+    the row-by-row sum mean(axis=0) runs, bit for bit. With d = 1, mean
+    sums pairwise instead, so that case keeps it.
+    """
+    if pts.shape[1] == 1:
+        return np.array([pts[labels == j].mean(axis=0) for j in range(k)])
+    sums = np.zeros((k, pts.shape[1]))
+    np.add.at(sums, labels, pts)
+    return sums / np.bincount(labels, minlength=k)[:, None]
 
 
 def _bisect(

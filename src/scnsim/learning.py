@@ -57,78 +57,96 @@ def penalty_cost(p_max: np.ndarray, cfg: LearningConfig) -> np.ndarray:
     return cfg.alpha * np.sum(p_max, axis=-1) + cfg.beta * p_max.shape[-1]
 
 
-def bg_distribution(regrets: np.ndarray, kappa: float) -> np.ndarray:
-    """Boltzmann-Gibbs mixing over positive regrets, along the last axis.
+class LearnerTable:
+    """Regret learners of every cluster of a partition, one row per cluster.
 
-    All-nonpositive regrets give the uniform distribution; larger kappa
-    concentrates mass on the largest positive regret.
-    """
-    r_plus = np.maximum(regrets, 0.0)
-    z = kappa * r_plus
-    z = z - z.max(axis=-1, keepdims=True)
-    w = np.exp(z)
-    return w / w.sum(axis=-1, keepdims=True)
+    Row r keeps a utility estimate per action (updated only for the played
+    action), a regret estimate per action (updated for all actions against
+    the previously observed utility), a mixed strategy tracked toward the
+    Boltzmann-Gibbs distribution, the last observed utility and its own
+    step count t. Updates are synchronous: each step uses the previous
+    step's estimates on the right-hand side.
 
-
-class ClusterLearner:
-    """Regret learners of the clusters that share one joint action set.
-
-    Row i is one cluster's learner. It keeps a utility estimate per action
-    (updated only for the played action), a regret estimate per action
-    (updated for all actions against the previously observed utility), a
-    mixed strategy tracked toward the Boltzmann-Gibbs distribution, the
-    last observed utility and its own step count t. Updates are
-    synchronous: each step uses the previous step's estimates on the
-    right-hand side.
-
-    Rows are stacked only to batch the arithmetic. Every reduction runs
-    along one row, and the decreasing gains are read per row at its own
-    t, so a row's numbers are those of a lone learner, bit for bit.
+    The per-action state of all rows sits in flat buffers, row after row,
+    row r from entry start[r] on. Consecutive rows of one member count s
+    form a block: a contiguous (rows, 2^s) slice that plays
+    build_action_set(s, cap). Elementwise steps run once over the whole
+    buffer, with each row's gains and last utility gathered per entry. The
+    row reductions (the Boltzmann-Gibbs max and sum, the policy's
+    renormalising sum and sample's cumsum) run per block on its 2-D view,
+    so a row's numbers are those of a lone learner, bit for bit.
     """
 
-    def __init__(
-        self,
-        actions: np.ndarray,
-        rows: int = 1,
-        kappa: float = 10.0,
-        utility_exp: float = 0.6,
-        regret_exp: float = 0.7,
-        policy_exp: float = 0.8,
-    ):
-        if len(actions) == 0:
-            raise ValueError("need at least one action")
-        # (n_actions, members) on/off states, for indexing by draw
-        self.actions = np.asarray(actions)
-        self.kappa = float(kappa)
-        # the gain exponents, which key this learner's gain table
-        self.exps = (float(utility_exp), float(regret_exp), float(policy_exp))
-        n = len(self.actions)
-        self.pi = self.utility_est = self.regret_est = np.empty((0, n))
+    def __init__(self, cfg: LearningConfig):
+        self.kappa = float(cfg.kappa)
+        # the gain exponents, which key this table's gain table
+        self.exps = (float(cfg.utility_exp), float(cfg.regret_exp), float(cfg.policy_exp))
+        self.cap = int(cfg.max_actions)
+        self._action_sets: dict[int, np.ndarray] = {}
+        self.pi = self.utility_est = self.regret_est = np.empty(0)
         self.prev_utility = np.empty(0)
         self.t = np.empty(0, dtype=np.int64)
-        self.restack([], rows)
-
-    @property
-    def n_actions(self) -> int:
-        return len(self.actions)
+        self.start = np.empty(0, dtype=np.intp)
+        self.restack([], [])
 
     @property
     def n_rows(self) -> int:
-        return self.pi.shape[0]
+        return self.t.size
 
-    def restack(self, keep: Sequence[int], fresh: int) -> None:
-        """Keep the listed rows, in that order, then append `fresh` new learners.
+    def restack(self, sizes: Sequence[int], keep: Sequence[int]) -> None:
+        """Rebuild the table with one row of sizes[i] members per entry of sizes.
 
-        A new learner starts from the uniform policy, zero estimates and t = 0.
+        Row i carries over the state of current row keep[i], which has as
+        many members, or starts as a new learner when keep[i] < 0: uniform
+        policy, zero estimates and t = 0. Raises ValueError when a size's
+        action set would exceed the cap.
         """
-        keep = np.asarray(keep, dtype=np.intp)
-        n = self.n_actions
-        self.pi = np.concatenate([self.pi[keep], np.full((fresh, n), 1.0 / n)])
-        self.utility_est = np.concatenate([self.utility_est[keep], np.zeros((fresh, n))])
-        self.regret_est = np.concatenate([self.regret_est[keep], np.zeros((fresh, n))])
-        self.prev_utility = np.concatenate([self.prev_utility[keep], np.zeros(fresh)])
-        self.t = np.concatenate([self.t[keep], np.zeros(fresh, dtype=np.int64)])
-        self._rows = np.arange(self.n_rows)  # row index for update's gathers
+        sizes = np.asarray(sizes, dtype=np.intp).reshape(-1)
+        keep = np.asarray(keep, dtype=np.intp).reshape(-1)
+        width = 1 << sizes
+        start = np.cumsum(width) - width
+        entry_row = np.repeat(np.arange(sizes.size), width)
+        # entry j of a kept row takes entry j of its old row
+        src_row = keep[entry_row]
+        kept = np.flatnonzero(src_row >= 0)
+        src = self.start[src_row[kept]] + kept - start[entry_row[kept]]
+        pi = 1.0 / width[entry_row]
+        pi[kept] = self.pi[src]
+        utility_est, regret_est = np.zeros(pi.size), np.zeros(pi.size)
+        utility_est[kept] = self.utility_est[src]
+        regret_est[kept] = self.regret_est[src]
+        old = np.flatnonzero(keep >= 0)
+        prev_utility, t = np.zeros(sizes.size), np.zeros(sizes.size, dtype=np.int64)
+        prev_utility[old] = self.prev_utility[keep[old]]
+        t[old] = self.t[keep[old]]
+        self.pi, self.utility_est, self.regret_est = pi, utility_est, regret_est
+        self.prev_utility, self.t, self.start = prev_utility, t, start
+        self._entry_row = entry_row
+        self._target = np.empty(pi.size)  # update's scratch buffer
+        self._cdf = np.empty(pi.size)  # sample's scratch buffer
+        # every entry but the last of its row
+        self._inner = np.ones(pi.size, dtype=bool)
+        self._inner[start + width - 1] = False
+
+        # one block per run of equal sizes: its rows in self.blocks, its
+        # action set in self.actions and 2-D views of pi and of the scratch
+        # buffers in self._views
+        self.blocks, self.actions, self._views = [], [], []
+        cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), sizes.size]
+        for r0, r1 in zip(cuts[:-1], cuts[1:]):
+            if r0 == r1:
+                continue
+            size = int(sizes[r0])
+            actions = self._action_sets.get(size)
+            if actions is None:
+                actions = self._action_sets[size] = build_action_set(size, self.cap)
+            rows = slice(r0, r1)
+            span = slice(int(start[r0]), int(start[r0]) + (r1 - r0) * len(actions))
+            shape = (r1 - r0, len(actions))
+            self.blocks.append(rows)
+            self.actions.append(actions)
+            self._views.append(
+                tuple(a[span].reshape(shape) for a in (pi, self._target, self._cdf)))
 
     def sample(self, draws) -> np.ndarray:
         """Action index per row from its mixed strategy and a uniform draw.
@@ -138,11 +156,20 @@ class ClusterLearner:
         last one when no earlier one does (rounding may leave the total
         below the draw).
         """
-        cdf = self.pi[:, :-1].cumsum(axis=1)
-        return (cdf <= np.asarray(draws).reshape(-1, 1)).sum(axis=1)
+        # the index counts the running sums at or below the row's draw,
+        # all but the row's total
+        draws = np.asarray(draws)
+        if len(self._views) == 1:  # fewer calls on one block's 2-D view
+            cdf = self._views[0][0][:, :-1].cumsum(axis=1)
+            return (cdf <= draws.reshape(-1, 1)).sum(axis=1)
+        for pi, _, cdf in self._views:
+            np.cumsum(pi, axis=1, out=cdf)
+        below = self._cdf <= draws.take(self._entry_row)
+        below &= self._inner
+        return np.add.reduceat(below, self.start, dtype=np.intp)
 
     def update(self, played, utilities) -> None:
-        """Fold one observed (action, utility) pair per row into the estimates."""
+        """Fold one observed (action index, utility) pair per row into the estimates."""
         self.t += 1
         try:
             gains = _GAINS[self.exps][self.t]
@@ -153,18 +180,36 @@ class ClusterLearner:
             _GAINS[self.exps] = np.array([[np.nan] * 3] + [
                 [1.0 / t**x for x in self.exps] for t in range(1, size)])
             gains = _GAINS[self.exps][self.t]
-        tau, iota, eps = gains[:, 0], gains[:, 1:2], gains[:, 2:3]
-        rows = self._rows
+        entry = self._entry_row
+        tau = gains[:, 0]
+        per_entry = gains[entry]
+        iota, eps = per_entry[:, 1], per_entry[:, 2]
 
-        # the target and the regret step read the pre-update estimates
-        target = bg_distribution(self.regret_est, self.kappa)
-        self.regret_est += iota * (
-            self.utility_est - self.prev_utility[:, None] - self.regret_est
-        )
-        old = self.utility_est[rows, played]
-        self.utility_est[rows, played] = old + tau * (utilities - old)
-        self.pi += eps * (target - self.pi)
-        np.maximum(self.pi, 0.0, out=self.pi)
-        self.pi /= self.pi.sum(axis=1, keepdims=True)
+        # the Boltzmann-Gibbs target of the pre-update regrets, in place
+        target = self._target
+        np.maximum(self.regret_est, 0.0, out=target)
+        target *= self.kappa
+        for _, z, _ in self._views:
+            z -= z.max(axis=1, keepdims=True)
+        np.exp(target, out=target)
+        for _, w, _ in self._views:
+            w /= w.sum(axis=1, keepdims=True)
+
+        step = self.utility_est - self.prev_utility.take(entry)
+        step -= self.regret_est
+        step *= iota
+        self.regret_est += step
+        flat = self.start + played
+        old = self.utility_est[flat]
+        self.utility_est[flat] = old + tau * (utilities - old)
+        # pi stays >= +0 with no clamp. For an entry p >= 0 with target
+        # g >= 0 and eps in (0, 1]: g - p >= -p, eps * (g - p) >= -p and
+        # p + eps * (g - p) >= p - p = +0 hold exactly, and rounding is
+        # monotone with -p and +0 representable, so each holds rounded too
+        target -= self.pi
+        target *= eps
+        self.pi += target
+        for pi, _, _ in self._views:
+            pi /= pi.sum(axis=1, keepdims=True)
 
         self.prev_utility[:] = utilities

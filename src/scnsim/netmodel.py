@@ -147,6 +147,7 @@ def compute_loads(
     tol: float = 1e-6,
     max_iter: int = 200,
     init: np.ndarray | None = None,
+    airtime: np.ndarray | None = None,
 ) -> NetworkConfiguration:
     """Solve the load-coupled fixed point rho_b = sum_{m -> b} traffic_m / R_b(x_m).
 
@@ -168,6 +169,11 @@ def compute_loads(
     rounding is rate_matrix's bit for bit. Without excl the excluded term is
     the serving BS's own power times its gain, the single nonzero product of
     rate_matrix's identity-matrix sum.
+
+    airtime, when given, is traffic / rate_matrix(channel, gains, power,
+    state, init, excl) for an init in [0, 1]: the first iteration's per-UE
+    airtimes sit at its serving entries, so that iteration reads them
+    instead of sweeping. It still counts as iteration 1.
     """
     n_bs, n_ue = gains.shape
     serving = np.asarray(serving, dtype=np.intp)
@@ -193,22 +199,25 @@ def compute_loads(
     raw = np.zeros(n_bs)
     converged, iterations = False, 0
     for iterations in range(1, max_iter + 1):
-        # full-size matmuls keep rate_matrix's rounding bit for bit
-        w = x * tx
-        total = w @ gains
-        if excl_w is None:
-            excluded = w.take(srv)
-            excluded *= own_gain
+        if airtime is not None:
+            rate, airtime = airtime.take(flat), None
         else:
-            excluded = ((excl_w * w) @ gains).take(flat)
-        denom = total if everyone else total.take(cols)
-        denom -= excluded
-        denom += noise
-        np.divide(signal, denom, out=rate)
-        rate += 1.0
-        np.log2(rate, out=rate)
-        rate *= bandwidth
-        np.divide(demand, rate, out=rate)  # per-UE airtime
+            # full-size matmuls keep rate_matrix's rounding bit for bit
+            w = x * tx
+            total = w @ gains
+            if excl_w is None:
+                excluded = w.take(srv)
+                excluded *= own_gain
+            else:
+                excluded = ((excl_w * w) @ gains).take(flat)
+            denom = total if everyone else total.take(cols)
+            denom -= excluded
+            denom += noise
+            np.divide(signal, denom, out=rate)
+            rate += 1.0
+            np.log2(rate, out=rate)
+            rate *= bandwidth
+            np.divide(demand, rate, out=rate)  # per-UE airtime
         raw = np.bincount(srv, weights=rate, minlength=n_bs)
         x_new = np.minimum(raw, 1.0)
         converged = bool(abs(x_new - x).max() < tol)

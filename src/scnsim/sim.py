@@ -167,13 +167,15 @@ class World:
         self.excl: np.ndarray | None = None
         # SBS distance similarity, fixed per drop; the first recluster builds it
         self.s_dist: np.ndarray | None = None
-        # one stacked learner per cluster size, playing the on/off table of
-        # that many members; groups lists (learner, member ids per row,
-        # partition index per row) and slots maps a cluster's member ids to
-        # its (learner, row)
-        self.learners: dict[int, learn.ClusterLearner] = {}
-        self.groups: list[tuple[learn.ClusterLearner, np.ndarray, np.ndarray]] = []
-        self.slots: dict[tuple[int, ...], tuple[learn.ClusterLearner, int]] = {}
+        # one learner row per cluster, rows of one size in one block, from
+        # the first partition on (classical mode never builds it): rows
+        # maps a cluster's member ids to its row, order holds the partition
+        # index of each row, and blocks lists (table rows, member ids per
+        # row, on/off action set) per block
+        self.table: learn.LearnerTable | None = None
+        self.rows: dict[tuple[int, ...], int] = {}
+        self.order = np.zeros(0, dtype=np.intp)
+        self.blocks: list[tuple[slice, np.ndarray, np.ndarray]] = []
         # every installed partition; its epoch is the step that installed it
         self.cluster_events: list[clust.ClusterPartition] = []
         # serving station per UE after the last step (-1 = uncovered)
@@ -198,9 +200,10 @@ class World:
     def _set_partition(self, partition: clust.ClusterPartition) -> None:
         """Install a partition, keeping the learner row of every unchanged cluster.
 
-        Clusters of the same size play the same action set and share one
-        stacked learner; kept rows carry over by index and new clusters get
-        fresh rows. An unchanged cluster tuple only swaps in the new heads.
+        Clusters of the same size play the same action set and form one
+        block of the learner table; kept rows carry over by index and new
+        clusters get fresh rows. An unchanged cluster tuple only swaps in
+        the new heads.
         """
         self.cluster_events.append(partition)
         unchanged = (
@@ -217,34 +220,19 @@ class World:
         if any(len(members) > 1 for members in clusters):
             self.excl = netmodel.exclusion_matrix(self.n_bs, clusters).astype(float)
 
-        by_size: dict[int, list[int]] = {}
-        for i, members in enumerate(clusters):
-            by_size.setdefault(len(members), []).append(i)
-        lcfg = self.cfg.learning
-        learners, groups, slots = {}, [], {}
-        for size, idx in by_size.items():
-            kept = [i for i in idx if clusters[i] in self.slots]
-            order = kept + [i for i in idx if clusters[i] not in self.slots]
-            learner = self.learners.get(size)
-            if learner is None:  # then no cluster is kept either
-                learner = learn.ClusterLearner(
-                    learn.build_action_set(size, lcfg.max_actions),
-                    rows=0,
-                    kappa=lcfg.kappa,
-                    utility_exp=lcfg.utility_exp,
-                    regret_exp=lcfg.regret_exp,
-                    policy_exp=lcfg.policy_exp,
-                )
-            learner.restack(
-                [self.slots[clusters[i]][1] for i in kept], len(order) - len(kept)
-            )
-            for row, i in enumerate(order):
-                slots[clusters[i]] = (learner, row)
-            learners[size] = learner
-            groups.append(
-                (learner, np.array([clusters[i] for i in order]), np.array(order))
-            )
-        self.learners, self.groups, self.slots = learners, groups, slots
+        # rows by size, in partition order within a size
+        if self.table is None:
+            self.table = learn.LearnerTable(self.cfg.learning)
+        sizes = np.array([len(members) for members in clusters], dtype=np.intp)
+        order = np.argsort(sizes, kind="stable")
+        ordered = [clusters[i] for i in order.tolist()]
+        self.table.restack(sizes[order], [self.rows.get(c, -1) for c in ordered])
+        self.rows = {c: r for r, c in enumerate(ordered)}
+        self.order = order
+        self.blocks = [
+            (block, np.array(ordered[block]), actions)
+            for block, actions in zip(self.table.blocks, self.table.actions)
+        ]
 
     def _recluster(self, t: int) -> None:
         ids = self.sbs_idx
@@ -306,14 +294,12 @@ class World:
         # (3) clusters draw sleep/wake actions; classical stays on. One
         # uniform per cluster, drawn in partition order
         state = self._all_on
-        played = []
-        if self.groups:
+        if self.blocks:
             state = state.copy()
             draws = self.learner_rng.random(self.n_clusters)
-            for learner, members, order in self.groups:
-                idx = learner.sample(draws[order])
-                played.append(idx)
-                state[members] = learner.actions[idx]
+            played = self.table.sample(draws[self.order])
+            for rows, members, actions in self.blocks:
+                state[members] = actions[played[rows]]
 
         # (4) association against active stations only; with nothing awake
         # every UE is uncovered (-1) and the step charges penalties instead
@@ -333,6 +319,7 @@ class World:
         # with interference frozen at the previous step's loads; a UE
         # enters only when attached to an active member, so it stays covered.
         # A singleton's head can only keep its UEs where they are
+        costs = None
         if self.excl is not None and serving.size and not no_coverage:
             rates = netmodel.rate_matrix(
                 self.cfg.channel, self.gains, self.p_max, state, prev_load, self.excl
@@ -346,7 +333,9 @@ class World:
         # state, serving and prev_load (power, traffic, gains and the solver
         # settings are fixed per World), so a step whose inputs equal those
         # of a remembered solve under the same excl reuses its results,
-        # SBS slices for the record included
+        # SBS slices for the record included. Stage (5)'s costs, taken at
+        # the serving entries, are the per-UE airtimes of the fixed point's
+        # first iteration from prev_load, so the solve starts from them
         if self.excl is not self._solves_excl:
             self._solves, self._solves_excl = {}, self.excl
         key = (state_key, serving.tobytes(), prev_load.tobytes())
@@ -355,7 +344,7 @@ class World:
             net = netmodel.compute_loads(
                 self.cfg.channel, self.gains, self.p_max, state, serving, self.traffic,
                 excl=self.excl, tol=rc.load_tol, max_iter=rc.load_max_iter,
-                init=prev_load,
+                init=prev_load, airtime=costs,
             )
             self.fp_solves += 1
             totals = netmodel.total_powers(self.p_max, self.p_idle, self.idle_scale, net)
@@ -373,12 +362,14 @@ class World:
 
         # (8) every learner observes the negated cost of its own members;
         # a step that left UEs uncovered charges the bounded penalty instead
-        for (learner, members, _), idx in zip(self.groups, played):
-            if no_coverage:
-                utilities = -learn.penalty_cost(self.p_max[members], self.cfg.learning)
-            else:
-                utilities = -per_bs_cost[members].sum(axis=1)
-            learner.update(idx, utilities)
+        if self.blocks:
+            charged = np.empty(self.n_clusters)
+            for rows, members, _ in self.blocks:
+                if no_coverage:
+                    charged[rows] = learn.penalty_cost(self.p_max[members], self.cfg.learning)
+                else:
+                    charged[rows] = per_bs_cost[members].sum(axis=1)
+            self.table.update(played, -charged)
 
         # (9) SBS-scope bookkeeping
         self.last_serving = serving.copy()

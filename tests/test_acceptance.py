@@ -25,7 +25,7 @@ from scnsim.clustering import (
 )
 from scnsim.config import ClusteringConfig, default_config
 from scnsim.coordination import rebalance
-from scnsim.learning import ClusterLearner, build_action_set
+from scnsim.learning import LearnerTable
 from scnsim.sim import sweep
 
 UE_GRID = [10, 21, 32, 43, 54, 65]
@@ -221,24 +221,25 @@ def test_criterion_5_spectral_oracle():
 
 
 def test_criterion_6_learner_sanity():
-    utilities = np.array([-10.0, -5.0, 0.0])
-    # the learner reads only the table's row count: keep three actions
-    learner = ClusterLearner(build_action_set(2, 4)[:3])
-    assert learner.n_actions == 3
+    # one learner row of a 2-member cluster: four actions, the third best
+    utilities = np.array([-10.0, -5.0, 0.0, -7.5])
+    learner = LearnerTable(default_config().learning)
+    learner.restack([2], [-1])
+    assert learner.pi.size == 4
     rng = np.random.default_rng(123)
     first_cross = None
     for t in range(1, 10001):
-        played = learner.sample(rng.random())
+        played = learner.sample([rng.random()])
         learner.update(played, utilities[played])
-        assert abs(learner.pi[0].sum() - 1.0) <= 1e-9
-        assert np.all(learner.pi[0] >= 0.0)
-        if first_cross is None and learner.pi[0, 2] > 0.9:
+        assert abs(learner.pi.sum() - 1.0) <= 1e-9
+        assert np.all(learner.pi >= 0.0)
+        if first_cross is None and learner.pi[2] > 0.9:
             first_cross = t
     assert first_cross is not None, "pi never crossed 0.9 within 10000 steps"
-    assert learner.pi[0, 2] > 0.9, f"final pi_best={learner.pi[0, 2]:.3f}"
+    assert learner.pi[2] > 0.9, f"final pi_best={learner.pi[2]:.3f}"
     print(
         f"criterion 6: PASS - pi_best crossed 0.9 at step {first_cross}, "
-        f"final {learner.pi[0, 2]:.3f}, simplex error <= 1e-9 throughout"
+        f"final {learner.pi[2]:.3f}, simplex error <= 1e-9 throughout"
     )
 
 

@@ -8,9 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from scnsim import cli
 from scnsim.cli import (
     CDF_HEADER,
     SUMMARY_HEADER,
+    _fmt,
     _trace_rows,
     build_parser,
     main,
@@ -336,10 +338,11 @@ def _trace_rows_per_record(results):
                 ]
 
 
-def test_stacked_trace_rows_match_per_record_reductions():
+def test_stacked_trace_rows_match_per_record_reductions(monkeypatch):
     # steps.csv sums and means come from (steps, n_sbs) stacks reduced
     # along axis 1; each must round exactly as np.sum / np.mean of its own
-    # record, across the sizes where numpy's pairwise summation changes shape
+    # record, across the sizes where numpy's pairwise summation changes
+    # shape. Rows are spelled column by column, each value as _fmt spells it
     rng = np.random.default_rng(0)
     runs = []
     for n_sbs in range(41):
@@ -347,7 +350,7 @@ def test_stacked_trace_rows_match_per_record_reductions():
         for step in range(1, 6):
             scale = 10.0 ** rng.uniform(-6, 3, size=n_sbs)
             records.append(StepRecord(
-                step=step, n_clusters=n_sbs, mean_cluster_size=1.0,
+                step=step, n_clusters=n_sbs, mean_cluster_size=rng.uniform(1.0, 4.0),
                 state_changes=int(rng.integers(0, n_sbs + 1)),
                 converged=bool(rng.integers(2)),
                 sbs_state=rng.integers(0, 2, size=n_sbs),
@@ -360,9 +363,13 @@ def test_stacked_trace_rows_match_per_record_reductions():
     results = [SimpleNamespace(mode="classical", ue_count=9, eps_d=250.0,
                                theta=0.5, runs=runs)]
 
-    def exact(rows):
-        return [[v.hex() if isinstance(v, float) else v for v in row] for row in rows]
-
-    got = exact(_trace_rows(results))
-    assert got == exact(_trace_rows_per_record(results))
+    want = [[_fmt(v) for v in row] for row in _trace_rows_per_record(results)]
+    got = list(_trace_rows(results))
+    assert got == want
     assert len(got) == 41 * 5
+    # every float column, spelled exactly
+    monkeypatch.setattr(cli, "_floats", lambda values: [v.hex() for v in values.tolist()])
+    exact = [[_fmt(v) for v in row[:5]]
+             + [v.hex() if isinstance(v, float) else _fmt(v) for v in row[5:]]
+             for row in _trace_rows_per_record(results)]
+    assert list(_trace_rows(results)) == exact

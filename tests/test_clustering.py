@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from scnsim.clustering import (
     LAPLACIAN_MODES,
+    _centroids,
     ClusterPartition,
     build_adjacency,
     distance_similarity,
@@ -337,6 +338,26 @@ def test_kmeans_equals_the_two_pass_oracle(start, n, d, k_frac, max_iter, seed):
     want = reference_kmeans(pts, k, want_rng, max_iter=max_iter, init_labels=init)[0]
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert got_rng.random() == want_rng.random()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    d=st.integers(1, 9),
+    k=st.integers(1, 6),
+    extra=st.integers(0, 40),
+    scale=st.sampled_from([1e-3, 1.0, 1e6]),
+    seed=st.integers(0, 2**16),
+)
+def test_scatter_centers_equal_per_group_means(d, k, extra, scale, seed):
+    # k-means centers come from one scatter-add and one division; each must
+    # equal numpy's mean of its own group bit for bit, for groups of 9 or
+    # more points, where a pairwise sum of one column would round otherwise
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.concatenate([np.repeat(np.arange(k), 9),
+                                             rng.integers(0, k, size=extra)]))
+    pts = rng.normal(size=(labels.size, d)) * scale + rng.normal(size=d)
+    want = np.array([pts[labels == j].mean(axis=0) for j in range(k)])
+    assert _centroids(pts, labels, k).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("start, k, seed, passes, repaired", [

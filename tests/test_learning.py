@@ -7,19 +7,14 @@ import pytest
 
 from scnsim import learning
 from scnsim.config import LearningConfig
-from scnsim.learning import (
-    ClusterLearner,
-    bg_distribution,
-    build_action_set,
-    penalty_cost,
-)
+from scnsim.learning import LearnerTable, build_action_set, penalty_cost
 
 
 class ReferenceLearner:
     """One cluster's learner, written per cluster with scalar draws.
 
-    This is the arithmetic every row of the stacked ClusterLearner must
-    reproduce bit for bit: a 1-D policy, one rng.random() per sample, and
+    This is the arithmetic every row of a LearnerTable must reproduce bit
+    for bit: a 1-D policy, one rng.random() per sample, and
     gains from Python-float powers of the learner's own step count.
     """
 
@@ -89,6 +84,20 @@ def test_cost_values():
     assert rows == pytest.approx([7.3, 3.0])
 
 
+def bg_distribution(regrets, kappa):
+    """The mixed strategy a fresh row holding these regrets moves to.
+
+    At t = 1 every gain is 1, so its first update sets pi to the
+    Boltzmann-Gibbs target of the regrets (through pi + (target - pi) and
+    the renormalising division, so to within rounding).
+    """
+    regrets = np.asarray(regrets, dtype=float)
+    table = _table([regrets.size.bit_length() - 1], kappa=kappa)
+    table.regret_est[:] = regrets
+    table.update([0], [0.0])
+    return table.pi
+
+
 def test_bg_distribution():
     # nonpositive regrets all collapse to the uniform mix
     assert np.allclose(bg_distribution(np.zeros(4), 10.0), 0.25)
@@ -100,8 +109,8 @@ def test_bg_distribution():
     # kappa = 0 ignores regrets entirely
     assert np.allclose(bg_distribution(np.array([0.0, 9.0]), 0.0), 0.5)
     # permutation equivariance
-    r = np.array([0.2, 0.0, 1.3])
-    perm = np.array([2, 0, 1])
+    r = np.array([0.2, 0.0, 1.3, -0.4])
+    perm = np.array([2, 0, 3, 1])
     assert np.allclose(bg_distribution(r[perm], 5.0),
                        bg_distribution(r, 5.0)[perm])
     # huge regrets stay finite thanks to max subtraction
@@ -109,130 +118,185 @@ def test_bg_distribution():
     assert np.isfinite(pi).all() and pi.sum() == pytest.approx(1.0)
 
 
+def _table(sizes, **learning):
+    """A LearnerTable of fresh rows with sizes[i] members each."""
+    table = LearnerTable(LearningConfig(**learning))
+    table.restack(sizes, [-1] * len(sizes))
+    return table
+
+
+def _row(table, r):
+    """Entries of row r in the table's flat buffers."""
+    stop = table.start[r + 1] if r + 1 < table.n_rows else table.pi.size
+    return slice(int(table.start[r]), int(stop))
+
+
 def test_first_update_has_unit_gains():
-    learner = ClusterLearner(build_action_set(1, 1024))
-    learner.update(played=0, utilities=-3.0)
+    table = _table([1])
+    table.update(played=[0], utilities=[-3.0])
     # t = 1 makes every gain 1: the utility estimate jumps to the sample,
     # regrets stay zero (old estimates were zero), and the policy moves to
     # the Boltzmann-Gibbs image of the old zero regrets, i.e. uniform
-    assert np.array_equal(learner.utility_est[0], [-3.0, 0.0])
-    assert np.array_equal(learner.regret_est[0], [0.0, 0.0])
-    assert np.array_equal(learner.pi[0], [0.5, 0.5])
-    assert learner.prev_utility[0] == -3.0
+    assert np.array_equal(table.utility_est, [-3.0, 0.0])
+    assert np.array_equal(table.regret_est, [0.0, 0.0])
+    assert np.array_equal(table.pi, [0.5, 0.5])
+    assert table.prev_utility[0] == -3.0
 
 
 def test_second_update_hand_computed():
-    learner = ClusterLearner(build_action_set(1, 1024))
-    learner.update(played=0, utilities=-3.0)
-    learner.update(played=1, utilities=-1.0)
+    table = _table([1])
+    table.update(played=[0], utilities=[-3.0])
+    table.update(played=[1], utilities=[-1.0])
     # tau(2) = 2^-0.6; only the played action's utility estimate moves
-    assert learner.utility_est[0, 0] == pytest.approx(-3.0)
-    assert learner.utility_est[0, 1] == pytest.approx(-0.6597539553864471,
-                                                      rel=1e-12)
+    assert table.utility_est[0] == pytest.approx(-3.0)
+    assert table.utility_est[1] == pytest.approx(-0.6597539553864471, rel=1e-12)
     # iota(2) = 2^-0.7 against reference utility -3 and old estimates
     # [-3, 0]: regret advantage is 0 for action 0 and 3 for action 1
-    assert learner.regret_est[0, 0] == pytest.approx(0.0, abs=1e-15)
-    assert learner.regret_est[0, 1] == pytest.approx(1.8467166200173746,
-                                                     rel=1e-12)
+    assert table.regret_est[0] == pytest.approx(0.0, abs=1e-15)
+    assert table.regret_est[1] == pytest.approx(1.8467166200173746, rel=1e-12)
     # policy target was G(old regrets = 0) = uniform, so pi is unchanged
-    assert np.allclose(learner.pi[0], [0.5, 0.5])
-    assert learner.prev_utility[0] == -1.0
+    assert np.allclose(table.pi, [0.5, 0.5])
+    assert table.prev_utility[0] == -1.0
 
 
 def test_policy_stays_on_simplex():
+    # a 3-member and a 1-member row in one table, so two blocks renormalise
     rng = np.random.default_rng(31)
-    learner = ClusterLearner(build_action_set(3, 1024))
+    table = _table([3, 1])
     for _ in range(2000):
-        played = learner.sample(rng.random())
-        learner.update(played, rng.uniform(-5.0, 0.0))
-        assert np.all(learner.pi >= 0.0)
-        assert abs(learner.pi[0].sum() - 1.0) <= 1e-9
-        assert np.isfinite(learner.pi).all()
+        played = table.sample(rng.random(2))
+        table.update(played, rng.uniform(-5.0, 0.0, size=2))
+        assert np.all(table.pi >= 0.0)
+        for r in range(2):
+            assert abs(table.pi[_row(table, r)].sum() - 1.0) <= 1e-9
+        assert np.isfinite(table.pi).all()
 
 
 def test_concentrates_on_better_action():
     rng = np.random.default_rng(7)
-    learner = ClusterLearner(build_action_set(1, 1024))
+    table = _table([1])
     for _ in range(10000):
-        played = learner.sample(rng.random())
-        learner.update(played, 0.0 if played[0] == 1 else -1.0)
+        played = table.sample([rng.random()])
+        table.update(played, [0.0 if played[0] == 1 else -1.0])
     # the all-off action (index 1) dominates by a utility gap of 1
-    assert learner.pi[0, 1] > 0.7
-    assert learner.pi[0, 1] == learner.pi.max()
+    assert table.pi[1] > 0.7
+    assert table.pi[1] == table.pi.max()
 
 
 def test_sampling_matches_policy():
     rng = np.random.default_rng(0)
-    learner = ClusterLearner(build_action_set(1, 1024))
-    learner.pi = np.array([[0.25, 0.75]])
-    draws = np.array([learner.sample(rng.random())[0] for _ in range(100000)])
+    table = _table([1])
+    table.pi[:] = [0.25, 0.75]
+    draws = np.array([table.sample([rng.random()])[0] for _ in range(100000)])
     assert np.mean(draws == 1) == pytest.approx(0.75, abs=0.01)
-    learner.pi = np.array([[0.0, 1.0]])
-    assert all(learner.sample(rng.random())[0] == 1 for _ in range(100))
+    table.pi[:] = [0.0, 1.0]
+    assert all(table.sample([rng.random()])[0] == 1 for _ in range(100))
 
 
 def test_sampling_reproducible():
-    learner = ClusterLearner(build_action_set(2, 1024))
-    a = [learner.sample(np.random.default_rng(99).random()) for _ in range(20)]
-    b = [learner.sample(np.random.default_rng(99).random()) for _ in range(20)]
+    table = _table([2, 1])
+    a = [table.sample(np.random.default_rng(99).random(2)).tolist() for _ in range(20)]
+    b = [table.sample(np.random.default_rng(99).random(2)).tolist() for _ in range(20)]
     assert a == b
 
 
-def test_empty_action_set_rejected():
-    with pytest.raises(ValueError):
-        ClusterLearner([])
-
-
 def test_sample_matches_searchsorted_at_cdf_points():
-    learner = ClusterLearner(build_action_set(2, 4)[:3], rows=6)
-    learner.pi[:] = [0.25, 0.5, 0.25]
-    draws = np.array([0.0, 0.25, 0.5, 0.75, 0.9999999999999999, 0.1])
-    want = np.minimum(np.searchsorted(np.cumsum(learner.pi[0]), draws,
-                                      side="right"), 2)
-    assert np.array_equal(learner.sample(draws), want)
+    # draws at the running sums, and in the last row one past a total that
+    # fell short of 1, which picks the last action; a 1-member block first
+    table = _table([1] + [2] * 7)
+    pi = np.array([0.25, 0.5, 0.125, 0.125])
+    short = np.array([0.25, 0.25, 0.25, 0.2])
+    table.pi[:] = np.concatenate([[0.5, 0.5], np.tile(pi, 6), short])
+    draws = np.array([0.75, 0.0, 0.25, 0.75, 0.875, 0.9999999999999999, 0.1, 0.97])
+    want = [1] + [min(int(np.searchsorted(np.cumsum(row), d, side="right")), 3)
+                  for row, d in zip([pi] * 6 + [short], draws[1:])]
+    assert table.sample(draws).tolist() == want
+    assert want[-1] == 3
+    # the same rows as the one block of a table of 2-member rows
+    table = _table([2] * 7)
+    table.pi[:] = np.concatenate([np.tile(pi, 6), short])
+    assert table.sample(draws[1:]).tolist() == want[1:]
 
 
-def test_stacked_rows_match_independent_learners():
-    # six action sets (2 to 512 actions, and 6, which no cluster size
-    # gives: the learner reads only the table's row count), rows joining at
-    # different steps so their t differ, and rows kept, reordered or
-    # dropped at each recluster; draws come from one vector in a shuffled
-    # partition order, the references draw one scalar each
-    sets = [build_action_set(s, 1024) for s in (1, 2, 3, 4, 9)]
-    sets.append(build_action_set(3, 1024)[:6])
+def test_table_blocks_follow_runs_of_equal_sizes():
+    # one block per run of equal sizes, each a (rows, 2^s) slice of the
+    # flat buffers playing that size's action set; a size over the cap
+    # raises
+    table = _table([1, 1, 3, 2, 2, 2], max_actions=8)
+    assert table.blocks == [slice(0, 2), slice(2, 3), slice(3, 6)]
+    assert [a.shape for a in table.actions] == [(2, 1), (8, 3), (4, 2)]
+    assert table.start.tolist() == [0, 2, 4, 12, 16, 20]
+    assert table.pi.size == 24
+    assert np.array_equal(table.pi, np.repeat([0.5, 0.5, 0.125, 0.25, 0.25, 0.25],
+                                              [2, 2, 8, 4, 4, 4]))
+    with pytest.raises(ValueError):
+        _table([4], max_actions=8)
+    empty = _table([])
+    assert empty.n_rows == 0 and empty.blocks == [] and empty.pi.size == 0
+
+
+def _assert_rows_equal_references(table, refs):
+    for r, ref in enumerate(refs):
+        entries = _row(table, r)
+        assert table.pi[entries].tobytes() == ref.pi.tobytes()
+        assert table.utility_est[entries].tobytes() == ref.utility_est.tobytes()
+        assert table.regret_est[entries].tobytes() == ref.regret_est.tobytes()
+        assert table.prev_utility[r] == ref.prev_utility
+        assert table.t[r] == ref.t
+
+
+def _assert_table_matches_independent_learners(pool):
+    """300 steps of a table of clusters with sizes drawn from pool, against
+    one ReferenceLearner per row.
+
+    Rows join at different steps so their t differ, and rows are kept,
+    reordered or dropped at each restack, with the table's rows sorted by
+    size as World installs them. Draws come from one vector in a shuffled
+    partition order; the references draw one scalar each.
+    """
     gen = np.random.default_rng(2024)
-    stacked = [ClusterLearner(a, rows=0, kappa=20.0) for a in sets]
-    refs = [[] for _ in sets]
+    table = LearnerTable(LearningConfig(kappa=20.0))
+    refs, sizes, ages, blocks = [], [], 0, 0
     rng_ref, rng_new = np.random.default_rng(5), np.random.default_rng(5)
     for step in range(300):
         if step % 40 == 0:
-            for g, learner in enumerate(stacked):
-                n = learner.n_rows
-                keep = gen.permutation(n)[: int(gen.integers(n // 2, n + 1))]
-                fresh = int(gen.integers(0 if n else 1, 3))
-                learner.restack(keep, fresh)
-                refs[g] = [refs[g][i] for i in keep] + [
-                    ReferenceLearner(len(sets[g]), kappa=20.0) for _ in range(fresh)
-                ]
-        slots = [(g, r) for g, learner in enumerate(stacked)
-                 for r in range(learner.n_rows)]
-        slots = [slots[i] for i in gen.permutation(len(slots))]
-        position = {slot: i for i, slot in enumerate(slots)}
-        want = {slot: refs[slot[0]][slot[1]].sample(rng_ref) for slot in slots}
-        draws = rng_new.random(len(slots))
-        for g, learner in enumerate(stacked):
-            played = learner.sample(draws[[position[(g, r)] for r in range(learner.n_rows)]])
-            assert played.tolist() == [want[(g, r)] for r in range(learner.n_rows)]
-            utilities = gen.uniform(-3.0, 0.0, size=learner.n_rows)
-            learner.update(played, utilities)
-            for r, ref in enumerate(refs[g]):
-                ref.update(int(played[r]), utilities[r])
-                assert learner.pi[r].tobytes() == ref.pi.tobytes()
-                assert learner.utility_est[r].tobytes() == ref.utility_est.tobytes()
-                assert learner.regret_est[r].tobytes() == ref.regret_est.tobytes()
-                assert learner.prev_utility[r] == ref.prev_utility
-                assert learner.t[r] == ref.t
-    assert len({int(t) for learner in stacked for t in learner.t}) > 3
+            n = len(refs)
+            keep = gen.permutation(n)[: int(gen.integers(n // 2, n + 1))].tolist()
+            fresh = [int(s) for s in gen.choice(pool, size=int(gen.integers(0 if n else 1, 4)))]
+            new_sizes = [sizes[i] for i in keep] + fresh
+            order = np.argsort(new_sizes, kind="stable").tolist()
+            src = keep + [-1] * len(fresh)
+            table.restack([new_sizes[i] for i in order], [src[i] for i in order])
+            refs = [refs[src[i]] if src[i] >= 0 else
+                    ReferenceLearner(1 << new_sizes[i], kappa=20.0) for i in order]
+            sizes = [new_sizes[i] for i in order]
+        position = gen.permutation(len(refs))  # each row's partition index
+        by_position = np.argsort(position)
+        want = [0] * len(refs)
+        for r in by_position.tolist():
+            want[r] = refs[r].sample(rng_ref)
+        draws = rng_new.random(len(refs))
+        played = table.sample(draws[position])
+        assert played.tolist() == want
+        utilities = gen.uniform(-3.0, 0.0, size=len(refs))
+        table.update(played, utilities)
+        for r, ref in enumerate(refs):
+            ref.update(int(played[r]), utilities[r])
+        _assert_rows_equal_references(table, refs)
+        ages = max(ages, len(set(table.t.tolist())))
+        blocks = max(blocks, len(table.blocks))
+    assert ages > 3
+    assert blocks == len(pool)  # every size held in one table at once
+
+
+def test_stacked_rows_match_independent_learners():
+    # clusters of sizes 1, 2, 3, 4 and 9 (2 to 512 actions) in one table
+    _assert_table_matches_independent_learners((1, 2, 3, 4, 9))
+
+
+def test_one_block_rows_match_independent_learners():
+    # singletons alone, the one block of learning_no_clusters
+    _assert_table_matches_independent_learners((1,))
 
 
 def test_gain_table_matches_per_row_powers(monkeypatch):
@@ -240,25 +304,23 @@ def test_gain_table_matches_per_row_powers(monkeypatch):
     # the per-row Python-float powers, reshaped to (rows, 3), bit for bit;
     # rows that joined at different steps read their own t
     monkeypatch.setattr(learning, "_GAINS", {})
-    learner = ClusterLearner(build_action_set(2, 4), rows=1)
+    table = _table([2])
     refs = [ReferenceLearner(4)]
     rng = np.random.default_rng(9)
     sizes = set()
     for step in range(3000):
         if step == 700:
-            learner.restack([0], 1)
+            table.restack([2, 2], [0, -1])
             refs.append(ReferenceLearner(4))
-        played = rng.integers(0, 4, size=learner.n_rows)
-        utilities = rng.uniform(-3.0, 0.0, size=learner.n_rows)
-        learner.update(played, utilities)
+        played = rng.integers(0, 4, size=table.n_rows)
+        utilities = rng.uniform(-3.0, 0.0, size=table.n_rows)
+        table.update(played, utilities)
         for r, ref in enumerate(refs):
             ref.update(int(played[r]), utilities[r])
-        sizes.add(len(learning._GAINS[learner.exps]))
+        sizes.add(len(learning._GAINS[table.exps]))
     assert len(sizes) > 1  # the table grew at least once
-    table = learning._GAINS[learner.exps]
+    gains = learning._GAINS[table.exps]
     want = np.reshape(
-        [[1.0 / t**x for x in learner.exps] for t in range(1, 3001)], (-1, 3))
-    assert table[1:3001].tobytes() == want.tobytes()
-    for r, ref in enumerate(refs):
-        assert learner.pi[r].tobytes() == ref.pi.tobytes()
-        assert learner.regret_est[r].tobytes() == ref.regret_est.tobytes()
+        [[1.0 / t**x for x in table.exps] for t in range(1, 3001)], (-1, 3))
+    assert gains[1:3001].tobytes() == want.tobytes()
+    _assert_rows_equal_references(table, refs)
