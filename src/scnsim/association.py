@@ -25,14 +25,14 @@ def associate_all(
     """Serving station index per UE; rx_power is (stations, UEs).
 
     Scores active stations by (1 - rho_hat)^delta * rx_power; ties break by
-    raw received power, then by lowest station index. When everything
-    sleeps, every UE gets -1 (uncovered).
+    raw received power, then by lowest station index. Raises ValueError
+    when every station sleeps.
     """
     rx_power = np.asarray(rx_power, dtype=float)
     state = np.asarray(state)
     rho_hat = np.asarray(rho_hat, dtype=float)
     if not state.any():
-        return np.full(rx_power.shape[1], -1, dtype=int)
+        raise ValueError("every station is asleep: no UE can be served")
     # 0^0 = 1 under numpy power, so delta = 0 degrades cleanly to RSSI even
     # at a fully loaded station
     weight = np.where(state != 0, np.power(1.0 - rho_hat, delta), -np.inf)

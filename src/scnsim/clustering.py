@@ -141,7 +141,8 @@ def _block_tol(eigenvalues: np.ndarray) -> float:
 
 
 def zero_eigenvalue_count(eigenvalues: np.ndarray, tol: float = 1e-8) -> int:
-    """Multiplicity of (numerically) zero eigenvalues = connected components."""
+    """Multiplicity of (numerically) zero eigenvalues: the number of connected
+    components for the standard Laplacian, not for the rowsum variant."""
     return int((abs(np.asarray(eigenvalues, dtype=float)) <= tol).sum())
 
 
@@ -277,18 +278,19 @@ def spectral_cluster(
     """Partition BSs by unnormalized spectral clustering on `similarity`.
 
     When k is not given it comes from the eigengap heuristic, floored by the
-    zero-eigenvalue multiplicity so disconnected components are never merged
-    (k-means on fewer clusters than components would pair arbitrary far-apart
-    BSs). k-means looks for k clusters in an embedding of at least k
-    eigenvectors: it runs on through the block of eigenvalues equal to the
-    k-th, so the partition does not depend on the basis the eigensolver
+    zero-eigenvalue multiplicity. With the standard Laplacian that floor is
+    the component count, so k is never below it; k-means may still put BSs of
+    two components into one cluster, and with the rowsum Laplacian k may fall
+    below the component count. k-means looks for k clusters in an embedding of
+    at least k eigenvectors: it runs on through the block of eigenvalues equal
+    to the k-th, so the partition does not depend on the basis the eigensolver
     picks inside that block. Heads are elected by estimated load (`loads`,
-    default all-zero, which degrades to lowest-id heads). init_labels
-    (aligned with ids) warm-starts k-means from a previous partition when
-    its group count still matches the selected k. max_iter caps the k-means
-    Lloyd iterations. max_size (None: unbounded) caps the members per
-    cluster: a larger k-means cluster is split by recursive spectral
-    bisection (`_bisect`) before heads are elected.
+    default all-zero, which degrades to lowest-id heads). init_labels (aligned
+    with ids) warm-starts k-means from a previous partition when its group
+    count still matches the selected k. max_iter caps the k-means Lloyd
+    iterations. max_size (None: unbounded) caps the members per cluster: a
+    larger k-means cluster is split by recursive spectral bisection
+    (`_bisect`) before heads are elected.
     """
     s = np.asarray(similarity, dtype=float)
     n = s.shape[0]

@@ -46,17 +46,6 @@ def build_action_set(size: int, cap: int) -> np.ndarray:
     return 1 - (bits & 1)
 
 
-def penalty_cost(p_max: np.ndarray, cfg: LearningConfig) -> np.ndarray:
-    """Worst-case stand-in cost when an action leaves cluster UEs unserved.
-
-    p_max holds the members' transmit ceilings along its last axis, one
-    cluster per row, and the result holds one cost per row: cfg.alpha
-    weighs power (W), cfg.beta the members' full load.
-    """
-    p_max = np.asarray(p_max, dtype=float)
-    return cfg.alpha * np.sum(p_max, axis=-1) + cfg.beta * p_max.shape[-1]
-
-
 class LearnerTable:
     """Regret learners of every cluster of a partition, one row per cluster.
 

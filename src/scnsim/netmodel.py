@@ -162,13 +162,12 @@ def compute_loads(
     the converged interference state, the convergence flag and the number
     of iterations run.
 
-    serving holds one BS index per UE (-1: unassigned, carries no load);
-    every serving BS must be active. excl is rate_matrix's exclusion matrix
-    (None: each BS excludes only itself). Iterations evaluate rate_matrix at
-    the serving entries only, with the same full-size products, so the
-    rounding is rate_matrix's bit for bit. Without excl the excluded term is
-    the serving BS's own power times its gain, the single nonzero product of
-    rate_matrix's identity-matrix sum.
+    serving holds one active BS index per UE. excl is rate_matrix's
+    exclusion matrix (None: each BS excludes only itself). Iterations
+    evaluate rate_matrix at the serving entries only, with the same
+    full-size products, so the rounding is rate_matrix's bit for bit.
+    Without excl the excluded term is the serving BS's own power times its
+    gain, the single nonzero product of rate_matrix's identity-matrix sum.
 
     airtime, when given, is traffic / rate_matrix(channel, gains, power,
     state, init, excl) for an init in [0, 1]: the first iteration's per-UE
@@ -176,24 +175,21 @@ def compute_loads(
     instead of sweeping. It still counts as iteration 1.
     """
     n_bs, n_ue = gains.shape
-    serving = np.asarray(serving, dtype=np.intp)
-    everyone = bool((serving >= 0).all())
-    cols = np.arange(n_ue) if everyone else np.flatnonzero(serving >= 0)
-    srv = serving if everyone else serving[cols]
+    srv = np.asarray(serving, dtype=np.intp)
     asleep = state[srv] == 0
     if asleep.any():
-        raise InactiveServerError(f"UEs {cols[asleep].tolist()} assigned to sleeping BSs")
+        bad = np.flatnonzero(asleep).tolist()
+        raise InactiveServerError(f"UEs {bad} assigned to sleeping BSs")
 
     # loop invariants; state is 0/1, so x * (power * state) rounds as
     # (x * power) * state does
     tx = power * state
-    flat = srv * n_ue + cols  # serving entries of the flattened (n_bs, n_ue)
+    flat = srv * n_ue + np.arange(n_ue)  # serving entries of the flattened (n_bs, n_ue)
     own_gain = gains.take(flat)
     signal = tx[srv] * own_gain
-    demand = traffic if everyone else traffic[cols]
     excl_w = None if excl is None else np.asarray(excl, dtype=float)
     noise, bandwidth = noise_w(channel), channel.bandwidth_hz
-    rate = np.empty(cols.size)
+    rate = np.empty(n_ue)
     # clamped as np.clip does it, -0.0 to +0.0 included
     x = np.zeros(n_bs) if init is None else np.minimum(np.maximum(init, 0.0), 1.0)
     raw = np.zeros(n_bs)
@@ -204,20 +200,19 @@ def compute_loads(
         else:
             # full-size matmuls keep rate_matrix's rounding bit for bit
             w = x * tx
-            total = w @ gains
+            denom = w @ gains
             if excl_w is None:
                 excluded = w.take(srv)
                 excluded *= own_gain
             else:
                 excluded = ((excl_w * w) @ gains).take(flat)
-            denom = total if everyone else total.take(cols)
             denom -= excluded
             denom += noise
             np.divide(signal, denom, out=rate)
             rate += 1.0
             np.log2(rate, out=rate)
             rate *= bandwidth
-            np.divide(demand, rate, out=rate)  # per-UE airtime
+            np.divide(traffic, rate, out=rate)  # per-UE airtime
         raw = np.bincount(srv, weights=rate, minlength=n_bs)
         x_new = np.minimum(raw, 1.0)
         converged = bool(abs(x_new - x).max() < tol)

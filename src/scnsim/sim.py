@@ -91,7 +91,7 @@ def generate_scenario(
 
 @dataclass
 class StepRecord:
-    """Per-step SBS metrics (the macro is bookkept separately by design)."""
+    """Per-step SBS metrics; the macro, always awake, is in no record."""
 
     step: int
     n_clusters: int
@@ -122,12 +122,16 @@ class World:
 
         BS b is a macro cell where macro[b], else a small cell; both kinds
         take their p_max, p_idle and active-state multiplier from cfg.power.
+        At least one BS must be a macro; it never sleeps, so every UE is served.
         """
         if cfg.run.mode not in MODES:
             raise ValueError(f"unknown mode {cfg.run.mode!r}")
+        macro = np.asarray(macro, dtype=bool)
+        if not macro.any():
+            raise ValueError(
+                "a World needs a macro station: it never sleeps, so every UE is served")
         self.cfg = cfg
         self.mode = cfg.run.mode
-        macro = np.asarray(macro, dtype=bool)
         self.bs_positions = np.asarray(bs_positions, dtype=float).reshape(-1, 2)
         self.n_bs = macro.size
         self.sbs_idx = np.flatnonzero(~macro)
@@ -178,7 +182,7 @@ class World:
         self.blocks: list[tuple[slice, np.ndarray, np.ndarray]] = []
         # every installed partition; its epoch is the step that installed it
         self.cluster_events: list[clust.ClusterPartition] = []
-        # serving station per UE after the last step (-1 = uncovered)
+        # serving station per UE after the last step
         self.last_serving = np.zeros(0, dtype=int)
         # fixed-point solves actually run; a step whose solver inputs repeat
         # those of a remembered solve bit for bit reuses its result instead
@@ -236,9 +240,6 @@ class World:
 
     def _recluster(self, t: int) -> None:
         ids = self.sbs_idx
-        if ids.size == 0:
-            self._set_partition(clust.ClusterPartition((), (), epoch=t))
-            return
         cc = self.cfg.clustering
         if self.s_dist is None:
             pos = self.bs_positions[ids]
@@ -301,10 +302,9 @@ class World:
             for rows, members, actions in self.blocks:
                 state[members] = actions[played[rows]]
 
-        # (4) association against active stations only; with nothing awake
-        # every UE is uncovered (-1) and the step charges penalties instead
-        # of aborting. With delta = 0 the score ignores rho_hat, so an
-        # unchanged state repeats the last pick
+        # (4) association against active stations only, the macro among
+        # them. With delta = 0 the score ignores rho_hat, so an unchanged
+        # state repeats the last pick
         delta = 0.0 if self.mode == "classical" else self.cfg.association.delta
         state_key = state.tobytes()
         if delta == 0 and self._assoc is not None and self._assoc[0] == state_key:
@@ -313,14 +313,13 @@ class World:
             serving = assoc.associate_all(self.rx, state, self.rho_hat, delta)
             if delta == 0:
                 self._assoc = (state_key, serving)
-        no_coverage = serving.size > 0 and serving[0] < 0
 
         # (5) each cluster head rebalances the UEs attached to its members,
         # with interference frozen at the previous step's loads; a UE
-        # enters only when attached to an active member, so it stays covered.
+        # enters only when attached to an active member, so it stays served.
         # A singleton's head can only keep its UEs where they are
         costs = None
-        if self.excl is not None and serving.size and not no_coverage:
+        if self.excl is not None:
             rates = netmodel.rate_matrix(
                 self.cfg.channel, self.gains, self.p_max, state, prev_load, self.excl
             )
@@ -360,15 +359,11 @@ class World:
             self.cycle = (entry[3], t)
         self.net, per_bs_cost, sbs, _ = entry
 
-        # (8) every learner observes the negated cost of its own members;
-        # a step that left UEs uncovered charges the bounded penalty instead
+        # (8) every learner observes the negated cost of its own members
         if self.blocks:
             charged = np.empty(self.n_clusters)
             for rows, members, _ in self.blocks:
-                if no_coverage:
-                    charged[rows] = learn.penalty_cost(self.p_max[members], self.cfg.learning)
-                else:
-                    charged[rows] = per_bs_cost[members].sum(axis=1)
+                charged[rows] = per_bs_cost[members].sum(axis=1)
             self.table.update(played, -charged)
 
         # (9) SBS-scope bookkeeping

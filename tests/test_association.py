@@ -59,10 +59,10 @@ def test_sleeping_station_never_chosen():
     assert pick(rx, state, np.zeros(3), delta=1.0) == 2
 
 
-def test_no_coverage_leaves_every_ue_uncovered():
-    serving = associate_all(np.ones((2, 3)), np.array([0, 0]), np.zeros(2))
-    assert serving.tolist() == [-1, -1, -1]
-    assert serving.dtype == int
+def test_every_station_asleep_raises():
+    # a World's macro never sleeps, so this is a caller's bad input
+    with pytest.raises(ValueError, match="every station is asleep"):
+        associate_all(np.ones((2, 3)), np.array([0, 0]), np.zeros(2))
 
 
 def test_tie_breaks_by_raw_power_then_index():

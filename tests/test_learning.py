@@ -7,7 +7,7 @@ import pytest
 
 from scnsim import learning
 from scnsim.config import LearningConfig
-from scnsim.learning import LearnerTable, build_action_set, penalty_cost
+from scnsim.learning import LearnerTable, build_action_set
 
 
 class ReferenceLearner:
@@ -74,14 +74,6 @@ def test_action_set_cap():
     assert len(build_action_set(2, 7)) == 4
     with pytest.raises(ValueError):
         build_action_set(3, 7)
-
-
-def test_cost_values():
-    params = LearningConfig(alpha=0.5, beta=0.5)
-    assert penalty_cost([6.3, 6.3], params) == pytest.approx(7.3)
-    # one cost per row for a stack of clusters
-    rows = penalty_cost(np.array([[6.3, 6.3], [1.0, 3.0]]), params)
-    assert rows == pytest.approx([7.3, 3.0])
 
 
 def bg_distribution(regrets, kappa):

@@ -204,17 +204,13 @@ def _reference_loads(ch, gains, power, state, z, traffic, excl, tol, max_iter,
     """The fixed point as a plain loop over full rate_matrix evaluations."""
     n_bs = len(power)
     serving = np.argmax(z, axis=0)
-    assigned = z.sum(axis=0) > 0
     x = np.zeros(n_bs) if init is None else np.clip(init, 0.0, 1.0)
     raw = np.zeros(n_bs)
     converged, iterations = False, 0
     for iterations in range(1, max_iter + 1):
         rates = rate_matrix(ch, gains, power, state, x, excl)
         serving_rate = rates[serving, np.arange(len(serving))]
-        per_ue = np.divide(traffic, serving_rate, out=np.zeros_like(traffic),
-                           where=assigned)
-        raw = np.bincount(serving[assigned], weights=per_ue[assigned],
-                          minlength=n_bs)
+        raw = np.bincount(serving, weights=traffic / serving_rate, minlength=n_bs)
         x_new = np.minimum(raw, 1.0)
         if np.max(np.abs(x_new - x)) < tol:
             x, converged = x_new, True
@@ -231,10 +227,10 @@ def _reference_loads(ch, gains, power, state, z, traffic, excl, tol, max_iter,
     (1.0, 1e-6, 1, True),  # one frozen-interference sweep
 ])
 def test_compute_loads_matches_rate_matrix_loop(full_share, tol, max_iter, warm):
-    # clustered exclusion, one sleeping SBS, one unassigned UE column and
-    # transmit levels drawn per station (p_max with probability full_share,
-    # else 0.6 p_max; 1.0 is World's every-station-at-p_max case): the
-    # hoisted solver must equal the loop exactly
+    # clustered exclusion, one sleeping SBS and transmit levels drawn per
+    # station (p_max with probability full_share, else 0.6 p_max; 1.0 is
+    # World's every-station-at-p_max case): the hoisted solver must equal
+    # the loop exactly
     ch = default_config().channel
     rng = np.random.default_rng(17)
     clusters = [(1, 2, 3), (4, 5)]
@@ -248,14 +244,11 @@ def test_compute_loads_matches_rate_matrix_loop(full_share, tol, max_iter, warm)
         serving = rng.choice([0, 1, 3, 4, 5, 6], size=n_ue)
         z = np.zeros((7, n_ue))
         z[serving, np.arange(n_ue)] = 1.0
-        z[:, 4] = 0.0  # UE 4 goes unserved
         init = rng.uniform(0, 1.2, size=7) if warm else None
         excl = exclusion_matrix(7, clusters)
 
-        got = compute_loads(ch, gains, power, state,
-                            np.where(z.any(axis=0), serving, -1), traffic,
-                            excl=excl, tol=tol, max_iter=max_iter,
-                            init=init)
+        got = compute_loads(ch, gains, power, state, serving, traffic,
+                            excl=excl, tol=tol, max_iter=max_iter, init=init)
         load, raw, converged, iterations = _reference_loads(
             ch, gains, power, state, z, traffic, excl, tol, max_iter,
             init)
@@ -264,45 +257,6 @@ def test_compute_loads_matches_rate_matrix_loop(full_share, tol, max_iter, warm)
         assert got.converged == converged
         assert got.iterations == iterations
         assert got.load_raw[2] == 0.0  # the sleeping SBS carries nothing
-
-
-def test_compute_loads_unassigned_ues_carry_no_load():
-    # UEs marked -1 sit outside the load sum: bit for bit as the reference
-    # loop over the one-hot matrix, and equal to a solve without their
-    # columns; with nobody assigned every raw load is zero
-    ch = default_config().channel
-    rng = np.random.default_rng(29)
-    clustered = exclusion_matrix(6, [(1, 2), (3, 4, 5)])
-    for trial in range(40):
-        pos, macro, p_max = macro_drop(rng, 6)
-        state = np.ones(6, dtype=np.int64)
-        n_ue = int(rng.integers(1, 30))
-        gains = gain_matrix(pos, macro, rng.uniform(0, 1000, size=(n_ue, 2)), LAYOUT)
-        traffic = rng.exponential(3e5, size=n_ue)
-        serving = rng.integers(0, 6, size=n_ue)
-        serving[rng.random(n_ue) < 0.4] = -1
-        if trial == 0:
-            serving[:] = -1
-        on = serving >= 0
-        z = np.zeros((6, n_ue))
-        z[serving[on], np.flatnonzero(on)] = 1.0
-        init = rng.uniform(0, 1, size=6)
-        for excl in (None, clustered):
-            got = compute_loads(ch, gains, p_max, state, serving, traffic,
-                                excl=excl, init=init)
-            load, raw, converged, iterations = _reference_loads(
-                ch, gains, p_max, state, z, traffic,
-                exclusion_matrix(6, None) if excl is None else excl,
-                1e-6, 200, init)
-            assert got.load.tobytes() == load.tobytes()
-            assert got.load_raw.tobytes() == raw.tobytes()
-            assert (got.converged, got.iterations) == (converged, iterations)
-            without = compute_loads(ch, gains[:, on], p_max, state, serving[on],
-                                    traffic[on], excl=excl, init=init)
-            np.testing.assert_allclose(got.load_raw, without.load_raw,
-                                       rtol=1e-12, atol=0.0)
-            if not on.any():
-                assert np.all(got.load_raw == 0.0)
 
 
 def test_compute_loads_counts_iterations():
@@ -364,6 +318,14 @@ def test_compute_loads_rejects_sleeping_server():
     with pytest.raises(InactiveServerError):
         compute_loads(ch, np.full((2, 1), 1e-13), np.ones(2), np.array([1, 0]),
                       np.array([1]), np.array([1e5]))
+
+
+def test_compute_loads_rejects_negative_serving_entry():
+    # every UE is served; a -1 entry is a caller's bad input, not "unserved"
+    ch = default_config().channel
+    with pytest.raises(ValueError):
+        compute_loads(ch, np.full((2, 2), 1e-13), np.ones(2), np.array([1, 1]),
+                      np.array([0, -1]), np.array([1e5, 1e5]))
 
 
 def test_exclusion_matrix():

@@ -46,10 +46,16 @@ def small_cfg(mode="learning_clustered", n_small=5, n_ues=12, steps=30):
 
 def test_macro_only_network():
     cfg = small_cfg(n_small=0, n_ues=4, steps=10)
-    result = run_once(cfg, 0)
+    cfg.clustering.recluster_every = 5
+    result = run_once(cfg, 0, keep_clusters=True)
     assert result.n_sbs == 0
     assert result.mean_cost_per_bs == 0.0
     assert result.total_energy == 0.0
+    # the recluster pipeline runs on the empty SBS set and installs empty
+    # partitions on schedule
+    assert [part.epoch for part in result.cluster_events] == [1, 5, 10]
+    for part in result.cluster_events:
+        assert part.clusters == () and part.heads == ()
 
 
 def test_scenario_layout_and_determinism():
@@ -151,41 +157,18 @@ def test_every_ue_served_each_step():
     for t in range(1, cfg.run.steps + 1):
         world.step(t)
         assert world.last_serving.shape == (cfg.layout.n_ues,)
-        assert np.all(world.last_serving >= 0)  # nobody uncovered
+        assert np.all(world.last_serving >= 0)  # every UE served
         assert np.all(world.net.state[world.last_serving] == 1)
 
 
-def test_all_asleep_charges_penalty():
-    # a macro-less world can actually go dark; the step must not abort and
-    # each learner must observe -(alpha * sum p_max + beta * member count)
+def test_macro_less_world_raises():
+    # the macro never sleeps, so a World without one could leave UEs unserved
     cfg = small_cfg("learning_no_clusters", n_small=0, n_ues=2, steps=5)
-    # two small cells (1 W p_max at the default config) and two UEs
-    world = World(cfg, np.array([[100.0, 100.0], [900.0, 900.0]]),
-                  np.array([False, False]),
-                  np.array([[150.0, 150.0], [850.0, 850.0]]), np.full(2, 1e5),
-                  np.random.default_rng(0), np.random.default_rng(0))
-    world.step(1)  # installs the singleton learners
-    world.table.pi.reshape(-1, 2)[:] = [0.0, 1.0]  # force the sleep action
-    rec = world.step(2)
-    assert np.all(rec.sbs_state == 0)
-    assert np.all(world.last_serving == -1)
-    assert world.table.prev_utility.tolist() == [-1.0, -1.0]  # 0.5 * 1 W + 0.5 * 1 member
-
-
-def test_all_asleep_without_ues_charges_the_cost():
-    # with no UE, nobody is left uncovered when every station sleeps: the
-    # learners observe the cost -(alpha * p_idle + beta * 0) per member,
-    # not the penalty
-    cfg = small_cfg("learning_no_clusters", n_small=0, n_ues=0, steps=5)
-    world = World(cfg, np.array([[100.0, 100.0], [900.0, 900.0]]),
-                  np.array([False, False]), np.zeros((0, 2)), np.zeros(0),
-                  np.random.default_rng(0), np.random.default_rng(0))
-    world.step(1)  # installs the singleton learners
-    world.table.pi.reshape(-1, 2)[:] = [0.0, 1.0]  # force the sleep action
-    rec = world.step(2)
-    assert np.all(rec.sbs_state == 0)
-    assert world.last_serving.shape == (0,)
-    assert world.table.prev_utility.tolist() == [-0.05, -0.05]  # 0.5 * 0.1 W
+    with pytest.raises(ValueError, match="a World needs a macro station"):
+        World(cfg, np.array([[100.0, 100.0], [900.0, 900.0]]),
+              np.array([False, False]),
+              np.array([[150.0, 150.0], [850.0, 850.0]]), np.full(2, 1e5),
+              np.random.default_rng(0), np.random.default_rng(0))
 
 
 def test_learners_survive_unchanged_partition():
@@ -768,10 +751,9 @@ def test_random_configs_are_rejected_or_run_finite(cfg):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(cfg=_scenario_configs())
 def test_random_valid_configs_keep_step_invariants(cfg):
-    # over the same hostile pool, every config that validates keeps two
-    # invariants at every step: each UE is served by an awake station
-    # while any station is awake, and every learner row of pi is on the
-    # simplex
+    # over the same hostile pool, every config that validates keeps its
+    # invariants at every step: the macro is awake, each UE is served by an
+    # awake station, and every learner row of pi is on the simplex
     try:
         validate_config(cfg)
         scen, kmeans, learner_seed = np.random.SeedSequence([cfg.run.seed, 0]).spawn(3)
@@ -781,9 +763,10 @@ def test_random_valid_configs_keep_step_invariants(cfg):
         return
     for t in range(1, cfg.run.steps + 1):
         world.step(t)
-        if world.net.state.any():
-            assert np.all(world.last_serving >= 0)
-            assert np.all(world.net.state[world.last_serving] == 1)
+        assert world.net.state[0] == 1
+        assert world.last_serving.shape == world.traffic.shape
+        assert np.all(world.last_serving >= 0)
+        assert np.all(world.net.state[world.last_serving] == 1)
         table = world.table  # None in classical mode
         if table is not None and table.n_rows:
             assert np.all(table.pi >= 0.0)
