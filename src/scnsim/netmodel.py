@@ -75,10 +75,12 @@ def gain_matrix(
     macro[b] selects the macro path-loss law for BS b, else the small-cell one.
     """
     pos = np.asarray(ue_positions, dtype=float).reshape(-1, 2)
-    out = np.empty((len(macro), pos.shape[0]))
-    for i, (x, y) in enumerate(np.asarray(bs_positions, dtype=float).tolist()):
-        d = np.hypot(pos[:, 0] - x, pos[:, 1] - y)
-        out[i] = gain(MACRO if macro[i] else SMALL, d, layout)
+    bs = np.asarray(bs_positions, dtype=float).reshape(-1, 2)
+    d = np.hypot(pos[:, 0] - bs[:, :1], pos[:, 1] - bs[:, 1:])
+    macro = np.asarray(macro, dtype=bool)
+    out = np.empty_like(d)
+    out[macro] = gain(MACRO, d[macro], layout)
+    out[~macro] = gain(SMALL, d[~macro], layout)
     return out
 
 
@@ -178,6 +180,9 @@ def compute_loads(
     srv = np.asarray(serving, dtype=np.intp)
     asleep = state[srv] == 0
     if asleep.any():
+        negative = np.flatnonzero(srv < 0).tolist()
+        if negative:
+            raise ValueError(f"UEs {negative} have negative serving entries")
         bad = np.flatnonzero(asleep).tolist()
         raise InactiveServerError(f"UEs {bad} assigned to sleeping BSs")
 

@@ -42,7 +42,7 @@ def _sample_position(
     """Uniform point in the square, at least min_dists[i] from anchors[i]."""
     ax, ay = anchors[:, 0], anchors[:, 1]
     for _ in range(MAX_PLACEMENT_TRIES):
-        p = rng.uniform(0.0, lay.side_m, size=2)
+        p = lay.side_m * rng.random(2)
         x, y = p.tolist()
         if (np.hypot(ax - x, ay - y) >= min_dists).all():
             return p
@@ -55,6 +55,21 @@ def _sample_position(
         f"{lay.min_dist_macro_ue_m:g}, min_dist_small_ue_m = "
         f"{lay.min_dist_small_ue_m:g}"
     )
+
+
+def _first_candidates(
+    rng: np.random.Generator, cfg: ScenarioConfig, pos: np.ndarray, traffic: np.ndarray
+) -> None:
+    """Fill pos and traffic with each UE's first candidate position and its
+    traffic, drawn as the placement loop draws them when no candidate misfits."""
+    if cfg.traffic.distribution == "exponential":
+        mean = cfg.traffic.mean_rate_bps
+        for m in range(len(pos)):
+            rng.random(out=pos[m])
+            traffic[m] = rng.exponential(mean)
+    else:
+        rng.random(out=pos)
+    pos *= cfg.layout.side_m
 
 
 def generate_scenario(
@@ -81,11 +96,22 @@ def generate_scenario(
     dmin = np.array([lay.min_dist_macro_ue_m] + [lay.min_dist_small_ue_m] * lay.n_small)
     ue_pos = np.empty((lay.n_ues, 2))
     traffic = np.full(lay.n_ues, float(cfg.traffic.mean_rate_bps))
-    exponential = cfg.traffic.distribution == "exponential"
-    for m in range(lay.n_ues):
-        ue_pos[m] = _sample_position(rng, lay, bs_pos, dmin)
-        if exponential:
-            traffic[m] = rng.exponential(cfg.traffic.mean_rate_bps)
+    # speculate that every UE's first candidate fits: draw them all in the
+    # placement loop's stream order and check them in one broadcast
+    start = rng.bit_generator.state
+    _first_candidates(rng, cfg, ue_pos, traffic)
+    d = np.hypot(bs_pos[:, 0] - ue_pos[:, :1], bs_pos[:, 1] - ue_pos[:, 1:])
+    fits = (d >= dmin).all(axis=1)
+    if not fits.all():
+        # rewind, redraw the UEs before the first misfit, place the rest in turn
+        k = int(fits.argmin())
+        rng.bit_generator.state = start
+        _first_candidates(rng, cfg, ue_pos[:k], traffic[:k])
+        exponential = cfg.traffic.distribution == "exponential"
+        for m in range(k, lay.n_ues):
+            ue_pos[m] = _sample_position(rng, lay, bs_pos, dmin)
+            if exponential:
+                traffic[m] = rng.exponential(cfg.traffic.mean_rate_bps)
     return bs_pos, np.arange(n_bs) == 0, ue_pos, traffic
 
 

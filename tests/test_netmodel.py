@@ -78,13 +78,42 @@ def test_gain_monotone_in_distance():
         assert np.all(np.diff(g) <= 0.0)
 
 
+def reference_gain_matrix(bs_positions, macro, ue_positions, layout):
+    """gain_matrix as one hypot and one gain() call per station."""
+    pos = np.asarray(ue_positions, dtype=float).reshape(-1, 2)
+    out = np.empty((len(macro), pos.shape[0]))
+    for i, (x, y) in enumerate(np.asarray(bs_positions, dtype=float).tolist()):
+        d = np.hypot(pos[:, 0] - x, pos[:, 1] - y)
+        out[i] = gain(MACRO if macro[i] else SMALL, d, layout)
+    return out
+
+
 def test_gain_matrix_against_scalar():
     pts = np.array([[30.0, 40.0], [500.0, 0.0]])
     mat = gain_matrix(np.array([[0.0, 0.0], [100.0, 0.0]]),
                       np.array([True, False]), pts, LAYOUT)
     assert mat.shape == (2, 2)
-    assert mat[0, 0] == pytest.approx(gain(MACRO, 50.0, LAYOUT))
-    assert mat[1, 1] == pytest.approx(gain(SMALL, 400.0, LAYOUT))
+    assert mat[0, 0] == gain(MACRO, 50.0, LAYOUT)
+    assert mat[1, 1] == gain(SMALL, 400.0, LAYOUT)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n_bs=st.integers(0, 16),
+    n_ues=st.integers(0, 90),
+    side=st.sampled_from([20.0, 150.0, 1000.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gain_matrix_matches_per_station_loop(n_bs, n_ues, side, seed):
+    # any macro mask, stations and UEs anywhere, distances below both clamps
+    rng = np.random.default_rng(seed)
+    bs_pos = rng.uniform(0.0, side, size=(n_bs, 2))
+    macro = rng.random(n_bs) < 0.3
+    ue_pos = rng.uniform(0.0, side, size=(n_ues, 2))
+    got = gain_matrix(bs_pos, macro, ue_pos, LAYOUT)
+    want = reference_gain_matrix(bs_pos, macro, ue_pos, LAYOUT)
+    assert got.shape == want.shape == (n_bs, n_ues)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_rate_snr_one_identity():
@@ -325,6 +354,11 @@ def test_compute_loads_rejects_negative_serving_entry():
     ch = default_config().channel
     with pytest.raises(ValueError):
         compute_loads(ch, np.full((2, 2), 1e-13), np.ones(2), np.array([1, 1]),
+                      np.array([0, -1]), np.array([1e5, 1e5]))
+    # -1 would wrap to the last station; asleep, it must not pass for a
+    # sleeping server (InactiveServerError is a RuntimeError)
+    with pytest.raises(ValueError, match=r"UEs \[1\] have negative serving entries"):
+        compute_loads(ch, np.full((2, 2), 1e-13), np.ones(2), np.array([1, 0]),
                       np.array([0, -1]), np.array([1e5, 1e5]))
 
 

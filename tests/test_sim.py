@@ -21,6 +21,7 @@ from scnsim.config import (
 )
 from scnsim.coordination import rebalance
 from scnsim.sim import (
+    MAX_PLACEMENT_TRIES,
     STEP_SECONDS,
     RunResult,
     StepRecord,
@@ -89,6 +90,116 @@ def test_min_distances_hold_across_seeds():
         assert np.all(d_ue[1:] >= lay.min_dist_small_ue_m)
 
 
+def _reference_sample_position(rng, lay, anchors, min_dists):
+    ax, ay = anchors[:, 0], anchors[:, 1]
+    for _ in range(MAX_PLACEMENT_TRIES):
+        p = rng.uniform(0.0, lay.side_m, size=2)
+        x, y = p.tolist()
+        if (np.hypot(ax - x, ay - y) >= min_dists).all():
+            return p
+    raise ConfigError(
+        f"infeasible density: could not place a node after {MAX_PLACEMENT_TRIES} "
+        f"draws; layout.side_m = {lay.side_m:g} is too small for n_small = "
+        f"{lay.n_small}, n_ues = {lay.n_ues} at min_dist_macro_small_m = "
+        f"{lay.min_dist_macro_small_m:g}, min_dist_small_small_m = "
+        f"{lay.min_dist_small_small_m:g}, min_dist_macro_ue_m = "
+        f"{lay.min_dist_macro_ue_m:g}, min_dist_small_ue_m = "
+        f"{lay.min_dist_small_ue_m:g}"
+    )
+
+
+def reference_generate_scenario(cfg, rng):
+    """generate_scenario as a sequential rejection loop, one node at a time:
+    each UE draws candidates until one fits, then its traffic."""
+    lay = cfg.layout
+    n_bs = 1 + lay.n_small
+    bs_pos = np.empty((n_bs, 2))
+    bs_pos[0] = lay.side_m / 2.0
+    dmin = np.array(
+        [lay.min_dist_macro_small_m] + [lay.min_dist_small_small_m] * lay.n_small
+    )
+    for b in range(1, n_bs):
+        bs_pos[b] = _reference_sample_position(rng, lay, bs_pos[:b], dmin[:b])
+    dmin = np.array([lay.min_dist_macro_ue_m] + [lay.min_dist_small_ue_m] * lay.n_small)
+    ue_pos = np.empty((lay.n_ues, 2))
+    traffic = np.full(lay.n_ues, float(cfg.traffic.mean_rate_bps))
+    for m in range(lay.n_ues):
+        ue_pos[m] = _reference_sample_position(rng, lay, bs_pos, dmin)
+        if cfg.traffic.distribution == "exponential":
+            traffic[m] = rng.exponential(cfg.traffic.mean_rate_bps)
+    return bs_pos, np.arange(n_bs) == 0, ue_pos, traffic
+
+
+def _first_ue_misfit(cfg, seed):
+    """Index of the first UE whose first candidate misfits (None: none does)."""
+    rng = np.random.default_rng(seed)
+    lay = dataclasses.replace(cfg.layout, n_ues=0)
+    bs_pos = reference_generate_scenario(dataclasses.replace(cfg, layout=lay), rng)[0]
+    dmin = np.array([lay.min_dist_macro_ue_m] + [lay.min_dist_small_ue_m] * lay.n_small)
+    for m in range(cfg.layout.n_ues):
+        x, y = rng.uniform(0.0, lay.side_m, size=2).tolist()
+        if not (np.hypot(bs_pos[:, 0] - x, bs_pos[:, 1] - y) >= dmin).all():
+            return m
+        if cfg.traffic.distribution == "exponential":
+            rng.exponential(cfg.traffic.mean_rate_bps)
+    return None
+
+
+def _assert_drop_matches_reference(cfg, seed):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        want = reference_generate_scenario(cfg, want_rng)
+    except ConfigError as err:
+        with pytest.raises(ConfigError) as got_err:
+            generate_scenario(cfg, got_rng)
+        assert str(got_err.value) == str(err)
+        return
+    got = generate_scenario(cfg, got_rng)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    # the stream is left where the sequential loop leaves it
+    assert got_rng.random() == want_rng.random()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    side_m=st.sampled_from([1000.0, 400.0, 200.0, 150.0]),
+    n_small=st.integers(0, 10),
+    n_ues=st.integers(0, 80),
+    distribution=st.sampled_from(TRAFFIC_DISTRIBUTIONS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generate_scenario_matches_sequential_placement(
+        side_m, n_small, n_ues, distribution, seed):
+    # the speculative UE pass, its rewind and the SBS draw give the
+    # sequential loop's arrays and RNG stream bit for bit, misfits or not
+    cfg = small_cfg(n_small=n_small, n_ues=n_ues)
+    cfg.layout.side_m = side_m
+    cfg.traffic.distribution = distribution
+    _assert_drop_matches_reference(cfg, seed)
+
+
+def test_generate_scenario_first_or_last_ue_misfits():
+    # the rewind redraws no UE when UE 0 misfits and every UE but one when
+    # the last UE does; seeds found by _first_ue_misfit, checked here
+    cases = [
+        ("exponential", 20, 1000.0, 0, 89),
+        ("exponential", 20, 1000.0, 19, 667),
+        ("constant", 20, 1000.0, 0, 89),
+        ("constant", 20, 1000.0, 19, 338),
+        ("exponential", 60, 300.0, 0, 6),
+        ("exponential", 60, 300.0, 59, 657),
+    ]
+    for distribution, n_ues, side_m, misfit, seed in cases:
+        cfg = small_cfg(n_small=10, n_ues=n_ues)
+        cfg.layout.side_m = side_m
+        cfg.traffic.distribution = distribution
+        assert _first_ue_misfit(cfg, seed) == misfit
+        _assert_drop_matches_reference(cfg, seed)
+
+
 def test_infeasible_density():
     cfg = small_cfg(n_small=6)
     cfg.layout.side_m = 100.0
@@ -97,6 +208,23 @@ def test_infeasible_density():
         generate_scenario(cfg, np.random.default_rng(0))
     for key in ("side_m = 100", "n_small = 6", "min_dist_small_small_m = 200"):
         assert key in str(err.value)
+
+
+def test_infeasible_ue_density():
+    # the SBSs fit but no UE position lies 2 km from every small cell, so
+    # the speculative pass misfits at UE 0 and the sequential loop gives up
+    cfg = small_cfg(n_small=3, n_ues=5)
+    cfg.layout.min_dist_small_ue_m = 2000.0
+    want = (
+        "infeasible density: could not place a node after 10000 draws; "
+        "layout.side_m = 1000 is too small for n_small = 3, n_ues = 5 at "
+        "min_dist_macro_small_m = 75, min_dist_small_small_m = 40, "
+        "min_dist_macro_ue_m = 35, min_dist_small_ue_m = 2000"
+    )
+    with pytest.raises(ConfigError) as err:
+        generate_scenario(cfg, np.random.default_rng(0))
+    assert str(err.value) == want
+    _assert_drop_matches_reference(cfg, 0)
 
 
 def test_run_determinism():
