@@ -82,7 +82,10 @@ def parse_vary(text: str) -> tuple[str, list[float]]:
         if not values:
             raise ValueError(f"empty value list in {text!r}")
     if name == "ues":
-        values = [int(round(v)) for v in values]
+        fractional = [v for v in values if not float(v).is_integer()]
+        if fractional:
+            raise ValueError(f"ues takes whole UE counts, got {fractional[0]:g} in {text!r}")
+        values = [int(v) for v in values]
     return name, values
 
 
@@ -140,28 +143,25 @@ def _trace_rows(results):
         for rr in res.runs:
             if rr.records is None:
                 continue
-            recs = rr.records
+            trace = rr.records
             n_sbs = max(rr.n_sbs, 1)
 
-            def field(name):
-                return [getattr(rec, name) for rec in recs]
-
-            def row_sums(name):  # of the (steps, n_sbs) stack of one field
-                return np.array(field(name)).sum(axis=1)
+            def ints(values):
+                return [str(v) for v in values.tolist()]
 
             # a row sum rounds exactly as np.sum of that record's own vector,
             # and np.mean is that sum divided by n_sbs
             columns = [
-                [str(v) for v in field("step")],
-                [str(v) for v in field("n_clusters")],
-                _floats(np.array(field("mean_cluster_size"), dtype=float)),
-                [str(v) for v in field("state_changes")],
-                [str(v) for v in row_sums("sbs_state").tolist()],
-                _floats(row_sums("sbs_power")),
-                _floats(row_sums("sbs_load") / n_sbs),
-                _floats(row_sums("sbs_load_raw") / n_sbs),
-                _floats(row_sums("sbs_cost") / n_sbs),
-                [str(int(v)) for v in field("converged")],
+                ints(trace.step),
+                ints(trace.n_clusters),
+                _floats(trace.mean_cluster_size),
+                ints(trace.state_changes),
+                ints(trace.sbs_state.sum(axis=1)),
+                _floats(trace.sbs_power.sum(axis=1)),
+                _floats(trace.sbs_load.sum(axis=1) / n_sbs),
+                _floats(trace.sbs_load_raw.sum(axis=1) / n_sbs),
+                _floats(trace.sbs_cost.sum(axis=1) / n_sbs),
+                ints(trace.converged.astype(int)),
             ]
             run = [_fmt(v) for v in (res.mode, res.ue_count, res.eps_d, res.theta, rr.run)]
             yield from ([*run, *row] for row in zip(*columns))

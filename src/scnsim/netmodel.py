@@ -16,7 +16,7 @@ All powers are in watts, distances in metres, rates in bit/s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,6 +138,51 @@ def rate_matrix(
     return channel.bandwidth_hz * np.log2(1.0 + sinr)
 
 
+class LoadSetup(NamedTuple):
+    """compute_loads's loop invariants for one (state, serving, excl).
+
+    srv is serving as intp and flat its entries of the flattened
+    (n_bs, n_ue) arrays; tx is power * state, own_gain and signal the
+    serving station's gain and received power per UE, excl_w the float
+    exclusion matrix (None: each BS excludes only itself).
+    """
+
+    srv: np.ndarray
+    flat: np.ndarray
+    own_gain: np.ndarray
+    tx: np.ndarray
+    signal: np.ndarray
+    excl_w: np.ndarray | None
+    noise: float
+
+
+def load_setup(
+    channel: ChannelConfig,
+    gains: np.ndarray,
+    power: np.ndarray,
+    state: np.ndarray,
+    serving: np.ndarray,
+    excl: np.ndarray | None = None,
+) -> LoadSetup:
+    """Check serving against state and build compute_loads's loop invariants."""
+    n_ue = gains.shape[1]
+    srv = np.asarray(serving, dtype=np.intp)
+    asleep = state[srv] == 0
+    if asleep.any():
+        negative = np.flatnonzero(srv < 0).tolist()
+        if negative:
+            raise ValueError(f"UEs {negative} have negative serving entries")
+        bad = np.flatnonzero(asleep).tolist()
+        raise InactiveServerError(f"UEs {bad} assigned to sleeping BSs")
+    # state is 0/1, so x * (power * state) rounds as (x * power) * state does
+    tx = power * state
+    flat = srv * n_ue + np.arange(n_ue)
+    own_gain = gains.take(flat)
+    excl_w = None if excl is None else np.asarray(excl, dtype=float)
+    return LoadSetup(srv, flat, own_gain, tx, tx[srv] * own_gain, excl_w,
+                     noise_w(channel))
+
+
 def compute_loads(
     channel: ChannelConfig,
     gains: np.ndarray,
@@ -150,6 +195,7 @@ def compute_loads(
     max_iter: int = 200,
     init: np.ndarray | None = None,
     airtime: np.ndarray | None = None,
+    setup: LoadSetup | None = None,
 ) -> NetworkConfiguration:
     """Solve the load-coupled fixed point rho_b = sum_{m -> b} traffic_m / R_b(x_m).
 
@@ -175,25 +221,16 @@ def compute_loads(
     state, init, excl) for an init in [0, 1]: the first iteration's per-UE
     airtimes sit at its serving entries, so that iteration reads them
     instead of sweeping. It still counts as iteration 1.
-    """
-    n_bs, n_ue = gains.shape
-    srv = np.asarray(serving, dtype=np.intp)
-    asleep = state[srv] == 0
-    if asleep.any():
-        negative = np.flatnonzero(srv < 0).tolist()
-        if negative:
-            raise ValueError(f"UEs {negative} have negative serving entries")
-        bad = np.flatnonzero(asleep).tolist()
-        raise InactiveServerError(f"UEs {bad} assigned to sleeping BSs")
 
-    # loop invariants; state is 0/1, so x * (power * state) rounds as
-    # (x * power) * state does
-    tx = power * state
-    flat = srv * n_ue + np.arange(n_ue)  # serving entries of the flattened (n_bs, n_ue)
-    own_gain = gains.take(flat)
-    signal = tx[srv] * own_gain
-    excl_w = None if excl is None else np.asarray(excl, dtype=float)
-    noise, bandwidth = noise_w(channel), channel.bandwidth_hz
+    setup, when given, is load_setup(channel, gains, power, state, serving,
+    excl) for these same arguments, built once and reused by every solve
+    that shares them; None builds it here.
+    """
+    if setup is None:
+        setup = load_setup(channel, gains, power, state, serving, excl)
+    srv, flat, own_gain, tx, signal, excl_w, noise = setup
+    n_bs, n_ue = gains.shape
+    bandwidth = channel.bandwidth_hz
     rate = np.empty(n_ue)
     # clamped as np.clip does it, -0.0 to +0.0 included
     x = np.zeros(n_bs) if init is None else np.minimum(np.maximum(init, 0.0), 1.0)
@@ -234,9 +271,11 @@ def total_powers(
     idle_scale_active: float | np.ndarray,
     cfg: NetworkConfiguration,
 ) -> np.ndarray:
-    """Vector of consumed powers, watts, of BSs with cfg's states and loads.
+    """Consumed powers, watts, of BSs with cfg's states and loads.
 
-    p_max and p_idle are the per-BS station parameters, aligned with cfg.
+    p_max and p_idle are the per-BS station parameters, aligned with cfg's
+    last axis; the formula is elementwise, so a cfg whose arrays stack
+    (steps, n_bs) rows gives each row's powers bit for bit.
     """
     active = cfg.load * p_max + idle_scale_active * p_idle
     return np.where(cfg.state == 1, active, p_idle)

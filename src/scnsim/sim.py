@@ -14,8 +14,7 @@ worker scheduling.
 from __future__ import annotations
 
 import copy
-import dataclasses
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,26 +95,31 @@ def generate_scenario(
     dmin = np.array([lay.min_dist_macro_ue_m] + [lay.min_dist_small_ue_m] * lay.n_small)
     ue_pos = np.empty((lay.n_ues, 2))
     traffic = np.full(lay.n_ues, float(cfg.traffic.mean_rate_bps))
-    # speculate that every UE's first candidate fits: draw them all in the
-    # placement loop's stream order and check them in one broadcast
-    start = rng.bit_generator.state
-    _first_candidates(rng, cfg, ue_pos, traffic)
-    d = np.hypot(bs_pos[:, 0] - ue_pos[:, :1], bs_pos[:, 1] - ue_pos[:, 1:])
-    fits = (d >= dmin).all(axis=1)
-    if not fits.all():
-        # rewind, redraw the UEs before the first misfit, place the rest in turn
-        k = int(fits.argmin())
+    exponential = cfg.traffic.distribution == "exponential"
+    # speculate that every remaining UE's first candidate fits: draw them
+    # all in the placement loop's stream order and check them in one
+    # broadcast. At a misfit, rewind, redraw the UEs before it, place it
+    # with the loop and speculate again from the next UE
+    m = 0
+    while m < lay.n_ues:
+        start = rng.bit_generator.state
+        _first_candidates(rng, cfg, ue_pos[m:], traffic[m:])
+        rest = ue_pos[m:]
+        d = np.hypot(bs_pos[:, 0] - rest[:, :1], bs_pos[:, 1] - rest[:, 1:])
+        fits = (d >= dmin).all(axis=1)
+        if fits.all():
+            break
+        k = m + int(fits.argmin())
         rng.bit_generator.state = start
-        _first_candidates(rng, cfg, ue_pos[:k], traffic[:k])
-        exponential = cfg.traffic.distribution == "exponential"
-        for m in range(k, lay.n_ues):
-            ue_pos[m] = _sample_position(rng, lay, bs_pos, dmin)
-            if exponential:
-                traffic[m] = rng.exponential(cfg.traffic.mean_rate_bps)
+        _first_candidates(rng, cfg, ue_pos[m:k], traffic[m:k])
+        ue_pos[k] = _sample_position(rng, lay, bs_pos, dmin)
+        if exponential:
+            traffic[k] = rng.exponential(cfg.traffic.mean_rate_bps)
+        m = k + 1
     return bs_pos, np.arange(n_bs) == 0, ue_pos, traffic
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepRecord:
     """Per-step SBS metrics; the macro, always awake, is in no record."""
 
@@ -129,6 +133,40 @@ class StepRecord:
     sbs_load: np.ndarray  # clamped duty cycles
     sbs_load_raw: np.ndarray
     sbs_cost: np.ndarray  # alpha * power + beta * raw load
+
+
+@dataclass(eq=False)
+class Trace(Sequence):
+    """A run's StepRecord fields as read-only arrays, one row per step.
+
+    Scalar fields are (steps,) arrays and sbs_* fields (steps, n_sbs)
+    arrays. Indexing builds StepRecords on demand, whose sbs_* arrays are
+    read-only views of one row.
+    """
+
+    step: np.ndarray
+    n_clusters: np.ndarray
+    mean_cluster_size: np.ndarray
+    state_changes: np.ndarray
+    converged: np.ndarray
+    sbs_state: np.ndarray
+    sbs_power: np.ndarray
+    sbs_load: np.ndarray
+    sbs_load_raw: np.ndarray
+    sbs_cost: np.ndarray
+
+    def __len__(self) -> int:
+        return self.step.size
+
+    def __getitem__(self, u):
+        if isinstance(u, slice):
+            return [self[i] for i in range(*u.indices(len(self)))]
+        return StepRecord(
+            self.step[u].item(), self.n_clusters[u].item(),
+            self.mean_cluster_size[u].item(), self.state_changes[u].item(),
+            self.converged[u].item(), self.sbs_state[u], self.sbs_power[u],
+            self.sbs_load[u], self.sbs_load_raw[u], self.sbs_cost[u],
+        )
 
 
 class World:
@@ -218,10 +256,16 @@ class World:
         # every solve of the run under the exclusion matrix object
         # _solves_excl, so a steady run's cycle of solve inputs in the last
         # bits is held whole, whatever its period: (state, serving,
-        # prev_load bytes) -> (net, per-BS cost, read-only SBS record
-        # arrays, step that solved it)
+        # prev_load bytes) -> (net, per-BS cost the learners are charged
+        # or None without learners, step that solved it)
         self._solves: dict[tuple[bytes, bytes, bytes], tuple] = {}
         self._solves_excl: np.ndarray | None = None
+        # the last fixed-point set-up under _solves_excl: ((state, serving
+        # bytes), netmodel.LoadSetup)
+        self._setup: tuple[tuple[bytes, bytes], netmodel.LoadSetup] | None = None
+        # one entry per step run: (net, cluster count, mean cluster size,
+        # SBS flips); trace() stacks it
+        self.history: list[tuple[netmodel.NetworkConfiguration, int, float, int]] = []
         # classical only: (first, repeat) steps of the first solve reuse; a
         # classical step is a function of the previous loads alone, so from
         # step first on the run repeats with period repeat - first
@@ -296,7 +340,8 @@ class World:
         )
         self._set_partition(part)
 
-    def step(self, t: int) -> StepRecord:
+    def step(self, t: int) -> None:
+        """Run step t and append its solve and scalars to the history."""
         rc = self.cfg.run
         # a solve's arrays are never written after it returns (the memo
         # hands them out again), so the previous step's need no copy
@@ -354,36 +399,39 @@ class World:
             serving = coord.rebalance(costs, self.label, serving, state == 1)
 
         # (6) realized loads from the coupled fixed point, warm-started, and
-        # (7) the running cost per BS. Both are pure functions of excl,
-        # state, serving and prev_load (power, traffic, gains and the solver
-        # settings are fixed per World), so a step whose inputs equal those
-        # of a remembered solve under the same excl reuses its results,
-        # SBS slices for the record included. Stage (5)'s costs, taken at
-        # the serving entries, are the per-UE airtimes of the fixed point's
-        # first iteration from prev_load, so the solve starts from them
+        # (7) the running cost per BS that the learners are charged. Both
+        # are pure functions of excl, state, serving and prev_load (power,
+        # traffic, gains and the solver settings are fixed per World), so a
+        # step whose inputs equal those of a remembered solve under the
+        # same excl reuses its results, and a solve whose state and serving
+        # equal the last solve's reuses its loop invariants. Stage (5)'s
+        # costs, taken at the serving entries, are the per-UE airtimes of
+        # the fixed point's first iteration from prev_load, so the solve
+        # starts from them
         if self.excl is not self._solves_excl:
-            self._solves, self._solves_excl = {}, self.excl
-        key = (state_key, serving.tobytes(), prev_load.tobytes())
+            self._solves, self._solves_excl, self._setup = {}, self.excl, None
+        inputs = (state_key, serving.tobytes())
+        key = (*inputs, prev_load.tobytes())
         entry = self._solves.get(key)
         if entry is None:
+            if self._setup is None or self._setup[0] != inputs:
+                self._setup = inputs, netmodel.load_setup(
+                    self.cfg.channel, self.gains, self.p_max, state, serving, self.excl)
             net = netmodel.compute_loads(
                 self.cfg.channel, self.gains, self.p_max, state, serving, self.traffic,
                 excl=self.excl, tol=rc.load_tol, max_iter=rc.load_max_iter,
-                init=prev_load, airtime=costs,
+                init=prev_load, airtime=costs, setup=self._setup[1],
             )
             self.fp_solves += 1
-            totals = netmodel.total_powers(self.p_max, self.p_idle, self.idle_scale, net)
-            lcfg = self.cfg.learning
-            per_bs_cost = lcfg.alpha * totals + lcfg.beta * net.load_raw
-            # the record's sbs_* arrays, in field order; every reuse shares them
-            sbs = tuple(a[self.sbs_idx] for a in (
-                net.state, totals, net.load, net.load_raw, per_bs_cost))
-            for a in sbs:
-                a.setflags(write=False)
-            entry = self._solves[key] = (net, per_bs_cost, sbs, t)
+            per_bs_cost = None
+            if self.blocks:
+                totals = netmodel.total_powers(self.p_max, self.p_idle, self.idle_scale, net)
+                lcfg = self.cfg.learning
+                per_bs_cost = lcfg.alpha * totals + lcfg.beta * net.load_raw
+            entry = self._solves[key] = (net, per_bs_cost, t)
         elif self.mode == "classical" and self.cycle is None:
-            self.cycle = (entry[3], t)
-        self.net, per_bs_cost, sbs, _ = entry
+            self.cycle = (entry[2], t)
+        self.net, per_bs_cost, _ = entry
 
         # (8) every learner observes the negated cost of its own members
         if self.blocks:
@@ -396,9 +444,43 @@ class World:
         self.last_serving = serving.copy()
         # the macro never sleeps, so every flip is an SBS flip
         flips = int(state_key != prev_state.tobytes() and np.count_nonzero(state != prev_state))
-        return StepRecord(
-            t, self.n_clusters, self.mean_cluster_size, flips, self.net.converged, *sbs
-        )
+        self.history.append((self.net, self.n_clusters, self.mean_cluster_size, flips))
+
+    def trace(self, steps: int | None = None) -> Trace:
+        """The history as StepRecord fields, one row per step from step 1.
+
+        steps defaults to the steps run. A classical World whose cycle is
+        known may ask for more: an unstepped step u reads the row of step
+        first + (u - first) % (repeat - first). Powers and costs are
+        computed here for every stepped solve at once, elementwise, so they
+        round as a per-step computation does.
+        """
+        nets, n_clusters, sizes, flips = zip(*self.history)
+        n = len(nets)
+        steps = n if steps is None else steps
+        index = np.arange(steps)
+        if steps > n:
+            if self.cycle is None:
+                raise ValueError(f"{n} steps run and no cycle to replay up to {steps}")
+            first, repeat = self.cycle
+            f = first - 1
+            index[n:] = f + (index[n:] - f) % (repeat - first)
+        stacked = netmodel.NetworkConfiguration(
+            *(np.array([getattr(net, name) for net in nets])
+              for name in ("state", "load", "load_raw")))
+        power = netmodel.total_powers(self.p_max, self.p_idle, self.idle_scale, stacked)
+        lcfg = self.cfg.learning
+        cost = lcfg.alpha * power + lcfg.beta * stacked.load_raw
+        sbs = [a.take(self.sbs_idx, axis=1).take(index, axis=0) for a in (
+            stacked.state, power, stacked.load, stacked.load_raw, cost)]
+        fields = [
+            np.arange(1, steps + 1), np.array(n_clusters)[index], np.array(sizes)[index],
+            np.array(flips)[index], np.array([net.converged for net in nets])[index],
+            *sbs,
+        ]
+        for a in fields:
+            a.setflags(write=False)
+        return Trace(*fields)
 
 
 @dataclass
@@ -418,7 +500,7 @@ class RunResult:
     mean_cluster_size: float
     state_changes: int
     converged_frac: float
-    records: list[StepRecord] | None = None
+    records: Trace | None = None  # every step, with keep_records
     cluster_events: list[clust.ClusterPartition] | None = None
 
 
@@ -446,39 +528,26 @@ def run_once(
         np.random.default_rng(kmeans_seed), np.random.default_rng(learn_seed),
     )
     steps = cfg.run.steps
-    records = []
     for t in range(1, steps + 1):
-        records.append(world.step(t))
-        if world.cycle is not None:
+        world.step(t)
+        if world.cycle is not None:  # the rest of a classical run replays
             break
-    # step u (0-based) reads the stepped record index[u]: the identity, but
-    # from a classical run's first solve reuse on, the steps replay its cycle
-    index = np.arange(steps)
-    if world.cycle is not None:
-        first, repeat = world.cycle
-        f = first - 1
-        index[f:] = f + (index[f:] - f) % (repeat - first)
+    trace = world.trace(steps)
     burn = burn_in_steps(steps, cfg.run.burn_in_frac)
-    window = index[burn:]
     n_sbs = int(world.sbs_idx.size)
-
-    def stack(name, rows):
-        """Record field `name` at the steps in rows, byte-equal to stepping them."""
-        return np.array([getattr(r, name) for r in records])[rows]
-
     if n_sbs:
-        # (steps, n_sbs) stacks; a row sum rounds as np.sum of that record
-        power = stack("sbs_power", index)
-        cost = float((stack("sbs_cost", window).sum(axis=1) / n_sbs).mean())
+        # (steps, n_sbs) arrays; a row sum rounds as np.sum of that record
+        power = trace.sbs_power
+        cost = float((trace.sbs_cost[burn:].sum(axis=1) / n_sbs).mean())
         energy = power[burn:].sum(axis=0) * STEP_SECONDS
         mean_energy = float(np.mean(energy))
-        mean_load = float(np.mean(stack("sbs_load", window)))
+        mean_load = float(np.mean(trace.sbs_load[burn:]))
         total_energy = float(power.sum(axis=1).sum() * STEP_SECONDS)
     else:
         cost, mean_energy, mean_load, total_energy = 0.0, 0.0, 0.0, 0.0
         energy = np.zeros(0)
 
-    result = RunResult(
+    return RunResult(
         run=run_index,
         mode=cfg.run.mode,
         n_sbs=n_sbs,
@@ -488,18 +557,13 @@ def run_once(
         energy_per_sbs=energy,
         total_energy=total_energy,
         mean_load=mean_load,
-        cluster_count=float(np.mean(stack("n_clusters", window))),
-        mean_cluster_size=float(np.mean(stack("mean_cluster_size", window))),
-        state_changes=int(stack("state_changes", index).sum()),
-        converged_frac=float(np.mean(stack("converged", index))),
-        records=records if keep_records else None,
+        cluster_count=float(np.mean(trace.n_clusters[burn:])),
+        mean_cluster_size=float(np.mean(trace.mean_cluster_size[burn:])),
+        state_changes=int(trace.state_changes.sum()),
+        converged_frac=float(np.mean(trace.converged)),
+        records=trace if keep_records else None,
         cluster_events=world.cluster_events if keep_clusters else None,
     )
-    if keep_records:  # a replayed step's record is its cycle record renumbered
-        stepped = len(records)
-        records += [dataclasses.replace(records[i], step=u)
-                    for u, i in enumerate(index[stepped:].tolist(), stepped + 1)]
-    return result
 
 
 def _run_once_star(args):
@@ -533,6 +597,9 @@ def run_experiment(
     n = cfg.run.runs
     tasks = [(cfg, i, keep_records, keep_clusters) for i in range(n)]
     if cfg.run.jobs > 1 and n > 1:
+        # imported here: a serial run never pays for the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(cfg.run.jobs, n)) as pool:
             results = list(pool.map(_run_once_star, tasks))
     else:

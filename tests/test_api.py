@@ -2,6 +2,10 @@
 settable value lives in one config tree."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +49,16 @@ def test_settable_values_are_the_ini_keys():
 ])
 def test_deleted_names_are_gone(module, name):
     assert not hasattr(module, name)
+
+
+def test_import_leaves_the_process_pool_out():
+    # run_experiment imports the pool only when it runs jobs in parallel,
+    # so a fresh `import scnsim` never loads it
+    src = str(Path(scnsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = "import sys, scnsim; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

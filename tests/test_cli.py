@@ -1,6 +1,7 @@
 """CLI tests: argument parsing, CSV schemas, and byte-identical reruns."""
 
 import csv
+import dataclasses
 import hashlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -61,7 +62,7 @@ def test_parse_vary_forms():
 @pytest.mark.parametrize(
     "text",
     ["ues", "ues=", "zeta=1,2", "ues=10:75", "ues=75:10:5", "ues=1:9:0",
-     "theta=,"],
+     "theta=,", "ues=10.5", "ues=10:20:2.5"],
 )
 def test_parse_vary_rejects(text):
     with pytest.raises(ValueError):
@@ -339,8 +340,8 @@ def _trace_rows_per_record(results):
 
 
 def test_stacked_trace_rows_match_per_record_reductions(monkeypatch):
-    # steps.csv sums and means come from (steps, n_sbs) stacks reduced
-    # along axis 1; each must round exactly as np.sum / np.mean of its own
+    # steps.csv sums and means come from a Trace's (steps, n_sbs) arrays
+    # reduced along axis 1; each must round exactly as np.sum / np.mean of its own
     # record, across the sizes where numpy's pairwise summation changes
     # shape. Rows are spelled column by column, each value as _fmt spells it
     rng = np.random.default_rng(0)
@@ -359,7 +360,9 @@ def test_stacked_trace_rows_match_per_record_reductions(monkeypatch):
                 sbs_load_raw=rng.random(n_sbs) * scale,
                 sbs_cost=rng.random(n_sbs) * scale,
             ))
-        runs.append(SimpleNamespace(run=n_sbs, n_sbs=n_sbs, records=records))
+        trace = sim.Trace(*(np.array([getattr(rec, f.name) for rec in records])
+                            for f in dataclasses.fields(StepRecord)))
+        runs.append(SimpleNamespace(run=n_sbs, n_sbs=n_sbs, records=trace))
     results = [SimpleNamespace(mode="classical", ue_count=9, eps_d=250.0,
                                theta=0.5, runs=runs)]
 

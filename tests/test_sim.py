@@ -387,16 +387,16 @@ def test_step_exposes_fixed_point_iterations():
 _associate_all = association.associate_all  # unpatched, for fresh solves
 
 
-def _fresh_step_inputs(world, rec, prev_load, delta, associate=None):
-    """Serving vector, loads and SBS powers and costs of the step that
-    returned rec, recomputed from scratch."""
-    state = np.ones(world.n_bs, dtype=np.int64)
-    state[world.sbs_idx] = rec.sbs_state
+_SBS_FIELDS = ("sbs_state", "sbs_power", "sbs_load", "sbs_load_raw", "sbs_cost")
+
+
+def _fresh_step_inputs(world, prev_load, delta, associate=None):
+    """Serving vector, solve and SBS record arrays (_SBS_FIELDS order) of
+    the step just run, recomputed from scratch at its state."""
+    state = world.net.state.copy()
     n_ue = world.traffic.size
     if not n_ue:
         serving = np.zeros(0, dtype=int)
-    elif not state.any():
-        serving = np.full(n_ue, -1)
     else:
         serving = (associate or _associate_all)(
             world.p_max[:, None] * world.gains, state, world.rho_hat, delta)
@@ -414,19 +414,31 @@ def _fresh_step_inputs(world, rec, prev_load, delta, associate=None):
     totals = netmodel.total_powers(world.p_max, world.p_idle, world.idle_scale, net)
     lcfg = world.cfg.learning
     cost = lcfg.alpha * totals + lcfg.beta * net.load_raw
-    return serving, net, totals[world.sbs_idx], cost[world.sbs_idx]
+    s = world.sbs_idx
+    return serving, net, (state[s], totals[s], net.load[s], net.load_raw[s], cost[s])
 
 
-def _assert_step_equals_fresh(world, rec, prev_load, delta, associate=None):
-    serving, fresh, power, cost = _fresh_step_inputs(world, rec, prev_load, delta,
-                                                     associate)
+def _assert_step_equals_fresh(world, prev_load, delta, associate=None):
+    """The step just run equals a fresh solve from its own inputs; returns
+    the fresh SBS record arrays, for _assert_records_equal."""
+    serving, fresh, row = _fresh_step_inputs(world, prev_load, delta, associate)
     assert serving.tobytes() == world.last_serving.tobytes()
     for name in ("state", "load", "load_raw"):
         assert getattr(fresh, name).tobytes() == getattr(world.net, name).tobytes()
     assert (fresh.converged, fresh.iterations) == (
         world.net.converged, world.net.iterations)
-    assert power.tobytes() == rec.sbs_power.tobytes()
-    assert cost.tobytes() == rec.sbs_cost.tobytes()
+    return row
+
+
+def _assert_records_equal(records, rows):
+    """Each record's SBS arrays equal the fresh ones in bytes and are read-only."""
+    assert len(records) == len(rows)
+    for rec, row in zip(records, rows):
+        for name, want in zip(_SBS_FIELDS, row):
+            got = getattr(rec, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), (rec.step, name)
+            assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("scenario_seed", [0, 3])
@@ -454,11 +466,13 @@ def test_reused_solves_equal_fresh_solves(mode, delta, scenario_seed, monkeypatc
                   np.random.default_rng(1), np.random.default_rng(2))
     effective_delta = 0.0 if mode == "classical" else delta
     sbs_served = 0
+    rows = []
     for t in range(1, cfg.run.steps + 1):
         prev_load = world.net.load.copy()
-        rec = world.step(t)
-        _assert_step_equals_fresh(world, rec, prev_load, effective_delta)
+        world.step(t)
+        rows.append(_assert_step_equals_fresh(world, prev_load, effective_delta))
         sbs_served += int(np.any(world.last_serving > 0))
+    _assert_records_equal(world.trace(), rows)
     assert 1 <= world.fp_solves <= cfg.run.steps
     if mode == "classical" or scenario_seed == 0:
         assert world.fp_solves < cfg.run.steps
@@ -471,11 +485,12 @@ def test_reused_solves_equal_fresh_solves(mode, delta, scenario_seed, monkeypatc
 
 @pytest.mark.parametrize("mode", MODES)
 def test_reused_step_records_are_read_only_solve_slices(mode):
-    # the memo holds each solve's SBS record arrays, sliced once; a reused
-    # step's record shares them, so they must equal fresh slices of that
-    # step's own solve and refuse writes. At 12 Mbit/s per UE in drop 1,
-    # every mode reuses most solves and some reused steps overload an SBS,
-    # so its clamped and raw loads differ
+    # a reused step appends the remembered solve to the history again, and
+    # the trace computes its powers and costs once for the whole run; its
+    # record must still equal fresh slices of that step's own solve and
+    # refuse writes. At 12 Mbit/s per UE in drop 1, every mode reuses most
+    # solves and some reused steps overload an SBS, so its clamped and raw
+    # loads differ
     cfg = small_cfg(mode, n_small=4, n_ues=24, steps=150)
     cfg.traffic.mean_rate_bps = 12e6
     cfg.clustering.eps_d_m = 400.0
@@ -483,26 +498,22 @@ def test_reused_step_records_are_read_only_solve_slices(mode):
     world = World(cfg, *generate_scenario(cfg, np.random.default_rng(1)),
                   np.random.default_rng(1), np.random.default_rng(2))
     delta = 0.0 if mode == "classical" else cfg.association.delta
-    s = world.sbs_idx
-    reused = overloaded = 0
+    want = {}
     for t in range(1, cfg.run.steps + 1):
         prev_load = world.net.load.copy()
         solves = world.fp_solves
-        rec = world.step(t)
-        if world.fp_solves > solves:
-            continue
-        reused += 1
-        _, fresh, power, cost = _fresh_step_inputs(world, rec, prev_load, delta)
-        want = [world.net.state[s], power, fresh.load[s], fresh.load_raw[s], cost]
-        got = [rec.sbs_state, rec.sbs_power, rec.sbs_load, rec.sbs_load_raw,
-               rec.sbs_cost]
-        for have, expected in zip(got, want):
-            assert have.tobytes() == expected.tobytes()
-            assert not have.flags.writeable
+        world.step(t)
+        if world.fp_solves == solves:
+            want[t] = _fresh_step_inputs(world, prev_load, delta)[2]
+    trace = world.trace()
+    reused = [trace[t - 1] for t in want]
+    _assert_records_equal(reused, list(want.values()))
+    overloaded = 0
+    for rec in reused:
         with pytest.raises(ValueError, match="read-only"):
             rec.sbs_load[:] = 0.0
         overloaded += bool(np.any(rec.sbs_load_raw > 1.0))
-    assert reused > cfg.run.steps // 2
+    assert len(reused) > cfg.run.steps // 2
     assert overloaded > 0
 
 
@@ -528,12 +539,13 @@ def test_period_two_solve_keys_run_two_solves():
     assert a.tobytes() != b.tobytes()
 
     world.net.load = a.copy()
-    keys = []
+    keys, rows = [], []
     for t in range(1, cfg.run.steps + 1):
         prev_load = world.net.load.copy()
-        rec = world.step(t)
+        world.step(t)
         keys.append(prev_load.tobytes())
-        _assert_step_equals_fresh(world, rec, prev_load, 0.0)
+        rows.append(_assert_step_equals_fresh(world, prev_load, 0.0))
+    _assert_records_equal(world.trace(), rows)
     assert keys == [a.tobytes(), b.tobytes()] * (cfg.run.steps // 2)
     assert world.fp_solves == 2
 
@@ -551,12 +563,13 @@ def test_long_solve_cycles_are_held_whole(run_index, period):
     scen, kmeans, learner = np.random.SeedSequence([1, run_index]).spawn(3)
     world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
                   np.random.default_rng(kmeans), np.random.default_rng(learner))
-    keys = []
+    keys, rows = [], []
     for t in range(1, 121):
         prev_load = world.net.load.copy()
-        rec = world.step(t)
+        world.step(t)
         keys.append(prev_load.tobytes())
-        _assert_step_equals_fresh(world, rec, prev_load, 0.0)
+        rows.append(_assert_step_equals_fresh(world, prev_load, 0.0))
+    _assert_records_equal(world.trace(), rows)
     # classical state and serving never change, so the loads are the key
     cycle = next(p for p in range(1, len(keys)) if keys[-1] == keys[-1 - p])
     transient = next(i for i in range(len(keys)) if keys[i] == keys[i + cycle])
@@ -575,12 +588,13 @@ def test_solve_cycles_longer_than_a_fifo_memo_are_held_whole():
     scen, kmeans, learner = np.random.SeedSequence([165327925, 4]).spawn(3)
     world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
                   np.random.default_rng(kmeans), np.random.default_rng(learner))
-    keys = []
+    keys, rows = [], []
     for t in range(1, cfg.run.steps + 1):
         prev_load = world.net.load.copy()
-        rec = world.step(t)
+        world.step(t)
         keys.append(prev_load.tobytes())
-        _assert_step_equals_fresh(world, rec, prev_load, 0.0)
+        rows.append(_assert_step_equals_fresh(world, prev_load, 0.0))
+    _assert_records_equal(world.trace(), rows)
     assert next(p for p in range(1, len(keys)) if keys[-1] == keys[-1 - p]) == 81
     assert world.fp_solves < 400
 
@@ -625,10 +639,36 @@ def test_new_serving_or_exclusion_forces_a_solve(change, monkeypatch):
         world.excl = netmodel.exclusion_matrix(world.n_bs, clusters)
         world.label = netmodel.cluster_labels(world.n_bs, clusters)
     prev_load = world.net.load.copy()
-    rec = world.step(102)
+    world.step(102)
     assert world.fp_solves == solves + 1
-    _assert_step_equals_fresh(world, rec, prev_load, 0.0,
-                              associate=to_macro if change == "serving" else None)
+    row = _assert_step_equals_fresh(world, prev_load, 0.0,
+                                    associate=to_macro if change == "serving" else None)
+    _assert_records_equal(world.trace()[-1:], [row])
+
+
+def test_new_exclusion_matrix_rebuilds_the_load_setup():
+    # a solve's set-up holds the float exclusion matrix, so a set-up kept
+    # across a new excl would iterate with the old interference sets. At
+    # 12 Mbit/s per UE in drop 3, SBSs 3 and 4 carry load and the first
+    # solve after the change iterates past the handed-over first sweep,
+    # where that would show
+    cfg = small_cfg("classical", n_small=4, n_ues=24)
+    cfg.traffic.mean_rate_bps = 12e6
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(3)),
+                  np.random.default_rng(1), np.random.default_rng(2))
+    for t in range(1, 21):
+        world.step(t)
+    clusters = [(1, 2), (3, 4)]
+    world.excl = netmodel.exclusion_matrix(world.n_bs, clusters).astype(float)
+    world.label = netmodel.cluster_labels(world.n_bs, clusters)
+    rows, iterations = [], []
+    for t in range(21, 31):
+        prev_load = world.net.load.copy()
+        world.step(t)
+        rows.append(_assert_step_equals_fresh(world, prev_load, 0.0))
+        iterations.append(world.net.iterations)
+    _assert_records_equal(world.trace()[20:], rows)
+    assert max(iterations) > 1
 
 
 def test_classical_world_reuses_most_solves():
@@ -722,10 +762,8 @@ def test_step_invariants_hold_in_every_mode(
     scen, kmeans, learner_seed = np.random.SeedSequence([seed, 0]).spawn(3)
     world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
                   np.random.default_rng(kmeans), np.random.default_rng(learner_seed))
-    powers = []
     for t in range(1, steps + 1):
-        rec = world.step(t)
-        powers.append(rec.sbs_power)
+        world.step(t)
         table = world.table  # None in classical mode
         if table is not None and table.n_rows:
             assert np.all(table.pi >= 0.0)
@@ -734,6 +772,7 @@ def test_step_invariants_hold_in_every_mode(
         assert np.all(world.last_serving >= 0)  # ... so every UE is served
         assert np.all(world.net.state[world.last_serving] == 1)
         assert np.all((world.net.load >= 0.0) & (world.net.load <= 1.0))
+    powers = world.trace().sbs_power
     result = run_once(cfg, 0)
     assert result.total_energy == pytest.approx(
         math.fsum(float(p) for step_power in powers for p in step_power) * STEP_SECONDS,
@@ -959,6 +998,46 @@ def test_rebalance_costs_are_the_fixed_points_first_sweep(cfg):
         _assert_airtimes_are_the_first_sweep(args, kwargs)
 
 
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(cfg=_scenario_configs(valid=True))
+# planted: at 12 Mbit/s per UE, load-aware association moves a UE between
+# two solves of this clustered drop with the same state
+@example(cfg=_edge_cfg("learning_clustered", **{
+    "layout.n_small": 4, "layout.n_ues": 24, "traffic.mean_rate_bps": 12e6,
+    "run.seed": 2}))
+def test_reused_load_setups_give_fresh_fixed_points(cfg):
+    # a solve whose state and serving equal the last solve's (under the
+    # same exclusion matrix) reuses its loop invariants; its fixed point
+    # must equal, bit for bit, a compute_loads that builds its own. Every
+    # classical solve after the first has the same state and serving
+    assume(_valid(cfg))
+    scen, kmeans_seed, learner_seed = np.random.SeedSequence([cfg.run.seed, 0]).spawn(3)
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
+                  np.random.default_rng(kmeans_seed), np.random.default_rng(learner_seed))
+    calls = []
+
+    def spy(*args, **kwargs):
+        net = _compute_loads(*args, **kwargs)
+        calls.append((args, kwargs, net))
+        return net
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(netmodel, "compute_loads", spy)
+        for t in range(1, 5 * cfg.run.steps + 1):
+            world.step(t)
+    reused, last = 0, None
+    for args, kwargs, got in calls:
+        setup = kwargs["setup"]
+        reused += setup is last
+        last = setup
+        fresh = _compute_loads(*args, **{**kwargs, "setup": None})
+        for name in ("state", "load", "load_raw"):
+            assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes()
+        assert (got.converged, got.iterations) == (fresh.converged, fresh.iterations)
+    if cfg.run.mode == "classical":
+        assert reused == max(len(calls) - 1, 0)
+
+
 def test_clustered_solves_start_from_the_rebalance_costs(monkeypatch):
     # the default clustered drop hands its stage-(5) costs to most solves
     cfg = small_cfg(n_small=10, n_ues=40, steps=30)
@@ -1117,7 +1196,9 @@ def test_classical_world_keeps_no_load_estimate():
     scen, kmeans, learner = np.random.SeedSequence([cfg.run.seed, 0]).spawn(3)
     world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
                   np.random.default_rng(kmeans), np.random.default_rng(learner))
-    records = [world.step(t) for t in range(1, cfg.run.steps + 1)]
+    for t in range(1, cfg.run.steps + 1):
+        world.step(t)
+    records = world.trace()
     assert world.net.load.any()
     assert not world.rho_hat.any()
     assert world.table is None
@@ -1137,7 +1218,9 @@ def _stepped_run(cfg, run_index):
         cfg, *generate_scenario(cfg, np.random.default_rng(scen_seed)),
         np.random.default_rng(kmeans_seed), np.random.default_rng(learn_seed),
     )
-    records = [world.step(t) for t in range(1, cfg.run.steps + 1)]
+    for t in range(1, cfg.run.steps + 1):
+        world.step(t)
+    records = world.trace()
     burn = burn_in_steps(cfg.run.steps, cfg.run.burn_in_frac)
     window = records[burn:]
     n_sbs = int(world.sbs_idx.size)
