@@ -44,5 +44,8 @@ def rebalance(
     """
     lab = label[serving]
     members = (label[:, None] == lab[None, :]) & active[:, None]
-    choice = np.where(members, costs, np.inf).argmin(axis=0)
+    # members all at inf tie with every non-member, so argmin returns
+    # station 0; any other argmin is a member, never below the lowest-id one
+    choice = np.maximum(np.where(members, costs, np.inf).argmin(axis=0),
+                        members.argmax(axis=0))
     return np.where(lab >= 0, choice, serving)

@@ -257,7 +257,8 @@ def compute_loads(
             np.divide(traffic, rate, out=rate)  # per-UE airtime
         raw = np.bincount(srv, weights=rate, minlength=n_bs)
         x_new = np.minimum(raw, 1.0)
-        converged = bool(abs(x_new - x).max() < tol)
+        # one Python pass over the few BSs; like numpy's max, NaN never converges
+        converged = all(abs(d) < tol for d in (x_new - x).tolist())
         x = x_new
         if converged:
             break

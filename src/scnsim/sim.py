@@ -388,26 +388,36 @@ class World:
         # (5) each cluster head rebalances the UEs attached to its members,
         # with interference frozen at the previous step's loads; a UE
         # enters only when attached to an active member, so it stays served.
-        # A singleton's head can only keep its UEs where they are
-        costs = None
-        if self.excl is not None:
+        # A head coordinates only where a UE's station has an awake
+        # co-member (excl.dot(state) counts the awake stations of each
+        # BS's exclusion set, itself included). Elsewhere it can only keep its
+        # UEs where they are, and a sleeping co-member's interference is
+        # +0.0, so the exclusion product is each BS's own term: excl None
+        # solves the step bit for bit
+        excl, costs = self.excl, None
+        if excl is not None and excl.dot(state).take(serving).max(initial=0) > 1:
             rates = netmodel.rate_matrix(
-                self.cfg.channel, self.gains, self.p_max, state, prev_load, self.excl
+                self.cfg.channel, self.gains, self.p_max, state, prev_load, excl
             )
             with np.errstate(divide="ignore"):
                 costs = self.traffic[None, :] / rates
             serving = coord.rebalance(costs, self.label, serving, state == 1)
+        else:
+            excl = None
 
         # (6) realized loads from the coupled fixed point, warm-started, and
         # (7) the running cost per BS that the learners are charged. Both
-        # are pure functions of excl, state, serving and prev_load (power,
-        # traffic, gains and the solver settings are fixed per World), so a
-        # step whose inputs equal those of a remembered solve under the
-        # same excl reuses its results, and a solve whose state and serving
-        # equal the last solve's reuses its loop invariants. Stage (5)'s
-        # costs, taken at the serving entries, are the per-UE airtimes of
-        # the fixed point's first iteration from prev_load, so the solve
-        # starts from them
+        # are pure functions of self.excl, state, serving and prev_load
+        # (power, traffic, gains and the solver settings are fixed per
+        # World), so a step whose inputs equal those of a remembered solve
+        # under the same self.excl reuses its results, and a solve whose
+        # state and serving equal the last solve's reuses its loop
+        # invariants. Rebalanced UEs stay in their clusters, so state and
+        # serving also fix whether the step solves with excl or None, and
+        # a set-up built for one is never reused for the other. Where
+        # stage (5) ran, its costs at the serving entries are the per-UE
+        # airtimes of the fixed point's first iteration from prev_load, so
+        # the solve starts from them
         if self.excl is not self._solves_excl:
             self._solves, self._solves_excl, self._setup = {}, self.excl, None
         inputs = (state_key, serving.tobytes())
@@ -416,10 +426,10 @@ class World:
         if entry is None:
             if self._setup is None or self._setup[0] != inputs:
                 self._setup = inputs, netmodel.load_setup(
-                    self.cfg.channel, self.gains, self.p_max, state, serving, self.excl)
+                    self.cfg.channel, self.gains, self.p_max, state, serving, excl)
             net = netmodel.compute_loads(
                 self.cfg.channel, self.gains, self.p_max, state, serving, self.traffic,
-                excl=self.excl, tol=rc.load_tol, max_iter=rc.load_max_iter,
+                excl=excl, tol=rc.load_tol, max_iter=rc.load_max_iter,
                 init=prev_load, airtime=costs, setup=self._setup[1],
             )
             self.fp_solves += 1

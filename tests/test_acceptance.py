@@ -7,14 +7,17 @@ shared by the criteria that read them.
 """
 
 import itertools
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import scnsim
 from scnsim.association import associate_all
 from scnsim.clustering import (
     build_adjacency,
@@ -286,13 +289,16 @@ def test_criterion_8_byte_identical_runs(tmp_path):
         "[layout]\nn_small = 6\nn_ues = 20\n"
         "[run]\nsteps = 60\nruns = 3\nseed = 11\n"
     )
+    # the child imports the package this process imported, installed or not
+    path = [str(Path(scnsim.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "scnsim", "run", "--config", str(cfg_path),
              "--out", str(out)],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append((out / "summary.csv").read_bytes())

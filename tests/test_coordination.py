@@ -92,6 +92,22 @@ def test_cost_tie_prefers_lowest_member_id():
     assert z[0, 0] == 1.0 and z[1, 0] == 0.0
 
 
+def test_all_inf_members_keep_the_lowest_id_active_member():
+    # every active member prices the UE at inf, so all of them tie: the UE
+    # stays in its cluster, with its lowest-id active member, even where
+    # station 0 (outside the cluster) ties with them
+    label = np.array([-1, 0, 0, 0])
+    costs = np.full((4, 2), np.inf)
+    serving = np.array([3, 2])
+    assert rebalance(costs, label, serving, np.array([True, False, True, True])).tolist() == [2, 2]
+    assert rebalance(costs, label, serving, np.array([True, True, False, True])).tolist() == [1, 1]
+    # a finite member cost still wins
+    costs[3, 0] = 1.0
+    assert rebalance(costs, label, serving, np.array([True, True, True, True])).tolist() == [3, 1]
+    assert rebalance(np.full((3, 1), np.inf), label[:3], np.array([2]),
+                     np.array([True, False, True])).tolist() == [2]
+
+
 def brute_force_best(costs, active):
     """Best binary assignment by exhaustive search; objective via np.sum."""
     n_b, n_m = costs.shape

@@ -307,6 +307,19 @@ def test_compute_loads_counts_iterations():
     assert NetworkConfiguration(state, np.zeros(2), np.zeros(2)).iterations == 0
 
 
+def test_nan_loads_never_read_as_converged():
+    # a NaN init load poisons every rate; BS 0 serves no UE, so its step is
+    # 0 and only BS 1's is NaN, after it: a max over the steps that skips
+    # NaN would read converged
+    ch = default_config().channel
+    gains = np.array([[2e-12, 4e-14], [4e-14, 2e-12]])
+    with np.errstate(invalid="ignore"):
+        res = compute_loads(ch, gains, *all_on(2), np.array([1, 1]), np.array([5e5, 5e5]),
+                            init=np.array([0.0, np.nan]), max_iter=3)
+    assert np.isnan(res.load[1]) and res.load[0] == 0.0
+    assert not res.converged and res.iterations == 3
+
+
 def test_own_cell_term_equals_identity_gemm():
     # without excl, compute_loads takes w[srv] * gains[srv, cols] for the
     # excluded term instead of ((eye * w) @ gains)[srv, cols]; the gemm adds

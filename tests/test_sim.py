@@ -1028,6 +1028,7 @@ def test_reused_load_setups_give_fresh_fixed_points(cfg):
     reused, last = 0, None
     for args, kwargs, got in calls:
         setup = kwargs["setup"]
+        assert (setup.excl_w is None) == (kwargs["excl"] is None)
         reused += setup is last
         last = setup
         fresh = _compute_loads(*args, **{**kwargs, "setup": None})
@@ -1038,25 +1039,85 @@ def test_reused_load_setups_give_fresh_fixed_points(cfg):
         assert reused == max(len(calls) - 1, 0)
 
 
-def test_clustered_solves_start_from_the_rebalance_costs(monkeypatch):
-    # the default clustered drop hands its stage-(5) costs to most solves
-    cfg = small_cfg(n_small=10, n_ues=40, steps=30)
-    cfg.clustering.eps_d_m = 400.0
-    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(5)),
-                  np.random.default_rng(1), np.random.default_rng(2))
-    calls = []
+_rate_matrix = netmodel.rate_matrix  # unpatched
 
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs))
-        return _compute_loads(*args, **kwargs)
 
-    monkeypatch.setattr(netmodel, "compute_loads", spy)
-    for t in range(1, cfg.run.steps + 1):
+def _coordinated_step(world, prev_load):
+    """Serving and solve of the step just run along the full coordination
+    path (stage (5) and the exclusion product whenever the partition has
+    a multi-member cluster), and whether a UE's station had an awake
+    co-member, counted from the labels."""
+    state = world.net.state
+    serving = _associate_all(world.rx, state, world.rho_hat, world.cfg.association.delta)
+    lab = world.label[serving]
+    awake = (world.label[:, None] == lab[None, :]) & (state == 1)[:, None]
+    coordinated = bool(((lab >= 0) & (awake.sum(axis=0) > 1)).any())
+    rc, costs = world.cfg.run, None
+    if world.excl is not None:
+        rates = _rate_matrix(world.cfg.channel, world.gains, world.p_max,
+                             state, prev_load, world.excl)
+        with np.errstate(divide="ignore"):
+            costs = world.traffic[None, :] / rates
+        serving = rebalance(costs, world.label, serving, state == 1)
+    net = _compute_loads(
+        world.cfg.channel, world.gains, world.p_max, state, serving, world.traffic,
+        excl=world.excl, tol=rc.load_tol, max_iter=rc.load_max_iter, init=prev_load,
+        airtime=costs)
+    return serving, net, coordinated
+
+
+def _assert_steps_match_full_coordination(cfg, steps):
+    """Every step equals the full coordination path in serving and solve
+    bytes; returns how many steps had a UE with an awake co-member, and
+    how many had none."""
+    scen, kmeans_seed, learner_seed = np.random.SeedSequence([cfg.run.seed, 0]).spawn(3)
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
+                  np.random.default_rng(kmeans_seed), np.random.default_rng(learner_seed))
+    paths = [0, 0]
+    for t in range(1, steps + 1):
+        prev_load = world.net.load
         world.step(t)
-    handed = [call for call in calls if call[1]["airtime"] is not None]
-    assert len(handed) >= len(calls) // 2 > 0
-    for args, kwargs in handed:
-        _assert_airtimes_are_the_first_sweep(args, kwargs)
+        serving, net, coordinated = _coordinated_step(world, prev_load)
+        assert serving.tobytes() == world.last_serving.tobytes(), t
+        for name in ("state", "load", "load_raw"):
+            assert getattr(net, name).tobytes() == getattr(world.net, name).tobytes(), t
+        assert (net.converged, net.iterations) == (world.net.converged, world.net.iterations)
+        paths[coordinated] += 1
+    return paths[1], paths[0]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cfg=_scenario_configs(valid=True).map(_clustered),
+       eps_d_m=st.sampled_from([None, 400.0]), recluster_every=st.sampled_from([None, 2]))
+def test_skipped_coordination_equals_the_full_path(cfg, eps_d_m, recluster_every):
+    # a step coordinates only where a UE's station has an awake co-member;
+    # elsewhere rebalance keeps every UE and the exclusion product is each
+    # BS's own term, so skipping both gives the full path's bytes
+    if eps_d_m is not None:
+        cfg.clustering.eps_d_m = eps_d_m
+    if recluster_every is not None:
+        cfg.clustering.recluster_every = recluster_every
+    assume(_valid(cfg))
+    _assert_steps_match_full_coordination(cfg, 5 * cfg.run.steps)
+
+
+def test_one_run_takes_both_coordination_paths(monkeypatch):
+    # planted: in this dense clustered drop some steps' UEs all sit at
+    # stations whose co-members sleep, and others have a co-member awake;
+    # World prices the rates of stage (5) in exactly the latter
+    cfg = small_cfg(n_small=10, n_ues=32, steps=40)
+    cfg.clustering.eps_d_m = 400.0
+    cfg.clustering.recluster_every = 2
+    priced = []
+
+    def spy(*args):
+        priced.append(args)
+        return _rate_matrix(*args)
+
+    monkeypatch.setattr(netmodel, "rate_matrix", spy)
+    coordinated, skipped = _assert_steps_match_full_coordination(cfg, cfg.run.steps)
+    assert coordinated > 0 and skipped > 0
+    assert len(priced) == coordinated
 
 
 def test_burn_in_steps():
