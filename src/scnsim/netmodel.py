@@ -16,7 +16,7 @@ All powers are in watts, distances in metres, rates in bit/s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -228,9 +228,16 @@ def compute_loads(
     """
     if setup is None:
         setup = load_setup(channel, gains, power, state, serving, excl)
+    return NetworkConfiguration(state.copy(), *_fixed_point(
+        setup, gains, traffic, channel.bandwidth_hz, init, tol, max_iter, airtime))
+
+
+def _fixed_point(setup: LoadSetup, gains: np.ndarray, traffic: np.ndarray, bandwidth: float,
+                 init: np.ndarray | None, tol: float, max_iter: int,
+                 airtime: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, bool, int]:
+    """compute_loads's iteration: (load, raw load, converged, iterations)."""
     srv, flat, own_gain, tx, signal, excl_w, noise = setup
     n_bs, n_ue = gains.shape
-    bandwidth = channel.bandwidth_hz
     rate = np.empty(n_ue)
     # clamped as np.clip does it, -0.0 to +0.0 included
     x = np.zeros(n_bs) if init is None else np.minimum(np.maximum(init, 0.0), 1.0)
@@ -262,8 +269,20 @@ def compute_loads(
         x = x_new
         if converged:
             break
+    return x, raw, converged, iterations
 
-    return NetworkConfiguration(state.copy(), x, raw, converged, iterations)
+
+def load_orbit(channel: ChannelConfig, gains: np.ndarray, state: np.ndarray, traffic: np.ndarray,
+               setup: LoadSetup, init: np.ndarray, tol: float = 1e-6,
+               max_iter: int = 200) -> Iterator[NetworkConfiguration]:
+    """Yield compute_loads's solves for the arguments setup was built from,
+    the first from init and each later one from the load before it, bit for
+    bit; the configurations share one copy of state."""
+    state = state.copy()
+    while True:
+        init, raw, converged, iterations = _fixed_point(
+            setup, gains, traffic, channel.bandwidth_hz, init, tol, max_iter)
+        yield NetworkConfiguration(state, init, raw, converged, iterations)
 
 
 def total_powers(

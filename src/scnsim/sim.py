@@ -6,9 +6,9 @@ time. Each step, in order: the advertised load estimates fold in the
 previous step's loads; the partition refreshes when due; every cluster
 samples a sleep/wake action; UEs associate; cluster heads rebalance their
 members' UEs; the load-coupled fixed point runs; costs are charged and the
-learners update. Monte-Carlo runs use independent seed streams derived from
-(seed, run_index) so results are reproducible run-by-run and independent of
-worker scheduling.
+learners update; classical runs step once, then World.orbit iterates the
+loads. Monte-Carlo runs use independent seed streams from (seed, run_index),
+so results are reproducible run-by-run and independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ STEP_SECONDS = 1.0  # logical tick length; energy (J) = power (W) x ticks
 MAX_PLACEMENT_TRIES = 10000
 
 SWEEP_PARAMS = ("ues", "eps_d", "theta")
+# the RNG streams each mode draws from: 0 the drop, 1 k-means, 2 learners
+STREAMS = {"classical": (0,), "learning_no_clusters": (0, 2), "learning_clustered": (0, 1, 2)}
 
 
 def _sample_position(
@@ -56,19 +58,44 @@ def _sample_position(
     )
 
 
-def _first_candidates(
-    rng: np.random.Generator, cfg: ScenarioConfig, pos: np.ndarray, traffic: np.ndarray
-) -> None:
-    """Fill pos and traffic with each UE's first candidate position and its
-    traffic, drawn as the placement loop draws them when no candidate misfits."""
-    if cfg.traffic.distribution == "exponential":
-        mean = cfg.traffic.mean_rate_bps
-        for m in range(len(pos)):
-            rng.random(out=pos[m])
-            traffic[m] = rng.exponential(mean)
-    else:
-        rng.random(out=pos)
-    pos *= cfg.layout.side_m
+def _place(rng: np.random.Generator, cfg: ScenarioConfig, pos: np.ndarray, anchors: np.ndarray,
+           dmin: np.ndarray, traffic: np.ndarray | None, nested: bool) -> None:
+    """Place each row of pos as one _sample_position call per row would, each
+    UE's traffic (None: none to draw) after its position; nested: pos is
+    anchors[1:], so row m keeps its distances from anchors[:m + 1] only.
+    Speculate that every remaining row's first candidate fits, checked in one
+    broadcast; at a misfit, rewind, redraw the rows before it, place it alone."""
+    lay, mean = cfg.layout, cfg.traffic.mean_rate_bps
+
+    def draw(lo: int, hi: int) -> None:  # first candidates of rows lo to hi - 1
+        if traffic is None:
+            rng.random(out=pos[lo:hi])
+        else:
+            for m in range(lo, hi):
+                rng.random(out=pos[m])
+                traffic[m] = rng.exponential(mean)
+        pos[lo:hi] *= lay.side_m
+
+    m = 0
+    while m < len(pos):
+        start = rng.bit_generator.state
+        draw(m, len(pos))
+        rest = pos[m:]
+        d = np.hypot(anchors[:, 0] - rest[:, :1], anchors[:, 1] - rest[:, 1:])
+        fits = d >= dmin
+        if nested:  # a row's own anchor and the later ones are not placed yet
+            fits |= np.arange(len(anchors)) > np.arange(m, len(pos))[:, None]
+        fits = fits.all(axis=1)
+        if fits.all():
+            return
+        k = m + int(fits.argmin())
+        rng.bit_generator.state = start
+        draw(m, k)
+        n = k + 1 if nested else len(anchors)
+        pos[k] = _sample_position(rng, lay, anchors[:n], dmin[:n])
+        if traffic is not None:
+            traffic[k] = rng.exponential(mean)
+        m = k + 1
 
 
 def generate_scenario(
@@ -89,33 +116,13 @@ def generate_scenario(
     dmin = np.array(
         [lay.min_dist_macro_small_m] + [lay.min_dist_small_small_m] * lay.n_small
     )
-    for b in range(1, n_bs):
-        bs_pos[b] = _sample_position(rng, lay, bs_pos[:b], dmin[:b])
+    _place(rng, cfg, bs_pos[1:], bs_pos, dmin, None, nested=True)
 
     dmin = np.array([lay.min_dist_macro_ue_m] + [lay.min_dist_small_ue_m] * lay.n_small)
     ue_pos = np.empty((lay.n_ues, 2))
     traffic = np.full(lay.n_ues, float(cfg.traffic.mean_rate_bps))
-    exponential = cfg.traffic.distribution == "exponential"
-    # speculate that every remaining UE's first candidate fits: draw them
-    # all in the placement loop's stream order and check them in one
-    # broadcast. At a misfit, rewind, redraw the UEs before it, place it
-    # with the loop and speculate again from the next UE
-    m = 0
-    while m < lay.n_ues:
-        start = rng.bit_generator.state
-        _first_candidates(rng, cfg, ue_pos[m:], traffic[m:])
-        rest = ue_pos[m:]
-        d = np.hypot(bs_pos[:, 0] - rest[:, :1], bs_pos[:, 1] - rest[:, 1:])
-        fits = (d >= dmin).all(axis=1)
-        if fits.all():
-            break
-        k = m + int(fits.argmin())
-        rng.bit_generator.state = start
-        _first_candidates(rng, cfg, ue_pos[m:k], traffic[m:k])
-        ue_pos[k] = _sample_position(rng, lay, bs_pos, dmin)
-        if exponential:
-            traffic[k] = rng.exponential(cfg.traffic.mean_rate_bps)
-        m = k + 1
+    _place(rng, cfg, ue_pos, bs_pos, dmin,
+           traffic if cfg.traffic.distribution == "exponential" else None, nested=False)
     return bs_pos, np.arange(n_bs) == 0, ue_pos, traffic
 
 
@@ -179,17 +186,21 @@ class World:
         macro: np.ndarray,
         ue_positions: np.ndarray,
         traffic: np.ndarray,
-        kmeans_rng: np.random.Generator,
-        learner_rng: np.random.Generator,
+        kmeans_rng: np.random.Generator | None,
+        learner_rng: np.random.Generator | None,
     ):
         """Stations and UEs come as generate_scenario's arrays.
 
         BS b is a macro cell where macro[b], else a small cell; both kinds
         take their p_max, p_idle and active-state multiplier from cfg.power.
         At least one BS must be a macro; it never sleeps, so every UE is served.
+        A stream the mode never draws from (see STREAMS) may be None.
         """
         if cfg.run.mode not in MODES:
             raise ValueError(f"unknown mode {cfg.run.mode!r}")
+        drawn = STREAMS[cfg.run.mode]
+        if kmeans_rng is None and 1 in drawn or learner_rng is None and 2 in drawn:
+            raise ValueError(f"mode {cfg.run.mode!r} draws from a stream given as None")
         macro = np.asarray(macro, dtype=bool)
         if not macro.any():
             raise ValueError(
@@ -456,6 +467,32 @@ class World:
         flips = int(state_key != prev_state.tobytes() and np.count_nonzero(state != prev_state))
         self.history.append((self.net, self.n_clusters, self.mean_cluster_size, flips))
 
+    def orbit(self, steps: int) -> None:
+        """Run a classical World's remaining steps, up to `steps`, as step would.
+
+        A classical step keeps state, serving and the fixed-point set-up, so
+        each later one is the fixed point from the previous loads: one
+        netmodel.load_orbit runs them, with step's memo, fp_solves and rows,
+        up to the first repeat of the previous loads, recorded in cycle."""
+        if self.mode != "classical" or not self.history:
+            raise ValueError("orbit continues a classical World that has run a step")
+        rc = self.cfg.run
+        inputs, setup = self._setup
+        solves = netmodel.load_orbit(self.cfg.channel, self.gains, self.net.state, self.traffic,
+                                     setup, self.net.load, rc.load_tol, rc.load_max_iter)
+        t = len(self.history)
+        while self.cycle is None and t < steps:
+            t += 1
+            key = (*inputs, self.net.load.tobytes())
+            entry = self._solves.get(key)
+            if entry is None:
+                entry = self._solves[key] = (next(solves), None, t)
+                self.fp_solves += 1
+            else:
+                self.cycle = (entry[2], t)
+            self.net = entry[0]
+            self.history.append((self.net, self.n_clusters, self.mean_cluster_size, 0))
+
     def trace(self, steps: int | None = None) -> Trace:
         """The history as StepRecord fields, one row per step from step 1.
 
@@ -465,6 +502,8 @@ class World:
         computed here for every stepped solve at once, elementwise, so they
         round as a per-step computation does.
         """
+        if not self.history:
+            raise ValueError("no step has run, so there is no trace")
         nets, n_clusters, sizes, flips = zip(*self.history)
         n = len(nets)
         steps = n if steps is None else steps
@@ -527,21 +566,23 @@ def run_once(
 ) -> RunResult:
     """Execute one seeded run and reduce it to a RunResult.
 
-    Three independent RNG streams are spawned from (seed, run_index): one
-    for the drop, one for k-means restarts, one for learner action draws,
-    so changing e.g. the learning dynamics never perturbs the geometry.
+    Three independent RNG streams, the children of SeedSequence([seed,
+    run_index]), serve the drop, k-means restarts and learner action draws,
+    so changing e.g. the learning dynamics never perturbs the geometry; a
+    run builds only the children its mode draws from (STREAMS).
     """
-    ss = np.random.SeedSequence([int(cfg.run.seed), int(run_index)])
-    scen_seed, kmeans_seed, learn_seed = ss.spawn(3)
-    world = World(
-        cfg, *generate_scenario(cfg, np.random.default_rng(scen_seed)),
-        np.random.default_rng(kmeans_seed), np.random.default_rng(learn_seed),
-    )
+    key = [int(cfg.run.seed), int(run_index)]
+    scen, kmeans, learner = (
+        np.random.default_rng(np.random.SeedSequence(key, spawn_key=(i,)))
+        if i in STREAMS[cfg.run.mode] else None for i in range(3))
+    world = World(cfg, *generate_scenario(cfg, scen), kmeans, learner)
     steps = cfg.run.steps
-    for t in range(1, steps + 1):
-        world.step(t)
-        if world.cycle is not None:  # the rest of a classical run replays
-            break
+    world.step(1)
+    if world.mode == "classical":  # the rest of the run is one load orbit
+        world.orbit(steps)
+    else:
+        for t in range(2, steps + 1):
+            world.step(t)
     trace = world.trace(steps)
     burn = burn_in_steps(steps, cfg.run.burn_in_frac)
     n_sbs = int(world.sbs_idx.size)

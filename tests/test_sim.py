@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from scnsim import association, clustering, netmodel
+from scnsim import association, clustering, netmodel, sim
 from scnsim.cli import _fmt
 from scnsim.clustering import LAPLACIAN_MODES, LOAD_SIGN_MODES, ClusterPartition
 from scnsim.config import (
@@ -145,6 +145,21 @@ def _first_ue_misfit(cfg, seed):
     return None
 
 
+def _first_sbs_misfit(cfg, seed):
+    """Index of the first SBS whose first candidate misfits (None: none does)."""
+    lay = cfg.layout
+    rng = np.random.default_rng(seed)
+    bs_pos = np.full((1 + lay.n_small, 2), lay.side_m / 2.0)
+    dmin = np.array(
+        [lay.min_dist_macro_small_m] + [lay.min_dist_small_small_m] * lay.n_small
+    )
+    for b in range(1, 1 + lay.n_small):
+        x, y = bs_pos[b] = rng.uniform(0.0, lay.side_m, size=2)
+        if not (np.hypot(bs_pos[:b, 0] - x, bs_pos[:b, 1] - y) >= dmin[:b]).all():
+            return b
+    return None
+
+
 def _assert_drop_matches_reference(cfg, seed):
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     try:
@@ -173,7 +188,7 @@ def _assert_drop_matches_reference(cfg, seed):
 )
 def test_generate_scenario_matches_sequential_placement(
         side_m, n_small, n_ues, distribution, seed):
-    # the speculative UE pass, its rewind and the SBS draw give the
+    # the speculative SBS and UE passes and their rewinds give the
     # sequential loop's arrays and RNG stream bit for bit, misfits or not
     cfg = small_cfg(n_small=n_small, n_ues=n_ues)
     cfg.layout.side_m = side_m
@@ -200,14 +215,52 @@ def test_generate_scenario_first_or_last_ue_misfits():
         _assert_drop_matches_reference(cfg, seed)
 
 
+def test_generate_scenario_first_or_last_sbs_misfits(monkeypatch):
+    # the SBS pass redraws no SBS when SBS 1 misfits and every SBS but one
+    # when the last SBS does; seeds found by _first_sbs_misfit, checked here.
+    # The one-at-a-time loop first places the planted misfit, so every SBS
+    # before it was placed by the speculation
+    placed = []
+    sample_position = sim._sample_position
+
+    def counted(rng, lay, anchors, min_dists):
+        placed.append(len(anchors))
+        return sample_position(rng, lay, anchors, min_dists)
+
+    monkeypatch.setattr(sim, "_sample_position", counted)
+    cases = [
+        (10, 1000.0, 1, 39),
+        (10, 1000.0, 10, 9),
+        (10, 400.0, 1, 6),
+        (10, 400.0, 10, 9),
+        (4, 200.0, 1, 0),
+        (4, 200.0, 4, 28),
+    ]
+    for n_small, side_m, misfit, seed in cases:
+        cfg = small_cfg(n_small=n_small, n_ues=20)
+        cfg.layout.side_m = side_m
+        assert _first_sbs_misfit(cfg, seed) == misfit
+        placed.clear()
+        _assert_drop_matches_reference(cfg, seed)
+        assert placed[0] == misfit
+
+
 def test_infeasible_density():
+    # no point of a 100 m square lies 75 m from the macro at its center,
+    # so the SBS pass misfits at SBS 1 and the sequential loop gives up
     cfg = small_cfg(n_small=6)
     cfg.layout.side_m = 100.0
     cfg.layout.min_dist_small_small_m = 200.0
-    with pytest.raises(ConfigError, match="infeasible density") as err:
+    want = (
+        "infeasible density: could not place a node after 10000 draws; "
+        "layout.side_m = 100 is too small for n_small = 6, n_ues = 12 at "
+        "min_dist_macro_small_m = 75, min_dist_small_small_m = 200, "
+        "min_dist_macro_ue_m = 35, min_dist_small_ue_m = 10"
+    )
+    with pytest.raises(ConfigError) as err:
         generate_scenario(cfg, np.random.default_rng(0))
-    for key in ("side_m = 100", "n_small = 6", "min_dist_small_small_m = 200"):
-        assert key in str(err.value)
+    assert str(err.value) == want
+    _assert_drop_matches_reference(cfg, 0)
 
 
 def test_infeasible_ue_density():
@@ -1327,27 +1380,36 @@ def _assert_same_bytes(got, want, where):
 def _assert_replay_equals_stepping(cfg, run_index, monkeypatch):
     """run_once equals the stepped oracle field by field, in bytes.
 
-    Also checks that run_once steps a classical World only up to its first
-    solve reuse, min(fp_solves + 1, steps) times, and a learning World for
-    every step. Returns the oracle's World.
+    Also checks that run_once steps a learning World for every step, and
+    a classical World for step 1 only: its load orbit solves every later
+    step up to the first repeat of the previous loads, as many solves as
+    the oracle ran, and none after it. Returns the oracle's World.
     """
     want, oracle = _stepped_run(cfg, run_index)
-    worlds = []
-    step = World.step
+    worlds, solves = [], []
+    step, fixed_point = World.step, netmodel._fixed_point
 
     def counted(self, t):
         worlds.append(self)
         return step(self, t)
 
+    def counted_solve(*args):
+        solves.append(args)
+        return fixed_point(*args)
+
     with monkeypatch.context() as m:
         m.setattr(World, "step", counted)
+        m.setattr(netmodel, "_fixed_point", counted_solve)
         got = run_once(cfg, run_index, keep_records=True, keep_clusters=True)
     world = worlds[0]
     assert all(w is world for w in worlds)
     if cfg.run.mode == "classical":
-        assert len(worlds) == min(world.fp_solves + 1, cfg.run.steps)
+        assert len(worlds) == 1
+        repeat = cfg.run.steps if oracle.cycle is None else oracle.cycle[1]
+        assert len(world.history) == repeat
     else:
         assert len(worlds) == cfg.run.steps
+    assert len(solves) == world.fp_solves == oracle.fp_solves
     assert world.cycle == oracle.cycle
 
     # records are built only when asked for, and the summary is the same
@@ -1370,7 +1432,8 @@ def _assert_replay_equals_stepping(cfg, run_index, monkeypatch):
 ])
 def test_long_classical_cycles_replay_as_stepped(seed, run_index, period, monkeypatch):
     # planted: classical 75-UE drops whose loads cycle with a long period;
-    # run_once stops at the first solve reuse and replays the cycle
+    # run_once's orbit stops at the first repeat of the previous loads and
+    # replays the cycle
     cfg = default_config()
     cfg.run.mode = "classical"
     cfg.layout.n_ues = 75
@@ -1416,3 +1479,149 @@ def test_random_classical_configs_replay_as_stepped(cfg):
     assume(_valid(cfg))
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_replay_equals_stepping(cfg, 0, monkeypatch)
+
+
+def _classical_world(cfg, run_index):
+    """A classical World on the drop run_once draws for run_index."""
+    scen = np.random.SeedSequence([cfg.run.seed, run_index], spawn_key=(0,))
+    return World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)), None, None)
+
+
+@pytest.mark.parametrize("max_iter, later", [
+    (2, [(2, False), (1, True)]),
+    (3, [(2, True), (1, True)]),
+])
+def test_orbit_steps_iterate_past_one(max_iter, later, monkeypatch):
+    # planted: step 1 stops unconverged at load_max_iter, so the orbit's
+    # first steps iterate again, to load_max_iter unconverged or to
+    # convergence in two iterations; each equals its stepped solve
+    cfg = default_config()
+    cfg.run.mode, cfg.run.steps, cfg.run.load_max_iter = "classical", 40, max_iter
+    oracle = _assert_replay_equals_stepping(cfg, 0, monkeypatch)
+    world = _classical_world(cfg, 0)
+    world.step(1)
+    world.orbit(cfg.run.steps)
+    got = [(net.iterations, net.converged) for net, *_ in world.history]
+    assert got == [(net.iterations, net.converged) for net, *_ in oracle.history[:len(got)]]
+    assert got[0] == (max_iter, False) and got[1:1 + len(later)] == later
+    assert world.cycle == oracle.cycle
+
+
+def test_orbit_continues_a_hand_stepped_world():
+    # an orbit picks up after any stepped step, keeps step's memo, and
+    # does nothing once the cycle is known
+    cfg = small_cfg("classical", n_small=10, n_ues=54, steps=200)
+    oracle, world = _classical_world(cfg, 5), _classical_world(cfg, 5)
+    for t in range(1, cfg.run.steps + 1):
+        oracle.step(t)
+    for t in range(1, 4):
+        world.step(t)
+    world.orbit(cfg.run.steps)
+    first, repeat = world.cycle
+    assert world.cycle == oracle.cycle and repeat < cfg.run.steps
+    assert world.fp_solves == oracle.fp_solves == repeat - 1
+    assert world._solves.keys() == oracle._solves.keys()
+    world.orbit(cfg.run.steps)
+    assert len(world.history) == repeat
+    _assert_records_equal(world.trace(cfg.run.steps), [
+        [getattr(rec, name) for name in _SBS_FIELDS] for rec in oracle.trace()])
+
+
+@pytest.mark.parametrize("mode, steps_run", [
+    ("classical", 0), ("learning_no_clusters", 1), ("learning_clustered", 1),
+])
+def test_orbit_continues_only_a_stepped_classical_world(mode, steps_run):
+    cfg = small_cfg(mode)
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(0)),
+                  np.random.default_rng(1), np.random.default_rng(2))
+    for t in range(1, steps_run + 1):
+        world.step(t)
+    with pytest.raises(ValueError, match="orbit continues a classical World that has run"):
+        world.orbit(cfg.run.steps)
+
+
+def test_trace_before_any_step_raises():
+    world = _classical_world(small_cfg("classical"), 0)
+    with pytest.raises(ValueError, match="no step has run"):
+        world.trace()
+
+
+def _literal_classical_rows(cfg, run_index):
+    """A classical run's SBS record arrays (_SBS_FIELDS order) and converged
+    flags by a literal per-step compute_loads: a fresh set-up every step,
+    no memo, no orbit and no replay."""
+    world = _classical_world(cfg, run_index)
+    state = np.ones(world.n_bs, dtype=np.int64)
+    serving = _associate_all(world.rx, state, np.zeros(world.n_bs), 0.0)
+    rc, lcfg, s = cfg.run, cfg.learning, world.sbs_idx
+    load, rows, converged = np.zeros(world.n_bs), [], []
+    for _ in range(rc.steps):
+        net = netmodel.compute_loads(
+            cfg.channel, world.gains, world.p_max, state, serving, world.traffic,
+            tol=rc.load_tol, max_iter=rc.load_max_iter, init=load)
+        load = net.load
+        power = netmodel.total_powers(world.p_max, world.p_idle, world.idle_scale, net)
+        cost = lcfg.alpha * power + lcfg.beta * net.load_raw
+        rows.append((net.state[s], power[s], net.load[s], net.load_raw[s], cost[s]))
+        converged.append(net.converged)
+    return rows, converged
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cfg=_scenario_configs(valid=True).map(_classical),
+       tol=st.sampled_from([1e-6, 1e-9, 1e-13]),
+       max_iter=st.sampled_from([1, 2, 3, 200]))
+def test_orbit_trace_equals_literal_per_step_solves(cfg, tol, max_iter):
+    # the classical slice of a whole-step reference: the orbit's rows, the
+    # replayed ones included, equal one fresh compute_loads per step
+    cfg.run.load_tol, cfg.run.load_max_iter = tol, max_iter
+    assume(_valid(cfg))
+    records = run_once(cfg, 0, keep_records=True).records
+    rows, converged = _literal_classical_rows(cfg, 0)
+    _assert_records_equal(records, rows)
+    assert records.converged.tolist() == converged
+    assert not records.n_clusters.any() and not records.state_changes.any()
+    assert not records.mean_cluster_size.any()
+
+
+@pytest.mark.parametrize("seed, run_index", [(0, 0), (1, 7), (2**31 - 1, 123)])
+def test_stream_children_draw_what_spawn_draws(seed, run_index):
+    spawned = np.random.SeedSequence([seed, run_index]).spawn(3)
+    for i, child in enumerate(spawned):
+        alone = np.random.SeedSequence([seed, run_index], spawn_key=(i,))
+        assert alone.generate_state(8).tobytes() == child.generate_state(8).tobytes()
+        a, b = np.random.default_rng(alone), np.random.default_rng(child)
+        assert a.random(16).tobytes() == b.random(16).tobytes()
+        assert a.exponential(3.0, 16).tobytes() == b.exponential(3.0, 16).tobytes()
+
+
+@pytest.mark.parametrize("mode, keys", [
+    ("classical", [(0,)]),
+    ("learning_no_clusters", [(0,), (2,)]),
+    ("learning_clustered", [(0,), (1,), (2,)]),
+])
+def test_run_builds_only_the_streams_its_mode_draws(mode, keys, monkeypatch):
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    run_once(small_cfg(mode, steps=5), 3)
+    assert [(ss.entropy, ss.spawn_key) for ss in built] == [
+        ([small_cfg().run.seed, 3], key) for key in keys]
+
+
+@pytest.mark.parametrize("mode, kmeans, learner", [
+    ("learning_clustered", None, 1),
+    ("learning_clustered", 1, None),
+    ("learning_no_clusters", None, None),
+])
+def test_world_rejects_none_for_a_stream_its_mode_draws(mode, kmeans, learner):
+    cfg = small_cfg(mode)
+    drop = generate_scenario(cfg, np.random.default_rng(0))
+    rngs = [None if r is None else np.random.default_rng(r) for r in (kmeans, learner)]
+    with pytest.raises(ValueError, match="draws from a stream given as None"):
+        World(cfg, *drop, *rngs)
