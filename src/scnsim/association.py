@@ -31,16 +31,17 @@ def associate_all(
     rx_power = np.asarray(rx_power, dtype=float)
     state = np.asarray(state)
     rho_hat = np.asarray(rho_hat, dtype=float)
-    if not state.any():
+    if not np.count_nonzero(state):
         raise ValueError("every station is asleep: no UE can be served")
     # 0^0 = 1 under numpy power, so delta = 0 degrades cleanly to RSSI even
     # at a fully loaded station
-    weight = np.where(state != 0, np.power(1.0 - rho_hat, delta), -np.inf)
-    scores = weight[:, None] * rx_power
-    scores[state == 0, :] = -np.inf
+    scores = np.power(1.0 - rho_hat, delta)[:, None] * rx_power
+    scores[state == 0] = -np.inf
+    tied = scores == scores.max(axis=0)
+    if np.count_nonzero(tied) == tied.shape[1]:  # one best station per UE
+        return tied.argmax(axis=0)
     # among the stations at the best score, the strongest raw signal;
     # argmax then keeps the lowest index
-    tied = scores == scores.max(axis=0)
     return np.where(tied, rx_power, -np.inf).argmax(axis=0)
 
 
@@ -48,9 +49,9 @@ def update_load_estimate(
     rho_hat: np.ndarray, rho_prev: np.ndarray, t: int, nu_exponent: float = 0.9
 ) -> None:
     """One in-place step of the float array rho_hat at time t >= 1, fed
-    with the previous step's loads."""
+    with the float array of the previous step's loads."""
     if t < 1:
         raise ValueError("time index starts at 1")
-    nu = 1.0 / t**nu_exponent
-    rho_prev = np.asarray(rho_prev, dtype=float)
-    rho_hat += nu * (rho_prev - rho_hat)
+    step = rho_prev - rho_hat
+    step *= 1.0 / t**nu_exponent
+    rho_hat += step

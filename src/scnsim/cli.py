@@ -12,7 +12,6 @@ give byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -51,11 +50,12 @@ def _formatted(rows):
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write header, then rows that are already lists of strings."""
+    """Write header, then rows that are already lists of strings, as joined
+    lines: no field holds a comma, quote or line break, so csv.writer
+    would quote none of them."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def parse_vary(text: str) -> tuple[str, list[float]]:

@@ -18,6 +18,7 @@ BSs only.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -123,27 +124,27 @@ def laplacian_matrix(similarity: np.ndarray, variant: str = "standard") -> np.nd
     raise ValueError(f"laplacian variant must be one of {LAPLACIAN_MODES}")
 
 
-def select_k(eigenvalues: np.ndarray) -> int:
+def select_k(eigenvalues: Sequence[float]) -> int:
     """Eigengap heuristic: the 1-based index of the largest ascending gap.
 
     Ties break toward the smaller index. Fewer than two eigenvalues give
     k = len(eigenvalues).
     """
-    vals = np.asarray(eigenvalues, dtype=float)
-    if vals.size < 2:
-        return int(vals.size)
-    return int(abs(vals[1:] - vals[:-1]).argmax()) + 1
+    if len(eigenvalues) < 2:
+        return len(eigenvalues)
+    gaps = [abs(b - a) for a, b in zip(eigenvalues, eigenvalues[1:])]
+    return gaps.index(max(gaps)) + 1
 
 
-def _block_tol(eigenvalues: np.ndarray) -> float:
+def _block_tol(eigenvalues: Sequence[float]) -> float:
     """Gap below which two ascending eigenvalues count as one block."""
-    return 1e-8 * max(1.0, float(abs(eigenvalues).max()))
+    return 1e-8 * max(1.0, max(map(abs, eigenvalues)))
 
 
-def zero_eigenvalue_count(eigenvalues: np.ndarray, tol: float = 1e-8) -> int:
+def zero_eigenvalue_count(eigenvalues: Sequence[float], tol: float = 1e-8) -> int:
     """Multiplicity of (numerically) zero eigenvalues: the number of connected
     components for the standard Laplacian, not for the rowsum variant."""
-    return int((abs(np.asarray(eigenvalues, dtype=float)) <= tol).sum())
+    return sum(1 for v in eigenvalues if abs(v) <= tol)
 
 
 def kmeans(
@@ -252,7 +253,7 @@ def _bisect(
     idx = np.asarray(members)
     vals, vecs = np.linalg.eigh(laplacian_matrix(similarity[np.ix_(idx, idx)], laplacian))
     fiedler = np.round(vecs[:, 1], 9)
-    if np.any(np.diff(vals[:3]) <= _block_tol(vals)):
+    if np.any(np.diff(vals[:3]) <= _block_tol(vals.tolist())):
         fiedler = np.zeros(len(idx))
     elif fiedler[np.argmax(np.abs(fiedler))] < 0:
         fiedler = -fiedler
@@ -315,13 +316,14 @@ def spectral_cluster(
         return ClusterPartition(clusters=((int(ids[0]),),), heads=(int(ids[0]),), epoch=epoch)
 
     vals, vecs = np.linalg.eigh(laplacian_matrix(s, laplacian))
+    values = vals.tolist()  # ascending
     if k is None:
-        k = max(select_k(vals), zero_eigenvalue_count(vals))
+        k = max(select_k(values), zero_eigenvalue_count(values))
     k = int(min(max(k, 1), n))
     # the embedding runs to the end of the eigenvalue block holding column k:
     # any basis of a whole block gives the same pairwise distances, which
     # are all k-means reads (a column's sign does not change them either)
-    dim = int(vals.searchsorted(vals[k - 1] + _block_tol(vals), side="right"))
+    dim = bisect_right(values, values[k - 1] + _block_tol(values))
     labels = kmeans(vecs[:, :dim], k, rng, max_iter=max_iter, init_labels=init_labels)
 
     groups: dict[int, list[int]] = {}
@@ -334,10 +336,9 @@ def spectral_cluster(
         for members in groups.values()
         for part in _bisect(s, members, id_arr, laplacian, max_size)
     ]
-    # deterministic ordering: clusters sorted by their smallest member id
-    clusters = tuple(
-        sorted((tuple(sorted(id_list[i] for i in g)) for g in parts), key=min)
-    )
+    # deterministic ordering: clusters sorted by their smallest member id,
+    # which is their first, and no two share it
+    clusters = tuple(sorted(tuple(sorted(id_list[i] for i in g)) for g in parts))
     load_of = dict(zip(id_list, np.asarray(loads, dtype=float).tolist()))
     heads = tuple(
         elect_head(members, [load_of[b] for b in members]) for members in clusters

@@ -25,7 +25,8 @@ if TYPE_CHECKING:
 
 
 # 1 / t**x at step count t (row) per gain exponent x (column), one table per
-# exponent triple: it depends on its key alone, so all learners share it
+# exponent triple: it depends on its key alone, so all learners share it.
+# Column-major, so each exponent's gains are one contiguous array
 _GAINS: dict[tuple[float, float, float], np.ndarray] = {}
 
 
@@ -60,10 +61,10 @@ class LearnerTable:
     row r from entry start[r] on. Consecutive rows of one member count s
     form a block: a contiguous (rows, 2^s) slice that plays
     build_action_set(s, cap). Elementwise steps run once over the whole
-    buffer, with each row's gains and last utility gathered per entry. The
-    row reductions (the Boltzmann-Gibbs max and sum, the policy's
-    renormalising sum and sample's cumsum) run per block on its 2-D view,
-    so a row's numbers are those of a lone learner, bit for bit.
+    buffer, with each row's gains, last utility and row reductions gathered
+    per entry. The row reductions (the Boltzmann-Gibbs max and sum, the
+    policy's renormalising sum and sample's cumsum) run per block on its
+    2-D view, so a row's numbers are those of a lone learner, bit for bit.
     """
 
     def __init__(self, cfg: LearningConfig):
@@ -113,13 +114,14 @@ class LearnerTable:
         self._entry_row = entry_row
         self._target = np.empty(pi.size)  # update's scratch buffer
         self._cdf = np.empty(pi.size)  # sample's scratch buffer
+        self._reduced = np.empty(sizes.size)  # one row reduction per row
         # every entry but the last of its row
         self._inner = np.ones(pi.size, dtype=bool)
         self._inner[start + width - 1] = False
 
         # one block per run of equal sizes: its rows in self.blocks, its
-        # action set in self.actions and 2-D views of pi and of the scratch
-        # buffers in self._views
+        # action set in self.actions, and in self._views 2-D views of pi and
+        # of the scratch buffers with its rows' slice of self._reduced
         self.blocks, self.actions, self._views = [], [], []
         cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), sizes.size]
         for r0, r1 in zip(cuts[:-1], cuts[1:]):
@@ -134,8 +136,8 @@ class LearnerTable:
             shape = (r1 - r0, len(actions))
             self.blocks.append(rows)
             self.actions.append(actions)
-            self._views.append(
-                tuple(a[span].reshape(shape) for a in (pi, self._target, self._cdf)))
+            views = (a[span].reshape(shape) for a in (pi, self._target, self._cdf))
+            self._views.append((*views, self._reduced[rows]))
 
     def sample(self, draws) -> np.ndarray:
         """Action index per row from its mixed strategy and a uniform draw.
@@ -151,9 +153,9 @@ class LearnerTable:
         if len(self._views) == 1:  # fewer calls on one block's 2-D view
             cdf = self._views[0][0][:, :-1].cumsum(axis=1)
             return (cdf <= draws.reshape(-1, 1)).sum(axis=1)
-        for pi, _, cdf in self._views:
-            np.cumsum(pi, axis=1, out=cdf)
-        below = self._cdf <= draws.take(self._entry_row)
+        for pi, _, cdf, _ in self._views:
+            pi.cumsum(axis=1, out=cdf)
+        below = self._cdf <= draws[self._entry_row]
         below &= self._inner
         return np.add.reduceat(below, self.start, dtype=np.intp)
 
@@ -161,30 +163,35 @@ class LearnerTable:
         """Fold one observed (action index, utility) pair per row into the estimates."""
         self.t += 1
         try:
-            gains = _GAINS[self.exps][self.t]
+            tau_of, iota_of, eps_of = _GAINS[self.exps].T
+            tau = tau_of[self.t]
         except (KeyError, IndexError):
             # Python-float powers call C pow, as a lone learner's scalar gains
             # do; np.power may take a SIMD path that rounds differently
             size = 2 * int(self.t.max(initial=0)) + 1
-            _GAINS[self.exps] = np.array([[np.nan] * 3] + [
+            _GAINS[self.exps] = np.asfortranarray([[np.nan] * 3] + [
                 [1.0 / t**x for x in self.exps] for t in range(1, size)])
-            gains = _GAINS[self.exps][self.t]
+            tau_of, iota_of, eps_of = _GAINS[self.exps].T
+            tau = tau_of[self.t]
+        # every row has entries, so their step counts fit the table as t's do
         entry = self._entry_row
-        tau = gains[:, 0]
-        per_entry = gains[entry]
-        iota, eps = per_entry[:, 1], per_entry[:, 2]
+        t_entry = self.t[entry]
+        iota, eps = iota_of[t_entry], eps_of[t_entry]
 
-        # the Boltzmann-Gibbs target of the pre-update regrets, in place
-        target = self._target
+        # the Boltzmann-Gibbs target of the pre-update regrets, in place; each
+        # row reduction lands in self._reduced, which every entry then reads
+        target, reduced = self._target, self._reduced
         np.maximum(self.regret_est, 0.0, out=target)
         target *= self.kappa
-        for _, z, _ in self._views:
-            z -= z.max(axis=1, keepdims=True)
+        for _, z, _, row_max in self._views:
+            np.maximum.reduce(z, axis=1, out=row_max)
+        target -= reduced[entry]
         np.exp(target, out=target)
-        for _, w, _ in self._views:
-            w /= w.sum(axis=1, keepdims=True)
+        for _, w, _, row_sum in self._views:
+            np.add.reduce(w, axis=1, out=row_sum)
+        target /= reduced[entry]
 
-        step = self.utility_est - self.prev_utility.take(entry)
+        step = self.utility_est - self.prev_utility[entry]
         step -= self.regret_est
         step *= iota
         self.regret_est += step
@@ -198,7 +205,8 @@ class LearnerTable:
         target -= self.pi
         target *= eps
         self.pi += target
-        for pi, _, _ in self._views:
-            pi /= pi.sum(axis=1, keepdims=True)
+        for pi, _, _, row_sum in self._views:
+            np.add.reduce(pi, axis=1, out=row_sum)
+        self.pi /= reduced[entry]
 
         self.prev_utility[:] = utilities

@@ -56,10 +56,16 @@ def pathloss_db(
     """
     if kind not in PATHLOSS_DB:
         raise ValueError(f"unknown BS kind {kind!r}")
-    offset, slope = PATHLOSS_DB[kind]
-    floor = layout.min_dist_macro_ue_m if kind == MACRO else layout.min_dist_small_ue_m
-    d = np.maximum(np.asarray(distance_m, dtype=float), floor)
-    return offset + slope * np.log10(d / 1000.0)
+    return _pathloss_db(np.asarray(distance_m, dtype=float), kind == MACRO, layout)
+
+
+def _pathloss_db(d: np.ndarray, macro, layout: LayoutConfig) -> np.ndarray:
+    """pathloss_db elementwise, the macro law where macro (a bool, or a mask
+    that broadcasts against d) holds, else the small-cell one."""
+    offset, slope, floor = (np.where(macro, m, s) for m, s in zip(
+        (*PATHLOSS_DB[MACRO], layout.min_dist_macro_ue_m),
+        (*PATHLOSS_DB[SMALL], layout.min_dist_small_ue_m)))
+    return offset + slope * np.log10(np.maximum(d, floor) / 1000.0)
 
 
 def gain(kind: str, distance_m: np.ndarray | float, layout: LayoutConfig) -> np.ndarray:
@@ -72,16 +78,15 @@ def gain_matrix(
 ) -> np.ndarray:
     """(n_bs, n_ue) channel gains; positions are (n, 2) in metres.
 
-    macro[b] selects the macro path-loss law for BS b, else the small-cell one.
+    macro[b] selects the macro path-loss law for BS b, else the small-cell
+    one. One pass over every station, each row with its own law's terms:
+    elementwise, so each entry rounds as gain() does.
     """
     pos = np.asarray(ue_positions, dtype=float).reshape(-1, 2)
     bs = np.asarray(bs_positions, dtype=float).reshape(-1, 2)
     d = np.hypot(pos[:, 0] - bs[:, :1], pos[:, 1] - bs[:, 1:])
-    macro = np.asarray(macro, dtype=bool)
-    out = np.empty_like(d)
-    out[macro] = gain(MACRO, d[macro], layout)
-    out[~macro] = gain(SMALL, d[~macro], layout)
-    return out
+    macro = np.asarray(macro, dtype=bool)[:, None]
+    return 10.0 ** (-_pathloss_db(d, macro, layout) / 10.0)
 
 
 @dataclass
@@ -167,12 +172,11 @@ def load_setup(
     """Check serving against state and build compute_loads's loop invariants."""
     n_ue = gains.shape[1]
     srv = np.asarray(serving, dtype=np.intp)
-    asleep = state[srv] == 0
-    if asleep.any():
+    if np.count_nonzero(state[srv]) < srv.size:
         negative = np.flatnonzero(srv < 0).tolist()
         if negative:
             raise ValueError(f"UEs {negative} have negative serving entries")
-        bad = np.flatnonzero(asleep).tolist()
+        bad = np.flatnonzero(state[srv] == 0).tolist()
         raise InactiveServerError(f"UEs {bad} assigned to sleeping BSs")
     # state is 0/1, so x * (power * state) rounds as (x * power) * state does
     tx = power * state
@@ -241,7 +245,6 @@ def _fixed_point(setup: LoadSetup, gains: np.ndarray, traffic: np.ndarray, bandw
     rate = np.empty(n_ue)
     # clamped as np.clip does it, -0.0 to +0.0 included
     x = np.zeros(n_bs) if init is None else np.minimum(np.maximum(init, 0.0), 1.0)
-    raw = np.zeros(n_bs)
     converged, iterations = False, 0
     for iterations in range(1, max_iter + 1):
         if airtime is not None:

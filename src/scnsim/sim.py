@@ -406,7 +406,7 @@ class World:
         # +0.0, so the exclusion product is each BS's own term: excl None
         # solves the step bit for bit
         excl, costs = self.excl, None
-        if excl is not None and excl.dot(state).take(serving).max(initial=0) > 1:
+        if excl is not None and np.count_nonzero(excl.dot(state)[serving] > 1):
             rates = netmodel.rate_matrix(
                 self.cfg.channel, self.gains, self.p_max, state, prev_load, excl
             )
@@ -444,11 +444,7 @@ class World:
                 init=prev_load, airtime=costs, setup=self._setup[1],
             )
             self.fp_solves += 1
-            per_bs_cost = None
-            if self.blocks:
-                totals = netmodel.total_powers(self.p_max, self.p_idle, self.idle_scale, net)
-                lcfg = self.cfg.learning
-                per_bs_cost = lcfg.alpha * totals + lcfg.beta * net.load_raw
+            per_bs_cost = self._power_cost(net)[1] if self.blocks else None
             entry = self._solves[key] = (net, per_bs_cost, t)
         elif self.mode == "classical" and self.cycle is None:
             self.cycle = (entry[2], t)
@@ -458,14 +454,22 @@ class World:
         if self.blocks:
             charged = np.empty(self.n_clusters)
             for rows, members, _ in self.blocks:
-                charged[rows] = per_bs_cost[members].sum(axis=1)
-            self.table.update(played, -charged)
+                np.add.reduce(per_bs_cost[members], axis=1, out=charged[rows])
+            self.table.update(played, np.negative(charged, out=charged))
 
         # (9) SBS-scope bookkeeping
         self.last_serving = serving.copy()
         # the macro never sleeps, so every flip is an SBS flip
         flips = int(state_key != prev_state.tobytes() and np.count_nonzero(state != prev_state))
         self.history.append((self.net, self.n_clusters, self.mean_cluster_size, flips))
+
+    def _power_cost(self, net: netmodel.NetworkConfiguration) -> tuple[np.ndarray, np.ndarray]:
+        """Each BS's total power and its cost alpha * power + beta * raw load
+        in `net`, one step's or a stacked trace's: elementwise, so the two
+        round alike."""
+        power = netmodel.total_powers(self.p_max, self.p_idle, self.idle_scale, net)
+        lcfg = self.cfg.learning
+        return power, lcfg.alpha * power + lcfg.beta * net.load_raw
 
     def orbit(self, steps: int) -> None:
         """Run a classical World's remaining steps, up to `steps`, as step would.
@@ -517,9 +521,7 @@ class World:
         stacked = netmodel.NetworkConfiguration(
             *(np.array([getattr(net, name) for net in nets])
               for name in ("state", "load", "load_raw")))
-        power = netmodel.total_powers(self.p_max, self.p_idle, self.idle_scale, stacked)
-        lcfg = self.cfg.learning
-        cost = lcfg.alpha * power + lcfg.beta * stacked.load_raw
+        power, cost = self._power_cost(stacked)
         sbs = [a.take(self.sbs_idx, axis=1).take(index, axis=0) for a in (
             stacked.state, power, stacked.load, stacked.load_raw, cost)]
         fields = [
@@ -591,8 +593,8 @@ def run_once(
         power = trace.sbs_power
         cost = float((trace.sbs_cost[burn:].sum(axis=1) / n_sbs).mean())
         energy = power[burn:].sum(axis=0) * STEP_SECONDS
-        mean_energy = float(np.mean(energy))
-        mean_load = float(np.mean(trace.sbs_load[burn:]))
+        mean_energy = float(energy.mean())
+        mean_load = float(trace.sbs_load[burn:].mean())
         total_energy = float(power.sum(axis=1).sum() * STEP_SECONDS)
     else:
         cost, mean_energy, mean_load, total_energy = 0.0, 0.0, 0.0, 0.0
@@ -608,10 +610,10 @@ def run_once(
         energy_per_sbs=energy,
         total_energy=total_energy,
         mean_load=mean_load,
-        cluster_count=float(np.mean(trace.n_clusters[burn:])),
-        mean_cluster_size=float(np.mean(trace.mean_cluster_size[burn:])),
+        cluster_count=float(trace.n_clusters[burn:].mean()),
+        mean_cluster_size=float(trace.mean_cluster_size[burn:].mean()),
         state_changes=int(trace.state_changes.sum()),
-        converged_frac=float(np.mean(trace.converged)),
+        converged_frac=float(trace.converged.mean()),
         records=trace if keep_records else None,
         cluster_events=world.cluster_events if keep_clusters else None,
     )
@@ -658,9 +660,7 @@ def run_experiment(
     results.sort(key=lambda r: r.run)
 
     costs = np.array([r.mean_cost_per_bs for r in results])
-    ci95 = (
-        1.96 * float(np.std(costs, ddof=1)) / float(np.sqrt(n)) if n > 1 else 0.0
-    )
+    ci95 = 1.96 * float(costs.std(ddof=1)) / float(np.sqrt(n)) if n > 1 else 0.0
     pooled = (
         np.sort(np.concatenate([r.energy_per_sbs for r in results]))
         if results and results[0].n_sbs
@@ -671,12 +671,12 @@ def run_experiment(
         ue_count=cfg.layout.n_ues,
         eps_d=cfg.clustering.eps_d_m,
         theta=cfg.clustering.theta,
-        mean_cost_per_bs=float(np.mean(costs)),
+        mean_cost_per_bs=float(costs.mean()),
         ci95=ci95,
-        mean_energy_per_bs=float(np.mean([r.mean_energy_per_bs for r in results])),
-        mean_load=float(np.mean([r.mean_load for r in results])),
-        cluster_count=float(np.mean([r.cluster_count for r in results])),
-        mean_cluster_size=float(np.mean([r.mean_cluster_size for r in results])),
+        mean_energy_per_bs=float(np.array([r.mean_energy_per_bs for r in results]).mean()),
+        mean_load=float(np.array([r.mean_load for r in results]).mean()),
+        cluster_count=float(np.array([r.cluster_count for r in results]).mean()),
+        mean_cluster_size=float(np.array([r.mean_cluster_size for r in results]).mean()),
         energy_samples=pooled,
         runs=results,
     )

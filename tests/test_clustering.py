@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from scnsim.clustering import (
     LAPLACIAN_MODES,
+    _bisect,
     _centroids,
     ClusterPartition,
     build_adjacency,
@@ -711,3 +712,68 @@ def test_joint_similarity_composition():
     assert s_joint[0, 1] == pytest.approx(expected, rel=1e-12)
     assert np.allclose(laplacian_matrix(s_joint).sum(axis=1), 0.0, atol=1e-15)
     assert np.array_equal(joint_of(pos, loads, cc), s_joint)
+
+
+def reference_spectral_cluster(similarity, ids, rng, loads=None, laplacian="standard",
+                               epoch=0, init_labels=None, max_iter=100, max_size=None):
+    """spectral_cluster with k from the eigengap and zero-count rules, written
+    out step by step: reference_kmeans on the embedding through k's
+    eigenvalue block, _bisect on every k-means group, and per cluster the
+    head of maximal load, ties to the lowest id."""
+    s = np.asarray(similarity, dtype=float)
+    n = s.shape[0]
+    ids = [int(b) for b in ids]
+    loads = [0.0] * n if loads is None else [float(x) for x in loads]
+    if n < 2:
+        return ClusterPartition(tuple((b,) for b in ids), tuple(ids), epoch)
+    vals, vecs = np.linalg.eigh(laplacian_matrix(s, laplacian))
+    values = vals.tolist()
+    gaps = [abs(b - a) for a, b in zip(values, values[1:])]
+    k = gaps.index(max(gaps)) + 1  # the first largest gap
+    k = min(max(k, sum(abs(v) <= 1e-8 for v in values), 1), n)
+    tol = 1e-8 * max(1.0, max(abs(v) for v in values))
+    dim = sum(v <= values[k - 1] + tol for v in values)
+    labels = reference_kmeans(vecs[:, :dim], k, rng, max_iter, init_labels)[0]
+    groups = {}
+    for i, lab in enumerate(labels.tolist()):
+        groups.setdefault(lab, []).append(i)
+    parts = [part for g in groups.values()
+             for part in _bisect(s, g, np.asarray(ids), laplacian, max_size)]
+    clusters = tuple(sorted((tuple(sorted(ids[i] for i in g)) for g in parts), key=min))
+    load_of = dict(zip(ids, loads))
+    heads = tuple(min(c, key=lambda b: (-load_of[b], b)) for c in clusters)
+    return ClusterPartition(clusters, heads, epoch)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    bridges=st.integers(0, 3),
+    laplacian=st.sampled_from(LAPLACIAN_MODES),
+    max_size=st.none() | st.integers(1, 4),
+    warm=st.sampled_from(["none", "groups", "random"]),
+    seed=st.integers(0, 2**16),
+)
+def test_spectral_cluster_equals_the_stepwise_reference(sizes, bridges, laplacian,
+                                                        max_size, warm, seed):
+    # components joined by a few random bridges, loads with ties, shuffled
+    # ids and warm starts that fit, miss or miscount
+    rng = np.random.default_rng(seed)
+    s = _components_similarity(sizes, rng)
+    n = len(s)
+    for _ in range(bridges):
+        i, j = rng.integers(0, n, size=2)
+        if i != j:
+            s[i, j] = s[j, i] = rng.uniform(0.01, 1.0)
+    ids = (rng.permutation(n) * 3 + 2).tolist()
+    loads = rng.choice([0.0, 0.25, 0.5], size=n)
+    init = {"none": None, "groups": rng.permutation(np.arange(n) % len(sizes)),
+            "random": rng.integers(0, n, size=n)}[warm]
+    got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = spectral_cluster(s, ids, got_rng, loads=loads, laplacian=laplacian, epoch=7,
+                           init_labels=init, max_iter=5, max_size=max_size)
+    want = reference_spectral_cluster(s, ids, want_rng, loads=loads, laplacian=laplacian,
+                                      epoch=7, init_labels=init, max_iter=5,
+                                      max_size=max_size)
+    assert got == want
+    assert got_rng.random() == want_rng.random()
