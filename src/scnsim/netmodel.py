@@ -16,7 +16,8 @@ All powers are in watts, distances in metres, rates in bit/s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,7 +150,9 @@ class LoadSetup(NamedTuple):
     srv is serving as intp and flat its entries of the flattened
     (n_bs, n_ue) arrays; tx is power * state, own_gain and signal the
     serving station's gain and received power per UE, excl_w the float
-    exclusion matrix (None: each BS excludes only itself).
+    exclusion matrix (None: each BS excludes only itself), consts the noise,
+    bandwidth and 1.0 per UE and 1.0 per BS: numpy applies an array operand
+    faster than a Python float, and rounds the same.
     """
 
     srv: np.ndarray
@@ -158,7 +161,15 @@ class LoadSetup(NamedTuple):
     tx: np.ndarray
     signal: np.ndarray
     excl_w: np.ndarray | None
-    noise: float
+    consts: tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=16)
+def _constants(n_ue: int, n_bs: int, noise: float, bandwidth: float) -> tuple[np.ndarray, ...]:
+    """LoadSetup.consts, read-only, so all set-ups of a shape and channel share one."""
+    per_ue, per_bs = np.full((3, n_ue), [[noise], [bandwidth], [1.0]]), np.ones(n_bs)
+    per_ue.flags.writeable = per_bs.flags.writeable = False
+    return (*per_ue, per_bs)
 
 
 def load_setup(
@@ -181,10 +192,10 @@ def load_setup(
     # state is 0/1, so x * (power * state) rounds as (x * power) * state does
     tx = power * state
     flat = srv * n_ue + np.arange(n_ue)
-    own_gain = gains.take(flat)
+    own_gain = gains.ravel()[flat]
     excl_w = None if excl is None else np.asarray(excl, dtype=float)
     return LoadSetup(srv, flat, own_gain, tx, tx[srv] * own_gain, excl_w,
-                     noise_w(channel))
+                     _constants(n_ue, state.size, noise_w(channel), channel.bandwidth_hz))
 
 
 def compute_loads(
@@ -232,60 +243,47 @@ def compute_loads(
     """
     if setup is None:
         setup = load_setup(channel, gains, power, state, serving, excl)
-    return NetworkConfiguration(state.copy(), *_fixed_point(
-        setup, gains, traffic, channel.bandwidth_hz, init, tol, max_iter, airtime))
-
-
-def _fixed_point(setup: LoadSetup, gains: np.ndarray, traffic: np.ndarray, bandwidth: float,
-                 init: np.ndarray | None, tol: float, max_iter: int,
-                 airtime: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, bool, int]:
-    """compute_loads's iteration: (load, raw load, converged, iterations)."""
-    srv, flat, own_gain, tx, signal, excl_w, noise = setup
-    n_bs, n_ue = gains.shape
-    rate = np.empty(n_ue)
     # clamped as np.clip does it, -0.0 to +0.0 included
-    x = np.zeros(n_bs) if init is None else np.minimum(np.maximum(init, 0.0), 1.0)
+    x = np.zeros(gains.shape[0]) if init is None else np.minimum(np.maximum(init, 0.0), 1.0)
+    return NetworkConfiguration(state.copy(), *_fixed_point(
+        setup, gains, traffic, x, tol, max_iter, airtime))
+
+
+def _fixed_point(setup: LoadSetup, gains: np.ndarray, traffic: np.ndarray, x: np.ndarray,
+                 tol: float, max_iter: int,
+                 airtime: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, bool, int]:
+    """compute_loads's iteration from loads x in [0, 1], with no -0.0, as a
+    solve returns them: (load, raw load, converged, iterations)."""
+    srv, flat, own_gain, tx, signal, excl_w, (noise, bandwidth, one, cap) = setup
+    rate = np.empty(srv.size)
     converged, iterations = False, 0
     for iterations in range(1, max_iter + 1):
         if airtime is not None:
-            rate, airtime = airtime.take(flat), None
+            rate, airtime = airtime.ravel()[flat], None
         else:
             # full-size matmuls keep rate_matrix's rounding bit for bit
             w = x * tx
             denom = w @ gains
             if excl_w is None:
-                excluded = w.take(srv)
+                excluded = w[srv]
                 excluded *= own_gain
             else:
-                excluded = ((excl_w * w) @ gains).take(flat)
+                excluded = ((excl_w * w) @ gains).ravel()[flat]
             denom -= excluded
             denom += noise
             np.divide(signal, denom, out=rate)
-            rate += 1.0
+            rate += one
             np.log2(rate, out=rate)
             rate *= bandwidth
             np.divide(traffic, rate, out=rate)  # per-UE airtime
-        raw = np.bincount(srv, weights=rate, minlength=n_bs)
-        x_new = np.minimum(raw, 1.0)
+        raw = np.bincount(srv, weights=rate, minlength=cap.size)
+        x_new = np.minimum(raw, cap)
         # one Python pass over the few BSs; like numpy's max, NaN never converges
         converged = all(abs(d) < tol for d in (x_new - x).tolist())
         x = x_new
         if converged:
             break
     return x, raw, converged, iterations
-
-
-def load_orbit(channel: ChannelConfig, gains: np.ndarray, state: np.ndarray, traffic: np.ndarray,
-               setup: LoadSetup, init: np.ndarray, tol: float = 1e-6,
-               max_iter: int = 200) -> Iterator[NetworkConfiguration]:
-    """Yield compute_loads's solves for the arguments setup was built from,
-    the first from init and each later one from the load before it, bit for
-    bit; the configurations share one copy of state."""
-    state = state.copy()
-    while True:
-        init, raw, converged, iterations = _fixed_point(
-            setup, gains, traffic, channel.bandwidth_hz, init, tol, max_iter)
-        yield NetworkConfiguration(state, init, raw, converged, iterations)
 
 
 def total_powers(

@@ -6,8 +6,9 @@ time. Each step, in order: the advertised load estimates fold in the
 previous step's loads; the partition refreshes when due; every cluster
 samples a sleep/wake action; UEs associate; cluster heads rebalance their
 members' UEs; the load-coupled fixed point runs; costs are charged and the
-learners update; classical runs step once, then World.orbit iterates the
-loads. Monte-Carlo runs use independent seed streams from (seed, run_index),
+learners update. A classical run has one operating point, so run_once
+solves it once (World._static_solve) and broadcasts that row over every
+step. Monte-Carlo runs use independent seed streams from (seed, run_index),
 so results are reproducible run-by-run and independent of worker scheduling.
 """
 
@@ -147,8 +148,9 @@ class Trace(Sequence):
     """A run's StepRecord fields as read-only arrays, one row per step.
 
     Scalar fields are (steps,) arrays and sbs_* fields (steps, n_sbs)
-    arrays. Indexing builds StepRecords on demand, whose sbs_* arrays are
-    read-only views of one row.
+    arrays; a classical run's are one row broadcast over every step.
+    Indexing builds StepRecords on demand, whose sbs_* arrays are read-only
+    views of one row.
     """
 
     step: np.ndarray
@@ -268,7 +270,7 @@ class World:
         # _solves_excl, so a steady run's cycle of solve inputs in the last
         # bits is held whole, whatever its period: (state, serving,
         # prev_load bytes) -> (net, per-BS cost the learners are charged
-        # or None without learners, step that solved it)
+        # or None without learners)
         self._solves: dict[tuple[bytes, bytes, bytes], tuple] = {}
         self._solves_excl: np.ndarray | None = None
         # the last fixed-point set-up under _solves_excl: ((state, serving
@@ -277,10 +279,6 @@ class World:
         # one entry per step run: (net, cluster count, mean cluster size,
         # SBS flips); trace() stacks it
         self.history: list[tuple[netmodel.NetworkConfiguration, int, float, int]] = []
-        # classical only: (first, repeat) steps of the first solve reuse; a
-        # classical step is a function of the previous loads alone, so from
-        # step first on the run repeats with period repeat - first
-        self.cycle: tuple[int, int] | None = None
 
     def _set_partition(self, partition: clust.ClusterPartition) -> None:
         """Install a partition, keeping the learner row of every unchanged cluster.
@@ -352,7 +350,10 @@ class World:
         self._set_partition(part)
 
     def step(self, t: int) -> None:
-        """Run step t and append its solve and scalars to the history."""
+        """Run step t and append its solve and scalars to the history.
+
+        A classical World stepped by hand solves each step from the previous
+        step's loads; _static_solve returns the limit of those solves."""
         rc = self.cfg.run
         # a solve's arrays are never written after it returns (the memo
         # hands them out again), so the previous step's need no copy
@@ -445,10 +446,8 @@ class World:
             )
             self.fp_solves += 1
             per_bs_cost = self._power_cost(net)[1] if self.blocks else None
-            entry = self._solves[key] = (net, per_bs_cost, t)
-        elif self.mode == "classical" and self.cycle is None:
-            self.cycle = (entry[2], t)
-        self.net, per_bs_cost, _ = entry
+            entry = self._solves[key] = (net, per_bs_cost)
+        self.net, per_bs_cost = entry
 
         # (8) every learner observes the negated cost of its own members
         if self.blocks:
@@ -471,63 +470,48 @@ class World:
         lcfg = self.cfg.learning
         return power, lcfg.alpha * power + lcfg.beta * net.load_raw
 
-    def orbit(self, steps: int) -> None:
-        """Run a classical World's remaining steps, up to `steps`, as step would.
+    def _sbs_fields(self, net: netmodel.NetworkConfiguration) -> list[np.ndarray]:
+        """The sbs_* StepRecord fields of `net`, one step's or a stacked trace's."""
+        power, cost = self._power_cost(net)
+        return [a.take(self.sbs_idx, axis=-1)
+                for a in (net.state, power, net.load, net.load_raw, cost)]
 
-        A classical step keeps state, serving and the fixed-point set-up, so
-        each later one is the fixed point from the previous loads: one
-        netmodel.load_orbit runs them, with step's memo, fp_solves and rows,
-        up to the first repeat of the previous loads, recorded in cycle."""
-        if self.mode != "classical" or not self.history:
-            raise ValueError("orbit continues a classical World that has run a step")
-        rc = self.cfg.run
-        inputs, setup = self._setup
-        solves = netmodel.load_orbit(self.cfg.channel, self.gains, self.net.state, self.traffic,
-                                     setup, self.net.load, rc.load_tol, rc.load_max_iter)
-        t = len(self.history)
-        while self.cycle is None and t < steps:
-            t += 1
-            key = (*inputs, self.net.load.tobytes())
-            entry = self._solves.get(key)
-            if entry is None:
-                entry = self._solves[key] = (next(solves), None, t)
-                self.fp_solves += 1
-            else:
-                self.cycle = (entry[2], t)
-            self.net = entry[0]
-            self.history.append((self.net, self.n_clusters, self.mean_cluster_size, 0))
+    def _static_solve(self, steps: int) -> netmodel.NetworkConfiguration:
+        """A classical run's one operating point, the row of all its steps.
 
-    def trace(self, steps: int | None = None) -> Trace:
-        """The history as StepRecord fields, one row per step from step 1.
+        State and serving never change, so each of step's solves is the fixed
+        point from the previous loads alone. From the World's loads (zeros
+        before a step) they run until those bytes repeat or `steps` solves
+        have run: the result is step's memo hit there (else the last solve)."""
+        rc, state = self.cfg.run, self._all_on
+        serving = assoc.associate_all(self.rx, state, self.rho_hat, 0.0)
+        setup = netmodel.load_setup(self.cfg.channel, self.gains, self.p_max, state, serving)
+        solves, load = {}, self.net.load
+        while len(solves) < steps:
+            key = load.tobytes()
+            if key in solves:
+                break
+            solves[key] = netmodel._fixed_point(
+                setup, self.gains, self.traffic, load, rc.load_tol, rc.load_max_iter)
+            load = solves[key][0]
+        return netmodel.NetworkConfiguration(state, *solves[key])
 
-        steps defaults to the steps run. A classical World whose cycle is
-        known may ask for more: an unstepped step u reads the row of step
-        first + (u - first) % (repeat - first). Powers and costs are
-        computed here for every stepped solve at once, elementwise, so they
-        round as a per-step computation does.
+    def trace(self) -> Trace:
+        """The history as StepRecord fields, one row per step run from step 1.
+
+        Powers and costs are computed here for every stepped solve at once,
+        elementwise, so they round as a per-step computation does.
         """
         if not self.history:
             raise ValueError("no step has run, so there is no trace")
         nets, n_clusters, sizes, flips = zip(*self.history)
-        n = len(nets)
-        steps = n if steps is None else steps
-        index = np.arange(steps)
-        if steps > n:
-            if self.cycle is None:
-                raise ValueError(f"{n} steps run and no cycle to replay up to {steps}")
-            first, repeat = self.cycle
-            f = first - 1
-            index[n:] = f + (index[n:] - f) % (repeat - first)
         stacked = netmodel.NetworkConfiguration(
             *(np.array([getattr(net, name) for net in nets])
               for name in ("state", "load", "load_raw")))
-        power, cost = self._power_cost(stacked)
-        sbs = [a.take(self.sbs_idx, axis=1).take(index, axis=0) for a in (
-            stacked.state, power, stacked.load, stacked.load_raw, cost)]
         fields = [
-            np.arange(1, steps + 1), np.array(n_clusters)[index], np.array(sizes)[index],
-            np.array(flips)[index], np.array([net.converged for net in nets])[index],
-            *sbs,
+            np.arange(1, len(nets) + 1), np.array(n_clusters), np.array(sizes),
+            np.array(flips), np.array([net.converged for net in nets]),
+            *self._sbs_fields(stacked),
         ]
         for a in fields:
             a.setflags(write=False)
@@ -545,12 +529,12 @@ class RunResult:
     mean_cost_per_bs: float
     mean_energy_per_bs: float
     energy_per_sbs: np.ndarray  # one sample per SBS (window energy)
-    total_energy: float  # all steps, all SBSs
+    total_energy: float  # all steps, all SBSs; classical: its static row at every step
     mean_load: float
     cluster_count: float
     mean_cluster_size: float
     state_changes: int
-    converged_frac: float
+    converged_frac: float  # steps whose solve converged; classical: its static solve's, 1 or 0
     records: Trace | None = None  # every step, with keep_records
     cluster_events: list[clust.ClusterPartition] | None = None
 
@@ -579,26 +563,42 @@ def run_once(
         if i in STREAMS[cfg.run.mode] else None for i in range(3))
     world = World(cfg, *generate_scenario(cfg, scen), kmeans, learner)
     steps = cfg.run.steps
-    world.step(1)
-    if world.mode == "classical":  # the rest of the run is one load orbit
-        world.orbit(steps)
-    else:
-        for t in range(2, steps + 1):
-            world.step(t)
-    trace = world.trace(steps)
     burn = burn_in_steps(steps, cfg.run.burn_in_frac)
     n_sbs = int(world.sbs_idx.size)
-    if n_sbs:
-        # (steps, n_sbs) arrays; a row sum rounds as np.sum of that record
-        power = trace.sbs_power
-        cost = float((trace.sbs_cost[burn:].sum(axis=1) / n_sbs).mean())
-        energy = power[burn:].sum(axis=0) * STEP_SECONDS
-        mean_energy = float(energy.mean())
-        mean_load = float(trace.sbs_load[burn:].mean())
-        total_energy = float(power.sum(axis=1).sum() * STEP_SECONDS)
+    if world.mode == "classical":
+        # one row for every step: closed-form reductions, read-only broadcasts
+        net = world._static_solve(steps)
+        _, power, load, _, cost = rows = world._sbs_fields(net)
+        energy = power * (steps - burn) * STEP_SECONDS
+        cost, mean_energy, mean_load = (
+            (float(cost.sum() / n_sbs), float(energy.mean()), float(load.mean()))
+            if n_sbs else (0.0, 0.0, 0.0))
+        total_energy = float(power.sum() * steps * STEP_SECONDS)
+        cluster_count, mean_cluster_size, state_changes, converged_frac = (
+            0.0, 0.0, 0, float(net.converged))
+        trace = Trace(np.broadcast_to(np.arange(1, steps + 1), steps), *(
+            np.broadcast_to(a, (steps, *np.shape(a)))
+            for a in (0, 0.0, 0, net.converged, *rows))) if keep_records else None
     else:
-        cost, mean_energy, mean_load, total_energy = 0.0, 0.0, 0.0, 0.0
-        energy = np.zeros(0)
+        for t in range(1, steps + 1):
+            world.step(t)
+        trace = world.trace()
+        if n_sbs:
+            # (steps, n_sbs) arrays; a row sum rounds as np.sum of that record
+            power = trace.sbs_power
+            cost = float((trace.sbs_cost[burn:].sum(axis=1) / n_sbs).mean())
+            energy = power[burn:].sum(axis=0) * STEP_SECONDS
+            mean_energy = float(energy.mean())
+            mean_load = float(trace.sbs_load[burn:].mean())
+            total_energy = float(power.sum(axis=1).sum() * STEP_SECONDS)
+        else:
+            cost, mean_energy, mean_load, total_energy = 0.0, 0.0, 0.0, 0.0
+            energy = np.zeros(0)
+        cluster_count = float(trace.n_clusters[burn:].mean())
+        mean_cluster_size = float(trace.mean_cluster_size[burn:].mean())
+        state_changes = int(trace.state_changes.sum())
+        converged_frac = float(trace.converged.mean())
+        trace = trace if keep_records else None
 
     return RunResult(
         run=run_index,
@@ -610,11 +610,11 @@ def run_once(
         energy_per_sbs=energy,
         total_energy=total_energy,
         mean_load=mean_load,
-        cluster_count=float(trace.n_clusters[burn:].mean()),
-        mean_cluster_size=float(trace.mean_cluster_size[burn:].mean()),
-        state_changes=int(trace.state_changes.sum()),
-        converged_frac=float(trace.converged.mean()),
-        records=trace if keep_records else None,
+        cluster_count=cluster_count,
+        mean_cluster_size=mean_cluster_size,
+        state_changes=state_changes,
+        converged_frac=converged_frac,
+        records=trace,
         cluster_events=world.cluster_events if keep_clusters else None,
     )
 

@@ -252,16 +252,17 @@ def test_seed_override_changes_output(tmp_path, capsys):
 
 
 # SHA-256 prefixes of every CSV a traced, cluster-dumping three-mode sweep
-# writes, recorded when the undamped fixed point became the default; any
-# change to the simulator's numbers, to the RunResult reductions or to the
-# CSV writer shows here.
+# writes, recorded when the undamped fixed point became the default
+# (steps.csv: when a classical run became one static solve); any change to
+# the simulator's numbers, to the RunResult reductions or to the CSV writer
+# shows here.
 GOLDEN_SWEEP_DIGESTS_UNDAMPED = {
     "clusters.csv": "290ed742077446a3",
     "energy_cdf.csv": "9ddf0309c933c06c",
     "energy_cdf_classical.csv": "5ead92a33a9ace13",
     "energy_cdf_learning_clustered.csv": "03ca7d494ba81f06",
     "energy_cdf_learning_no_clusters.csv": "86141dfe5d534910",
-    "steps.csv": "a555555c8ddbc44a",
+    "steps.csv": "8ba1681f5a8b9164",
     "summary.csv": "90eff5bc7714ef14",
 }
 
@@ -299,12 +300,12 @@ EXAMPLE_CONFIG_DIGESTS = {
 }
 
 
-# the same with --mode classical: 20 runs of 400 steps, nearly all replayed
-# from each run's load cycle
+# the same with --mode classical: 20 runs of 400 steps, each one static
+# solve broadcast over its steps
 EXAMPLE_CLASSICAL_DIGESTS = {
     "clusters.csv": "4a9c864714fc7c12",
     "energy_cdf.csv": "c198eca2f7c2ec41",
-    "steps.csv": "5700768acf05cd9b",
+    "steps.csv": "a0710293b1a9e3b5",
     "summary.csv": "6a84a3a7979cce12",
 }
 

@@ -15,7 +15,7 @@ from test_clustering import reference_spectral_cluster
 from test_coordination import solve_cluster_schedule
 from test_learning import ReferenceLearner
 from test_netmodel import reference_gain_matrix
-from test_sim import _SBS_FIELDS, _edge_cfg, _scenario_configs, _valid
+from test_sim import _SBS_FIELDS, _edge_cfg, _scenario_configs, _static_step, _valid
 
 
 def _action_states(size, action):
@@ -57,6 +57,7 @@ class ReferenceWorld:
         self.partition = None
         self.learners = {}  # member tuple -> ReferenceLearner
         self.events, self.rows = [], []
+        self.keys = []  # per step, the bytes of the loads it solved from
 
     def _partition(self, t):
         cc, mode = self.cfg.clustering, self.cfg.run.mode
@@ -124,6 +125,7 @@ class ReferenceWorld:
                     serving[ues] = awake[binary.argmax(axis=0)]
 
         rc = cfg.run
+        self.keys.append(prev_load.tobytes())
         net = netmodel.compute_loads(cfg.channel, self.gains, self.p_max, state, serving,
                                      self.traffic, excl=excl, tol=rc.load_tol,
                                      max_iter=rc.load_max_iter, init=prev_load)
@@ -149,9 +151,16 @@ class ReferenceWorld:
 
 def assert_run_equals_reference(cfg, run_index):
     """Every StepRecord and installed partition of run_once equals the
-    reference world's, bit for bit."""
+    reference world's, bit for bit. A classical run is one static solve:
+    every record equals the reference row test_sim._static_step picks, the
+    step solved from the first loads to recur as a later step's previous
+    loads (the last step without one)."""
     result = run_once(cfg, run_index, keep_records=True, keep_clusters=True)
-    rows, events = ReferenceWorld(cfg, run_index).run()
+    world = ReferenceWorld(cfg, run_index)
+    rows, events = world.run()
+    if cfg.run.mode == "classical":
+        row = rows[_static_step(world.keys) - 1]
+        rows = [(t, *row[1:]) for t in range(1, len(rows) + 1)]
     assert len(result.records) == len(rows)
     for rec, row in zip(result.records, rows):
         scalars = (rec.step, rec.n_clusters, rec.mean_cluster_size, rec.state_changes,
