@@ -31,57 +31,26 @@ STEP_SECONDS = 1.0  # logical tick length; energy (J) = power (W) x ticks
 MAX_PLACEMENT_TRIES = 10000
 
 SWEEP_PARAMS = ("ues", "eps_d", "theta")
-# the RNG streams each mode draws from: 0 the drop, 1 k-means, 2 learners
+# the RNG streams each mode draws from: 0 the drop, 1 k-means, 2 learners;
+# exponential traffic draws from 0's child (0, 0), in generate_scenario
 STREAMS = {"classical": (0,), "learning_no_clusters": (0, 2), "learning_clustered": (0, 1, 2)}
 
 
-def _sample_position(
-    rng: np.random.Generator,
-    lay: LayoutConfig,
-    anchors: np.ndarray,
-    min_dists: np.ndarray,
-) -> np.ndarray:
-    """Uniform point in the square, at least min_dists[i] from anchors[i]."""
-    ax, ay = anchors[:, 0], anchors[:, 1]
-    for _ in range(MAX_PLACEMENT_TRIES):
-        p = lay.side_m * rng.random(2)
-        x, y = p.tolist()
-        if (np.hypot(ax - x, ay - y) >= min_dists).all():
-            return p
-    raise ConfigError(
-        f"infeasible density: could not place a node after {MAX_PLACEMENT_TRIES} "
-        f"draws; layout.side_m = {lay.side_m:g} is too small for n_small = "
-        f"{lay.n_small}, n_ues = {lay.n_ues} at min_dist_macro_small_m = "
-        f"{lay.min_dist_macro_small_m:g}, min_dist_small_small_m = "
-        f"{lay.min_dist_small_small_m:g}, min_dist_macro_ue_m = "
-        f"{lay.min_dist_macro_ue_m:g}, min_dist_small_ue_m = "
-        f"{lay.min_dist_small_ue_m:g}"
-    )
-
-
-def _place(rng: np.random.Generator, cfg: ScenarioConfig, pos: np.ndarray, anchors: np.ndarray,
-           dmin: np.ndarray, traffic: np.ndarray | None, nested: bool) -> None:
-    """Place each row of pos as one _sample_position call per row would, each
-    UE's traffic (None: none to draw) after its position; nested: pos is
-    anchors[1:], so row m keeps its distances from anchors[:m + 1] only.
-    Speculate that every remaining row's first candidate fits, checked in one
-    broadcast; at a misfit, rewind, redraw the rows before it, place it alone."""
-    lay, mean = cfg.layout, cfg.traffic.mean_rate_bps
-
-    def draw(lo: int, hi: int) -> None:  # first candidates of rows lo to hi - 1
-        if traffic is None:
-            rng.random(out=pos[lo:hi])
-        else:
-            for m in range(lo, hi):
-                rng.random(out=pos[m])
-                traffic[m] = rng.exponential(mean)
-        pos[lo:hi] *= lay.side_m
-
-    m = 0
+def _place(rng: np.random.Generator, lay: LayoutConfig, pos: np.ndarray, anchors: np.ndarray,
+           dmin: np.ndarray, nested: bool) -> None:
+    """Place each row of pos as a one-at-a-time rejection loop would: row m
+    draws candidates side_m * rng.random(2) until one lies at least dmin[i]
+    from every anchors[i]; nested: pos is anchors[1:], so row m keeps its
+    distances from anchors[:m + 1] only. A pass speculates that every
+    remaining row's next candidate fits, drawn in one call and checked in
+    one broadcast; at the first misfit it rewinds the stream to just after
+    that candidate and passes again from its row."""
+    m = tries = 0
     while m < len(pos):
         start = rng.bit_generator.state
-        draw(m, len(pos))
         rest = pos[m:]
+        rng.random(out=rest)
+        rest *= lay.side_m
         d = np.hypot(anchors[:, 0] - rest[:, :1], anchors[:, 1] - rest[:, 1:])
         fits = d >= dmin
         if nested:  # a row's own anchor and the later ones are not placed yet
@@ -90,13 +59,20 @@ def _place(rng: np.random.Generator, cfg: ScenarioConfig, pos: np.ndarray, ancho
         if fits.all():
             return
         k = m + int(fits.argmin())
+        tries = tries + 1 if k == m else 1  # row k's misfits so far
+        if tries == MAX_PLACEMENT_TRIES:
+            raise ConfigError(
+                f"infeasible density: could not place a node after {MAX_PLACEMENT_TRIES} "
+                f"draws; layout.side_m = {lay.side_m:g} is too small for n_small = "
+                f"{lay.n_small}, n_ues = {lay.n_ues} at min_dist_macro_small_m = "
+                f"{lay.min_dist_macro_small_m:g}, min_dist_small_small_m = "
+                f"{lay.min_dist_small_small_m:g}, min_dist_macro_ue_m = "
+                f"{lay.min_dist_macro_ue_m:g}, min_dist_small_ue_m = "
+                f"{lay.min_dist_small_ue_m:g}"
+            )
         rng.bit_generator.state = start
-        draw(m, k)
-        n = k + 1 if nested else len(anchors)
-        pos[k] = _sample_position(rng, lay, anchors[:n], dmin[:n])
-        if traffic is not None:
-            traffic[k] = rng.exponential(mean)
-        m = k + 1
+        rng.random(2 * (k + 1 - m))  # rows m to k - 1 keep their candidates
+        m = k
 
 
 def generate_scenario(
@@ -105,25 +81,32 @@ def generate_scenario(
     """Draw one network drop: macro at the center, then SBSs, then UEs.
 
     Returns (BS positions (n_bs, 2), macro mask (n_bs,), UE positions
-    (n_ue, 2), UE traffic in bit/s (n_ue,)); BS 0 is the macro. Every UE's
-    position and traffic are drawn consecutively, so two configs differing
-    only in the UE count share their first min(n, n') UEs when given the
-    same RNG state (common random numbers across sweep points).
+    (n_ue, 2), UE traffic in bit/s (n_ue,)); BS 0 is the macro. Positions
+    come from rng; exponential traffic comes from child 0 of rng's
+    SeedSequence, which draws nothing from rng, so positions do not depend
+    on the traffic law. Two configs differing only in the UE count share
+    their first min(n, n') UE positions and traffic when given the same RNG
+    state (common random numbers across sweep points).
     """
-    lay = cfg.layout
+    lay, tcfg = cfg.layout, cfg.traffic
     n_bs = 1 + lay.n_small
     bs_pos = np.empty((n_bs, 2))
     bs_pos[0] = lay.side_m / 2.0
     dmin = np.array(
         [lay.min_dist_macro_small_m] + [lay.min_dist_small_small_m] * lay.n_small
     )
-    _place(rng, cfg, bs_pos[1:], bs_pos, dmin, None, nested=True)
+    _place(rng, lay, bs_pos[1:], bs_pos, dmin, nested=True)
 
     dmin = np.array([lay.min_dist_macro_ue_m] + [lay.min_dist_small_ue_m] * lay.n_small)
     ue_pos = np.empty((lay.n_ues, 2))
-    traffic = np.full(lay.n_ues, float(cfg.traffic.mean_rate_bps))
-    _place(rng, cfg, ue_pos, bs_pos, dmin,
-           traffic if cfg.traffic.distribution == "exponential" else None, nested=False)
+    _place(rng, lay, ue_pos, bs_pos, dmin, nested=False)
+    if tcfg.distribution == "exponential":
+        ss = rng.bit_generator.seed_seq
+        child = np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, 0),
+                                       pool_size=ss.pool_size)
+        traffic = np.random.default_rng(child).exponential(tcfg.mean_rate_bps, lay.n_ues)
+    else:
+        traffic = np.full(lay.n_ues, float(tcfg.mean_rate_bps))
     return bs_pos, np.arange(n_bs) == 0, ue_pos, traffic
 
 
@@ -176,6 +159,16 @@ class Trace(Sequence):
             self.converged[u].item(), self.sbs_state[u], self.sbs_power[u],
             self.sbs_load[u], self.sbs_load_raw[u], self.sbs_cost[u],
         )
+
+    def __reduce__(self):
+        # a field broadcast over the steps pickles as its one row
+        rows = [a[:1] if a.strides[:1] == (0,) else a for a in vars(self).values()]
+        return _unpickle_trace, (len(self), rows)
+
+
+def _unpickle_trace(steps: int, rows: list[np.ndarray]) -> Trace:
+    """Trace.__reduce__'s inverse: every field a read-only view, as it was held."""
+    return Trace(*(np.broadcast_to(a, (steps, *a.shape[1:])) for a in rows))
 
 
 class World:
@@ -555,7 +548,8 @@ def run_once(
     Three independent RNG streams, the children of SeedSequence([seed,
     run_index]), serve the drop, k-means restarts and learner action draws,
     so changing e.g. the learning dynamics never perturbs the geometry; a
-    run builds only the children its mode draws from (STREAMS).
+    run builds only the children its mode draws from (STREAMS), and the
+    drop's exponential traffic builds the drop stream's own child.
     """
     key = [int(cfg.run.seed), int(run_index)]
     scen, kmeans, learner = (

@@ -252,18 +252,18 @@ def test_seed_override_changes_output(tmp_path, capsys):
 
 
 # SHA-256 prefixes of every CSV a traced, cluster-dumping three-mode sweep
-# writes, recorded when the undamped fixed point became the default
-# (steps.csv: when a classical run became one static solve); any change to
+# writes, recorded when UE traffic got its own stream, which moved every
+# exponential-traffic drop's UEs; any change to
 # the simulator's numbers, to the RunResult reductions or to the CSV writer
 # shows here.
 GOLDEN_SWEEP_DIGESTS_UNDAMPED = {
-    "clusters.csv": "290ed742077446a3",
-    "energy_cdf.csv": "9ddf0309c933c06c",
-    "energy_cdf_classical.csv": "5ead92a33a9ace13",
-    "energy_cdf_learning_clustered.csv": "03ca7d494ba81f06",
-    "energy_cdf_learning_no_clusters.csv": "86141dfe5d534910",
-    "steps.csv": "8ba1681f5a8b9164",
-    "summary.csv": "90eff5bc7714ef14",
+    "clusters.csv": "87d956c2cd8825a4",
+    "energy_cdf.csv": "9c311834a5ce4ed8",
+    "energy_cdf_classical.csv": "ff982b2de5396266",
+    "energy_cdf_learning_clustered.csv": "0b5755088a8be6bd",
+    "energy_cdf_learning_no_clusters.csv": "e827d9c8f6c8c7c1",
+    "steps.csv": "a8e23f9761e2ea45",
+    "summary.csv": "e887afbe3dd35451",
 }
 
 
@@ -293,10 +293,10 @@ def test_golden_sweep_csvs_undamped(tmp_path, capsys):
 # configs/example.ini through `scnsim run --trace --dump-clusters`, with
 # BLAS on one thread: 20 clustered runs of 400 steps, reclustering every 50
 EXAMPLE_CONFIG_DIGESTS = {
-    "clusters.csv": "d9faf7b8f535321c",
-    "energy_cdf.csv": "789541ec49870097",
-    "steps.csv": "461342a5ba2cba49",
-    "summary.csv": "ba40c48c6ee96e3c",
+    "clusters.csv": "96f28a4a3f8ac5cf",
+    "energy_cdf.csv": "9cb591b62bffd6a7",
+    "steps.csv": "4e1b2fa72b4aca68",
+    "summary.csv": "54940b949ee9c9b9",
 }
 
 
@@ -304,9 +304,9 @@ EXAMPLE_CONFIG_DIGESTS = {
 # solve broadcast over its steps
 EXAMPLE_CLASSICAL_DIGESTS = {
     "clusters.csv": "4a9c864714fc7c12",
-    "energy_cdf.csv": "c198eca2f7c2ec41",
-    "steps.csv": "a0710293b1a9e3b5",
-    "summary.csv": "6a84a3a7979cce12",
+    "energy_cdf.csv": "8803e0e78f697b7b",
+    "steps.csv": "854f04bfaff900b5",
+    "summary.csv": "b7c4d456db5b8206",
 }
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -110,7 +111,9 @@ def _reference_sample_position(rng, lay, anchors, min_dists):
 
 def reference_generate_scenario(cfg, rng):
     """generate_scenario as a sequential rejection loop, one node at a time:
-    each UE draws candidates until one fits, then its traffic."""
+    each UE draws candidates until one fits; then, with exponential
+    traffic, each UE's traffic one draw at a time from the first child of
+    rng's SeedSequence (rng is fresh here, so spawn gives that child)."""
     lay = cfg.layout
     n_bs = 1 + lay.n_small
     bs_pos = np.empty((n_bs, 2))
@@ -122,11 +125,13 @@ def reference_generate_scenario(cfg, rng):
         bs_pos[b] = _reference_sample_position(rng, lay, bs_pos[:b], dmin[:b])
     dmin = np.array([lay.min_dist_macro_ue_m] + [lay.min_dist_small_ue_m] * lay.n_small)
     ue_pos = np.empty((lay.n_ues, 2))
-    traffic = np.full(lay.n_ues, float(cfg.traffic.mean_rate_bps))
     for m in range(lay.n_ues):
         ue_pos[m] = _reference_sample_position(rng, lay, bs_pos, dmin)
-        if cfg.traffic.distribution == "exponential":
-            traffic[m] = rng.exponential(cfg.traffic.mean_rate_bps)
+    traffic = np.full(lay.n_ues, float(cfg.traffic.mean_rate_bps))
+    if cfg.traffic.distribution == "exponential":
+        traffic_rng = np.random.default_rng(rng.bit_generator.seed_seq.spawn(1)[0])
+        for m in range(lay.n_ues):
+            traffic[m] = traffic_rng.exponential(cfg.traffic.mean_rate_bps)
     return bs_pos, np.arange(n_bs) == 0, ue_pos, traffic
 
 
@@ -140,8 +145,6 @@ def _first_ue_misfit(cfg, seed):
         x, y = rng.uniform(0.0, lay.side_m, size=2).tolist()
         if not (np.hypot(bs_pos[:, 0] - x, bs_pos[:, 1] - y) >= dmin).all():
             return m
-        if cfg.traffic.distribution == "exponential":
-            rng.exponential(cfg.traffic.mean_rate_bps)
     return None
 
 
@@ -197,37 +200,118 @@ def test_generate_scenario_matches_sequential_placement(
 
 
 def test_generate_scenario_first_or_last_ue_misfits():
-    # the rewind redraws no UE when UE 0 misfits and every UE but one when
-    # the last UE does; seeds found by _first_ue_misfit, checked here
+    # the rewind skips no UE's draws when UE 0 misfits and every UE's but
+    # one when the last UE does; seeds found by _first_ue_misfit, checked
+    # here. UE positions do not depend on the traffic law, so one seed
+    # serves both
     cases = [
-        ("exponential", 20, 1000.0, 0, 89),
-        ("exponential", 20, 1000.0, 19, 667),
-        ("constant", 20, 1000.0, 0, 89),
-        ("constant", 20, 1000.0, 19, 338),
-        ("exponential", 60, 300.0, 0, 6),
-        ("exponential", 60, 300.0, 59, 657),
+        (20, 1000.0, 0, 89),
+        (20, 1000.0, 19, 338),
+        (60, 300.0, 0, 6),
+        (60, 300.0, 59, 1279),
     ]
-    for distribution, n_ues, side_m, misfit, seed in cases:
-        cfg = small_cfg(n_small=10, n_ues=n_ues)
+    for n_ues, side_m, misfit, seed in cases:
+        for distribution in TRAFFIC_DISTRIBUTIONS:
+            cfg = small_cfg(n_small=10, n_ues=n_ues)
+            cfg.layout.side_m = side_m
+            cfg.traffic.distribution = distribution
+            assert _first_ue_misfit(cfg, seed) == misfit
+            _assert_drop_matches_reference(cfg, seed)
+
+
+def test_ue_positions_do_not_depend_on_traffic():
+    # traffic has its own stream, so the traffic law and the mean rate move
+    # no UE; SBS positions never depended on either
+    cfg = small_cfg(n_small=10, n_ues=60)
+    cfg.layout.side_m = 400.0  # most drops misfit: the rewinds run too
+    for seed in range(20):
+        drops = []
+        for distribution, rate in [("constant", 1e6), ("exponential", 1e6),
+                                   ("exponential", 7e6)]:
+            cfg.traffic.distribution, cfg.traffic.mean_rate_bps = distribution, rate
+            drops.append(generate_scenario(cfg, np.random.default_rng(seed)))
+        for bs_pos, _, ue_pos, _ in drops[1:]:
+            assert bs_pos.tobytes() == drops[0][0].tobytes()
+            assert ue_pos.tobytes() == drops[0][2].tobytes()
+        # the exponential draws scale with the mean: one stream, two rates
+        np.testing.assert_allclose(drops[2][3], 7.0 * drops[1][3], rtol=1e-15)
+
+
+def test_traffic_stream_leaves_the_seed_sequence_as_it_was():
+    # the traffic stream is child 0 of the drop stream's SeedSequence,
+    # built without spawning, so the same SeedSequence object gives the
+    # same drop every time, however many children it spawned before
+    cfg = small_cfg(n_ues=30)
+    ss = np.random.SeedSequence([7, 2], spawn_key=(0,))
+    first = generate_scenario(cfg, np.random.default_rng(ss))
+    assert ss.n_children_spawned == 0
+    ss.spawn(3)
+    again = generate_scenario(cfg, np.random.default_rng(ss))
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()
+    child = np.random.SeedSequence([7, 2], spawn_key=(0, 0))
+    want = np.random.default_rng(child).exponential(cfg.traffic.mean_rate_bps, 30)
+    assert first[3].tobytes() == want.tobytes()
+
+
+# SHA-256 prefixes of what the separate traffic stream must not move,
+# recorded before it: every array of constant-traffic drops (side_m,
+# n_small, n_ues, seed), the StepRecords (9 significant digits) of
+# constant-traffic runs in every mode, and SBS positions of default drops
+PINNED_CONSTANT_DROPS = {
+    (1000.0, 10, 50, 0): "9eed56a6b428ef0a",
+    (1000.0, 10, 75, 1): "3992c3be3bcd69fa",
+    (300.0, 4, 60, 7): "bd35611217ace4cf",
+    (1000.0, 5, 12, 42): "6e172567793a4f84",
+}
+PINNED_CONSTANT_RUNS = {
+    "classical": "12e79319101ab6dd",
+    "learning_no_clusters": "c5b1bffa4cad70d1",
+    "learning_clustered": "3d9562ca3a4606dd",
+}
+PINNED_DEFAULT_SBS = {0: "03fb1abd09ad8717", 1: "a96a0b5942f5dfcb", 2: "afc43b2f99dadb04"}
+
+
+def _arrays_digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_constant_traffic_and_sbs_drops_are_pinned():
+    for (side_m, n_small, n_ues, seed), want in PINNED_CONSTANT_DROPS.items():
+        cfg = small_cfg(n_small=n_small, n_ues=n_ues)
         cfg.layout.side_m = side_m
-        cfg.traffic.distribution = distribution
-        assert _first_ue_misfit(cfg, seed) == misfit
-        _assert_drop_matches_reference(cfg, seed)
+        cfg.traffic.distribution = "constant"
+        assert _arrays_digest(generate_scenario(cfg, np.random.default_rng(seed))) == want
+    for mode, want in PINNED_CONSTANT_RUNS.items():
+        cfg = _golden_cfg(mode)
+        cfg.traffic.distribution = "constant"
+        assert _records_digest(run_once(cfg, 0, keep_records=True).records) == want
+    for seed, want in PINNED_DEFAULT_SBS.items():
+        drop = generate_scenario(default_config(), np.random.default_rng(seed))
+        assert _arrays_digest([drop[0]]) == want
 
 
-def test_generate_scenario_first_or_last_sbs_misfits(monkeypatch):
-    # the SBS pass redraws no SBS when SBS 1 misfits and every SBS but one
-    # when the last SBS does; seeds found by _first_sbs_misfit, checked here.
-    # The one-at-a-time loop first places the planted misfit, so every SBS
-    # before it was placed by the speculation
-    placed = []
-    sample_position = sim._sample_position
+class _CountedDraws:
+    """A Generator whose random() calls record how many doubles each drew."""
 
-    def counted(rng, lay, anchors, min_dists):
-        placed.append(len(anchors))
-        return sample_position(rng, lay, anchors, min_dists)
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator, self.doubles = self.rng.bit_generator, []
 
-    monkeypatch.setattr(sim, "_sample_position", counted)
+    def random(self, size=None, out=None):
+        self.doubles.append(out.size if out is not None else np.prod(size))
+        return self.rng.random(size, out=out)
+
+
+def test_generate_scenario_first_or_last_sbs_misfits():
+    # the SBS pass skips no SBS's draws when SBS 1 misfits and every SBS's
+    # but one when the last SBS does; seeds found by _first_sbs_misfit,
+    # checked here. The first pass draws every SBS's candidate; at the
+    # planted misfit it rewinds, skips the draws of the SBSs up to and
+    # including it, and passes again from it
     cases = [
         (10, 1000.0, 1, 39),
         (10, 1000.0, 10, 9),
@@ -240,9 +324,10 @@ def test_generate_scenario_first_or_last_sbs_misfits(monkeypatch):
         cfg = small_cfg(n_small=n_small, n_ues=20)
         cfg.layout.side_m = side_m
         assert _first_sbs_misfit(cfg, seed) == misfit
-        placed.clear()
         _assert_drop_matches_reference(cfg, seed)
-        assert placed[0] == misfit
+        rng = _CountedDraws(seed)
+        generate_scenario(cfg, rng)
+        assert rng.doubles[:3] == [2 * n_small, 2 * misfit, 2 * (n_small - misfit + 1)]
 
 
 def test_infeasible_density():
@@ -541,33 +626,37 @@ def test_reused_step_records_are_read_only_solve_slices(mode):
     # a reused step appends the remembered solve to the history again, and
     # the trace computes its powers and costs once for the whole run; its
     # record must still equal fresh slices of that step's own solve and
-    # refuse writes. At 12 Mbit/s per UE in drop 1, every mode reuses most
-    # solves and some reused steps overload an SBS, so its clamped and raw
-    # loads differ
+    # refuse writes. At 12 Mbit/s per UE every mode reuses most solves; the
+    # first drop from 1 where some reused steps overload an SBS, so their
+    # clamped and raw loads differ, is searched for (drop 1 in the learning
+    # modes, drop 2 classical), and every drop tried is checked
     cfg = small_cfg(mode, n_small=4, n_ues=24, steps=150)
     cfg.traffic.mean_rate_bps = 12e6
     cfg.clustering.eps_d_m = 400.0
     cfg.clustering.recluster_every = 5
-    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(1)),
-                  np.random.default_rng(1), np.random.default_rng(2))
     delta = 0.0 if mode == "classical" else cfg.association.delta
-    want = {}
-    for t in range(1, cfg.run.steps + 1):
-        prev_load = world.net.load.copy()
-        solves = world.fp_solves
-        world.step(t)
-        if world.fp_solves == solves:
-            want[t] = _fresh_step_inputs(world, prev_load, delta)[2]
-    trace = world.trace()
-    reused = [trace[t - 1] for t in want]
-    _assert_records_equal(reused, list(want.values()))
-    overloaded = 0
-    for rec in reused:
-        with pytest.raises(ValueError, match="read-only"):
-            rec.sbs_load[:] = 0.0
-        overloaded += bool(np.any(rec.sbs_load_raw > 1.0))
-    assert len(reused) > cfg.run.steps // 2
-    assert overloaded > 0
+    for seed in range(1, 21):
+        world = World(cfg, *generate_scenario(cfg, np.random.default_rng(seed)),
+                      np.random.default_rng(1), np.random.default_rng(2))
+        want = {}
+        for t in range(1, cfg.run.steps + 1):
+            prev_load = world.net.load.copy()
+            solves = world.fp_solves
+            world.step(t)
+            if world.fp_solves == solves:
+                want[t] = _fresh_step_inputs(world, prev_load, delta)[2]
+        trace = world.trace()
+        reused = [trace[t - 1] for t in want]
+        _assert_records_equal(reused, list(want.values()))
+        overloaded = 0
+        for rec in reused:
+            with pytest.raises(ValueError, match="read-only"):
+                rec.sbs_load[:] = 0.0
+            overloaded += bool(np.any(rec.sbs_load_raw > 1.0))
+        assert len(reused) > cfg.run.steps // 2
+        if overloaded > 0:
+            return
+    pytest.fail("no drop of 20 overloads an SBS on a reused step")
 
 
 def _load_orbit(world):
@@ -733,27 +822,30 @@ def test_new_serving_or_exclusion_forces_a_solve(change, monkeypatch):
 
 def test_new_exclusion_matrix_rebuilds_the_load_setup():
     # a solve's set-up holds the float exclusion matrix, so a set-up kept
-    # across a new excl would iterate with the old interference sets. At
-    # 12 Mbit/s per UE in drop 3, SBSs 3 and 4 carry load and the first
-    # solve after the change iterates past the handed-over first sweep,
-    # where that would show
+    # across a new excl would iterate with the old interference sets. That
+    # shows where the first solve after the change iterates past the
+    # handed-over first sweep: at 12 Mbit/s per UE the first such drop from
+    # 0 is searched for (drop 1), and every drop tried is checked
     cfg = small_cfg("classical", n_small=4, n_ues=24)
     cfg.traffic.mean_rate_bps = 12e6
-    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(3)),
-                  np.random.default_rng(1), np.random.default_rng(2))
-    for t in range(1, 21):
-        world.step(t)
     clusters = [(1, 2), (3, 4)]
-    world.excl = netmodel.exclusion_matrix(world.n_bs, clusters).astype(float)
-    world.label = netmodel.cluster_labels(world.n_bs, clusters)
-    rows, iterations = [], []
-    for t in range(21, 31):
-        prev_load = world.net.load.copy()
-        world.step(t)
-        rows.append(_assert_step_equals_fresh(world, prev_load, 0.0))
-        iterations.append(world.net.iterations)
-    _assert_records_equal(world.trace()[20:], rows)
-    assert max(iterations) > 1
+    for seed in range(20):
+        world = World(cfg, *generate_scenario(cfg, np.random.default_rng(seed)),
+                      np.random.default_rng(1), np.random.default_rng(2))
+        for t in range(1, 21):
+            world.step(t)
+        world.excl = netmodel.exclusion_matrix(world.n_bs, clusters).astype(float)
+        world.label = netmodel.cluster_labels(world.n_bs, clusters)
+        rows, iterations = [], []
+        for t in range(21, 31):
+            prev_load = world.net.load.copy()
+            world.step(t)
+            rows.append(_assert_step_equals_fresh(world, prev_load, 0.0))
+            iterations.append(world.net.iterations)
+        _assert_records_equal(world.trace()[20:], rows)
+        if max(iterations) > 1:
+            return
+    pytest.fail("no drop of 20 iterates past one after the new exclusion matrix")
 
 
 def test_classical_world_reuses_most_solves():
@@ -1258,6 +1350,40 @@ def test_parallel_pool_matches_serial():
     assert np.array_equal(pooled.energy_samples, serial.energy_samples)
 
 
+def _assert_traces_equal_read_only(got, want):
+    for name in vars(want):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+        assert not a.flags.writeable, name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_traces_pickle_as_held(mode):
+    # a pickled Trace comes back read-only, and a classical run's broadcast
+    # fields travel as one row each: its pickle is a few KB, not the 174 KB
+    # of whole (steps, n_sbs) arrays
+    cfg = small_cfg(mode, n_small=10, n_ues=54, steps=400)
+    result = run_once(cfg, 0, keep_records=True)
+    data = pickle.dumps(result)
+    back = pickle.loads(data).records
+    _assert_traces_equal_read_only(back, result.records)
+    if mode == "classical":
+        assert len(data) < 17_431
+        assert back.sbs_load.strides == (0, 8) and back.converged.strides == (0,)
+
+
+@pytest.mark.parametrize("mode", ["classical", "learning_clustered"])
+def test_pool_records_equal_serial_records(mode):
+    cfg = small_cfg(mode, steps=12)
+    cfg.run.runs = 3
+    serial = run_experiment(cfg, keep_records=True)
+    cfg.run.jobs = 2
+    pooled = run_experiment(cfg, keep_records=True)
+    for a, b in zip(pooled.runs, serial.runs, strict=True):
+        _assert_traces_equal_read_only(a.records, b.records)
+
+
 def test_disjoint_seeds_agree_within_bands():
     cfg = small_cfg(steps=60)
     cfg.run.runs = 12
@@ -1279,6 +1405,29 @@ def test_sweep_shares_ue_prefix():
     assert short_traffic.tobytes() == long_traffic[:10].tobytes()
 
 
+@pytest.mark.parametrize("distribution", TRAFFIC_DISTRIBUTIONS)
+def test_run_drops_share_ue_prefixes(distribution, monkeypatch):
+    # run_once's drops for one (seed, run) at 10, 25 and 40 UEs share their
+    # SBSs and the first UEs' positions and traffic, and equal the World a
+    # hand-built drop stream gives
+    drops, draw = [], sim.generate_scenario
+    monkeypatch.setattr(sim, "generate_scenario",
+                        lambda cfg, rng: drops.append(draw(cfg, rng)) or drops[-1])
+    cfg = small_cfg("classical", n_small=6, steps=3)
+    cfg.traffic.distribution = distribution
+    for n_ues in (10, 25, 40):
+        cfg.layout.n_ues = n_ues
+        run_once(cfg, 4)
+    scen = np.random.SeedSequence([cfg.run.seed, 4]).spawn(3)[0]
+    by_hand = draw(cfg, np.random.default_rng(scen))
+    for got, want in zip(drops[-1], by_hand):
+        assert got.tobytes() == want.tobytes()
+    for (bs_pos, _, ue_pos, traffic), n in zip(drops, (10, 25, 40)):
+        assert bs_pos.tobytes() == by_hand[0].tobytes()
+        assert ue_pos.tobytes() == by_hand[2][:n].tobytes()
+        assert traffic.tobytes() == by_hand[3][:n].tobytes()
+
+
 def test_sweep_emits_one_result_per_point():
     cfg = small_cfg(steps=8)
     cfg.run.runs = 1
@@ -1293,13 +1442,13 @@ def test_sweep_emits_one_result_per_point():
 
 
 # SHA-256 prefixes of every StepRecord field at 9 significant digits (the
-# CSV format), recorded when the undamped fixed point became the default
-# (classical: when a classical run became one static solve); a refactor
-# that keeps the simulator's numbers keeps these.
+# CSV format), recorded when UE traffic got its own stream (exponential
+# traffic, the default, moved every drop's UEs); a refactor that keeps the
+# simulator's numbers keeps these.
 GOLDEN_STEP_DIGESTS_UNDAMPED = {
-    "classical": "2c109a43c8173199",
-    "learning_no_clusters": "a0d30a649fd6f8ed",
-    "learning_clustered": "1c52c6dd75c5e0b8",
+    "classical": "2fea7cd08fca8a04",
+    "learning_no_clusters": "d9d5204ae15d2fbe",
+    "learning_clustered": "a918b4fd52fe5430",
 }
 
 
@@ -1336,7 +1485,7 @@ def test_golden_step_records_undamped(mode):
 
 
 # the classical golden run's World stepped by hand, every step its own solve
-HAND_STEPPED_CLASSICAL_DIGEST = "65766a5640994482"
+HAND_STEPPED_CLASSICAL_DIGEST = "51fd11337630c0d6"
 
 
 def test_classical_world_keeps_no_load_estimate():
@@ -1553,22 +1702,33 @@ def _classical_world(cfg, run_index):
     return World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)), None, None)
 
 
+def _solve_results(cfg, run_index, monkeypatch):
+    """The _fixed_point results of run_once(cfg, run_index), in order."""
+    results, fixed_point = [], netmodel._fixed_point
+    with monkeypatch.context() as m:
+        m.setattr(netmodel, "_fixed_point",
+                  lambda *args: results.append(fixed_point(*args)) or results[-1])
+        run_once(cfg, run_index)
+    return [(iterations, converged) for *_, converged, iterations in results]
+
+
 @pytest.mark.parametrize("max_iter, later", [
     (2, [(2, False), (1, True)]),
     (3, [(2, True), (1, True)]),
 ])
 def test_orbit_steps_iterate_past_one(max_iter, later, monkeypatch):
-    # planted: the first solve stops unconverged at load_max_iter, so the
-    # static solve's next solves iterate again, to load_max_iter unconverged
-    # or to convergence in two iterations, as the stepped ones do
+    # the first solve stops unconverged at load_max_iter, so the static
+    # solve's next solves iterate again, to load_max_iter unconverged or to
+    # convergence in two iterations, as the stepped ones do. The first run
+    # from 0 with that start is searched for (run 2 at max_iter 2, run 27
+    # at 3)
     cfg = default_config()
     cfg.run.mode, cfg.run.steps, cfg.run.load_max_iter = "classical", 40, max_iter
-    oracle, _ = _assert_replay_equals_stepping(cfg, 0, monkeypatch)
-    results, fixed_point = [], netmodel._fixed_point
-    monkeypatch.setattr(netmodel, "_fixed_point",
-                        lambda *args: results.append(fixed_point(*args)) or results[-1])
-    run_once(cfg, 0)
-    got = [(iterations, converged) for *_, converged, iterations in results]
+    run_index = next((i for i in range(100) if _solve_results(cfg, i, monkeypatch)[:3]
+                      == [(max_iter, False), *later]), None)
+    assert run_index is not None, "no run of 100 starts its solves as sought"
+    oracle, _ = _assert_replay_equals_stepping(cfg, run_index, monkeypatch)
+    got = _solve_results(cfg, run_index, monkeypatch)
     assert got == [(net.iterations, net.converged) for net, *_ in oracle.history[:len(got)]]
     assert got[0] == (max_iter, False) and got[1:1 + len(later)] == later
 
@@ -1638,6 +1798,7 @@ def test_stream_children_draw_what_spawn_draws(seed, run_index):
     ("learning_clustered", [(0,), (1,), (2,)]),
 ])
 def test_run_builds_only_the_streams_its_mode_draws(mode, keys, monkeypatch):
+    # exponential traffic adds the drop stream's child 0, built last
     built = []
     default_rng = np.random.default_rng
 
@@ -1646,9 +1807,13 @@ def test_run_builds_only_the_streams_its_mode_draws(mode, keys, monkeypatch):
         return default_rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", counted)
-    run_once(small_cfg(mode, steps=5), 3)
-    assert [(ss.entropy, ss.spawn_key) for ss in built] == [
-        ([small_cfg().run.seed, 3], key) for key in keys]
+    cfg = small_cfg(mode, steps=5)
+    for distribution, extra in [("constant", []), ("exponential", [(0, 0)])]:
+        cfg.traffic.distribution = distribution
+        built.clear()
+        run_once(cfg, 3)
+        assert [(ss.entropy, ss.spawn_key) for ss in built] == [
+            ([cfg.run.seed, 3], key) for key in keys + extra]
 
 
 @pytest.mark.parametrize("mode, kmeans, learner", [
