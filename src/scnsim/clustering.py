@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -197,8 +197,7 @@ def kmeans(
             d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
 
     for _ in range(max_iter):
-        dist = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dist.argmin(axis=1)
+        new_labels = _sq_dists(pts, centers).argmin(axis=1)
         # one count per iteration; the repair below runs only if one is 0
         if not np.bincount(new_labels, minlength=k).all():
             for j in range(k):
@@ -214,6 +213,11 @@ def kmeans(
         labels = new_labels
         centers = _centroids(pts, labels, k)
     return labels
+
+
+def _sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared distance of every point to every center."""
+    return ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
 def _centroids(pts: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -264,6 +268,29 @@ def _bisect(
     )
 
 
+class _Hold(NamedTuple):
+    """A full spectral_cluster run's certificate: a later run on the same ids
+    and max_size, with k None and warm-started from this partition (labels:
+    its cluster index per id, as netmodel.cluster_labels numbers them),
+    returns its clusters while its Laplacian lies within rho of lap."""
+
+    lap: np.ndarray | None
+    rho: float
+    ids: list[int]
+    max_size: int | None
+    labels: list[int] | None
+    clusters: tuple[tuple[int, ...], ...]
+
+    def covers(self, lap: np.ndarray, k: int | None, ids: list[int],
+               max_size: int | None, init_labels: np.ndarray | None) -> bool:
+        if not (self.rho > 0.0 and k is None and ids == self.ids
+                and max_size == self.max_size and init_labels is not None
+                and np.asarray(init_labels).tolist() == self.labels):
+            return False
+        diff = (lap - self.lap).ravel()
+        return float(diff @ diff) < self.rho * self.rho  # squared Frobenius distance
+
+
 def spectral_cluster(
     similarity: np.ndarray,
     ids: Sequence[int],
@@ -275,7 +302,9 @@ def spectral_cluster(
     init_labels: np.ndarray | None = None,
     max_iter: int = 100,
     max_size: int | None = None,
-) -> ClusterPartition:
+    *,
+    hold: _Hold | tuple | None = None,
+) -> ClusterPartition | tuple[ClusterPartition, _Hold]:
     """Partition BSs by unnormalized spectral clustering on `similarity`.
 
     When k is not given it comes from the eigengap heuristic, floored by the
@@ -292,6 +321,13 @@ def spectral_cluster(
     iterations. max_size (None: unbounded) caps the members per cluster: a
     larger k-means cluster is split by recursive spectral bisection
     (`_bisect`) before heads are elected.
+
+    hold (keyword; () on a first call, then the hold the previous call
+    returned) makes the call return (partition, hold). A call the hold
+    covers (`_Hold.covers`) provably returns the hold's clusters
+    (`_hold_radius`), so it keeps them with heads elected on `loads`, skips
+    the eigensolve, k-means and bisection, draws nothing and returns the
+    hold it was given. Any other call runs in full and returns a new hold.
     """
     s = np.asarray(similarity, dtype=float)
     n = s.shape[0]
@@ -307,40 +343,127 @@ def spectral_cluster(
         raise ValueError("similarity must be finite, symmetric and non-negative")
     if max_size is not None and max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
-    if loads is None:
-        loads = np.zeros(n)
-
-    if n == 0:
-        return ClusterPartition(clusters=(), heads=(), epoch=epoch)
-    if n == 1:
-        return ClusterPartition(clusters=((int(ids[0]),),), heads=(int(ids[0]),), epoch=epoch)
-
-    vals, vecs = np.linalg.eigh(laplacian_matrix(s, laplacian))
-    values = vals.tolist()  # ascending
-    if k is None:
-        k = max(select_k(values), zero_eigenvalue_count(values))
-    k = int(min(max(k, 1), n))
-    # the embedding runs to the end of the eigenvalue block holding column k:
-    # any basis of a whole block gives the same pairwise distances, which
-    # are all k-means reads (a column's sign does not change them either)
-    dim = bisect_right(values, values[k - 1] + _block_tol(values))
-    labels = kmeans(vecs[:, :dim], k, rng, max_iter=max_iter, init_labels=init_labels)
-
-    groups: dict[int, list[int]] = {}
-    for idx, lab in enumerate(labels.tolist()):
-        groups.setdefault(lab, []).append(idx)
     id_arr = np.asarray(ids)
     id_list = id_arr.tolist()
-    parts = [
-        part
-        for members in groups.values()
-        for part in _bisect(s, members, id_arr, laplacian, max_size)
-    ]
-    # deterministic ordering: clusters sorted by their smallest member id,
-    # which is their first, and no two share it
-    clusters = tuple(sorted(tuple(sorted(id_list[i] for i in g)) for g in parts))
-    load_of = dict(zip(id_list, np.asarray(loads, dtype=float).tolist()))
-    heads = tuple(
-        elect_head(members, [load_of[b] for b in members]) for members in clusters
-    )
-    return ClusterPartition(clusters=clusters, heads=heads, epoch=epoch)
+
+    lap = None
+    rho = 0.0
+    if n < 2:
+        part = ClusterPartition(tuple((b,) for b in id_list), tuple(id_list), epoch)
+    else:
+        lap = laplacian_matrix(s, laplacian)
+        if hold and hold.covers(lap, k, id_list, max_size, init_labels):
+            heads = _elect_heads(hold.clusters, id_list, loads)
+            return ClusterPartition(hold.clusters, heads, epoch), hold
+        vals, vecs = np.linalg.eigh(lap)
+        values = vals.tolist()  # ascending
+        auto_k = k is None
+        if auto_k:
+            k = max(select_k(values), zero_eigenvalue_count(values))
+        k = int(min(max(k, 1), n))
+        # the embedding runs to the end of the eigenvalue block holding column k:
+        # any basis of a whole block gives the same pairwise distances, which
+        # are all k-means reads (a column's sign does not change them either)
+        dim = bisect_right(values, values[k - 1] + _block_tol(values))
+        pts = vecs[:, :dim]
+        labels = kmeans(pts, k, rng, max_iter=max_iter, init_labels=init_labels)
+
+        groups: dict[int, list[int]] = {}
+        for idx, lab in enumerate(labels.tolist()):
+            groups.setdefault(lab, []).append(idx)
+        parts = [
+            part
+            for members in groups.values()
+            for part in _bisect(s, members, id_arr, laplacian, max_size)
+        ]
+        # deterministic ordering: clusters sorted by their smallest member id,
+        # which is their first, and no two share it
+        clusters = tuple(sorted(tuple(sorted(id_list[i] for i in g)) for g in parts))
+        part = ClusterPartition(clusters, _elect_heads(clusters, id_list, loads), epoch)
+        # a bisected group is no k-means group, so the k-means margin says nothing of it
+        if hold is not None and auto_k and len(parts) == k:
+            rho = _hold_radius(lap, values, k, dim, pts, labels)
+    if hold is None:
+        return part
+    cluster_of = {b: j for j, members in enumerate(part.clusters) for b in members}
+    hold_labels = [cluster_of[b] for b in id_list] if rho > 0.0 else None
+    return part, _Hold(lap, rho, id_list, max_size, hold_labels, part.clusters)
+
+
+def _elect_heads(clusters: Sequence[Sequence[int]], ids: list[int],
+                 loads: np.ndarray | None) -> tuple[int, ...]:
+    """One head per cluster by estimated load (`loads` aligned with ids,
+    None: all zero)."""
+    if loads is None:
+        loads = np.zeros(len(ids))
+    load_of = dict(zip(ids, np.asarray(loads, dtype=float).tolist()))
+    return tuple(elect_head(members, [load_of[b] for b in members]) for members in clusters)
+
+
+def _hold_radius(lap: np.ndarray, values: list[float], k: int, dim: int,
+                 pts: np.ndarray, labels: np.ndarray) -> float:
+    """Frobenius radius rho around the Laplacian `lap` within which
+    spectral_cluster, with k None and warm-started from the partition that
+    k-means gave as `labels` on the embedding `pts`, provably returns that
+    partition again and draws nothing: for every symmetric L with
+    ||L - lap||_F < rho. 0 where `_hold_bounds` does not apply.
+
+    Each computed eigenvalue moves by at most delta = rho + slack (Weyl); the
+    slack covers LAPACK's backward error and the Laplacian's rounding at both
+    matrices. rho stays under the zero band's bound, which is under the
+    largest |eigenvalue| <= ||lap||_F, so the slack covers L's own error too.
+    """
+    bounds = _hold_bounds(values, k, dim, pts, labels)
+    if bounds is None:
+        return 0.0
+    return max(min(bounds.values()) - 1e-10 * float(np.linalg.norm(lap)), 0.0)
+
+
+def _hold_bounds(values: list[float], k: int, dim: int, pts: np.ndarray,
+                 labels: np.ndarray) -> dict[str, float] | None:
+    """The margins _hold_radius takes the least of, by name, as bounds on the
+    eigenvalue shift delta; None where the argument does not apply.
+
+    gap_lead: k = max(eigengap k, zero count) holds while the largest gap
+    keeps its lead over every other; zero_band: and while no eigenvalue
+    outside the zero band [-1e-8, 1e-8] enters it, since the zero count can
+    then only fall and the eigengap k already reaches it. block_top,
+    block_next: the embedding's width holds while the `_block_tol` block
+    keeps its ends. davis_kahan: k-means distances are linear in the
+    embedding's projector, which moves by at most delta / (gap after the
+    block - delta) (Davis-Kahan sin theta), and the lead of a point's own
+    center over another by under 3 times that, so the warm-start Lloyd pass
+    keeps every label while that stays under the assignment margin.
+    """
+    n = len(values)
+    if k == n:  # only the zero count reaches n, and its fall would change k
+        return None
+    gaps = np.diff(values)
+    bounds = {
+        # no other gap ties the (k - 1)-th, so it is select_k's and k is its k
+        "gap_lead": (gaps[k - 1] - np.delete(gaps, k - 1).max(initial=-np.inf)) / 4,
+        "zero_band": min(abs(v) for v in values if abs(v) > 1e-8) - 1e-8,
+    }
+    if k > 1:  # one cluster holds whatever the embedding
+        margin = _assignment_margin(pts, labels, k) - 1e-9  # k-means rounding
+        if margin <= 0:
+            return None
+        tol = _block_tol(values)
+        if dim > k:
+            bounds["block_top"] = (values[k - 1] + tol - values[dim - 1]) / 3
+        if dim < n:
+            bounds["block_next"] = (values[dim] - values[k - 1] - tol) / 3
+            bounds["davis_kahan"] = margin * (values[dim] - values[dim - 1]) / (3 + margin)
+    return bounds
+
+
+def _assignment_margin(pts: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """Smallest squared-distance lead of a point's own center over the next
+    one, with centers the means of `labels`: the margin of the Lloyd pass
+    that ended k-means. Not positive unless the labels are its strict fixed
+    point (a loop cut short by max_iter, or a repair, may leave them not)."""
+    dist = _sq_dists(pts, _centroids(pts, labels, k))
+    rows = np.arange(len(labels))
+    own = dist[rows, labels]
+    dist[rows, labels] = np.inf
+    return float((dist.min(axis=1) - own).min())

@@ -241,6 +241,11 @@ class World:
         self.excl: np.ndarray | None = None
         # SBS distance similarity, fixed per drop; the first recluster builds it
         self.s_dist: np.ndarray | None = None
+        # the last full recluster's certificate (clustering.spectral_cluster's
+        # hold), and the reclusters run in full and held so far
+        self._hold: tuple = ()
+        self.full_reclusters = 0
+        self.held_reclusters = 0
         # one learner row per cluster, rows of one size in one block, from
         # the first partition on (classical mode never builds it): rows
         # maps a cluster's member ids to its row, order holds the partition
@@ -311,6 +316,9 @@ class World:
         ]
 
     def _recluster(self, t: int) -> None:
+        """Refresh the partition at step t: spectral_cluster's, warm-started
+        from the installed one, held while the last full recluster's hold
+        covers it."""
         ids = self.sbs_idx
         cc = self.cfg.clustering
         if self.s_dist is None:
@@ -322,7 +330,7 @@ class World:
         init_labels = self.label[ids]  # warm start from the current partition
         if (init_labels < 0).any():
             init_labels = None
-        part = clust.spectral_cluster(
+        part, hold = clust.spectral_cluster(
             clust.joint_similarity(self.s_dist, s_load, cc.theta),
             ids,
             self.kmeans_rng,
@@ -332,7 +340,13 @@ class World:
             init_labels=init_labels,
             max_iter=cc.kmeans_iters,
             max_size=self.max_cluster_size,
+            hold=self._hold,
         )
+        if hold is self._hold:
+            self.held_reclusters += 1
+        else:
+            self.full_reclusters += 1
+            self._hold = hold
         self._set_partition(part)
 
     def _singletons(self, t: int) -> None:

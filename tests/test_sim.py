@@ -1,5 +1,6 @@
 """Scenario generation, step loop, and Monte-Carlo aggregation tests."""
 
+import copy
 import dataclasses
 import hashlib
 import math
@@ -509,8 +510,64 @@ def test_kmeans_iters_reaches_kmeans(monkeypatch):
     cfg = small_cfg(steps=6)
     cfg.clustering.kmeans_iters = 7
     cfg.clustering.recluster_every = 5
-    run_once(cfg, 0)
-    assert seen == [7, 7]  # reclusters at steps 1 and 5
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(3)),
+                  np.random.default_rng(1), np.random.default_rng(2))
+    for t in range(1, cfg.run.steps + 1):
+        world.step(t)
+    # reclusters at steps 1 and 5; a held one runs no k-means
+    assert world.full_reclusters + world.held_reclusters == 2
+    assert seen == [7] * world.full_reclusters
+
+
+def test_held_reclusters_equal_the_full_pipeline():
+    # every held recluster installs the clusters and heads spectral_cluster
+    # returns on the same inputs, which draws nothing there either
+    seen = {"held": 0, "changed": 0}
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(theta=st.floats(0.0, 1.0),
+           sigma_l=st.sampled_from([0.003, 0.01, 0.03, 0.1, 0.3, 1.0]),
+           load_sign=st.sampled_from(LOAD_SIGN_MODES),
+           laplacian=st.sampled_from(LAPLACIAN_MODES),
+           eps_d_m=st.sampled_from([0.0, 150.0, 400.0]), max_actions=st.integers(2, 16),
+           rate=st.floats(0.18e6, 12e6), recluster_every=st.integers(1, 3),
+           n_small=st.sampled_from([4, 7, 10]), seed=st.integers(0, 2**16))
+    def check(theta, sigma_l, load_sign, laplacian, eps_d_m, max_actions, rate,
+              recluster_every, n_small, seed):
+        steps = 40
+        cfg = small_cfg(n_small=n_small, n_ues=30, steps=steps)
+        cc = cfg.clustering
+        cc.theta, cc.sigma_l, cc.load_sign, cc.laplacian = theta, sigma_l, load_sign, laplacian
+        cc.eps_d_m, cc.recluster_every = eps_d_m, recluster_every
+        cfg.learning.max_actions, cfg.traffic.mean_rate_bps, cfg.run.seed = (
+            max_actions, rate, seed)
+        assume(_valid(cfg))
+        scen = np.random.SeedSequence([seed, 0]).spawn(3)[0]
+        world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
+                      np.random.default_rng(seed + 1), np.random.default_rng(seed + 2))
+        ids = world.sbs_idx
+        for t in range(1, steps + 1):
+            held, before = world.held_reclusters, world.partition
+            init = world.label[ids].copy()
+            world.step(t)
+            if world.held_reclusters > held:
+                loads = world.rho_hat[ids]
+                s = clustering.joint_similarity(
+                    world.s_dist, clustering.load_similarity(loads, cc.sigma_l, load_sign),
+                    theta)
+                rng = copy.deepcopy(world.kmeans_rng)
+                want = clustering.spectral_cluster(
+                    s, ids, rng, loads=loads, laplacian=laplacian, epoch=t,
+                    init_labels=init, max_iter=cc.kmeans_iters,
+                    max_size=world.max_cluster_size)
+                assert world.partition == want, t
+                assert rng.bit_generator.state == world.kmeans_rng.bit_generator.state
+                seen["held"] += 1
+            elif before is not None and world.partition.clusters != before.clusters:
+                seen["changed"] += 1
+
+    check()
+    assert seen["held"] > 0 and seen["changed"] > 0, seen
 
 
 def test_step_exposes_fixed_point_iterations():
