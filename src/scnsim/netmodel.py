@@ -210,7 +210,6 @@ def compute_loads(
     max_iter: int = 200,
     init: np.ndarray | None = None,
     airtime: np.ndarray | None = None,
-    setup: LoadSetup | None = None,
 ) -> NetworkConfiguration:
     """Solve the load-coupled fixed point rho_b = sum_{m -> b} traffic_m / R_b(x_m).
 
@@ -236,13 +235,8 @@ def compute_loads(
     state, init, excl) for an init in [0, 1]: the first iteration's per-UE
     airtimes sit at its serving entries, so that iteration reads them
     instead of sweeping. It still counts as iteration 1.
-
-    setup, when given, is load_setup(channel, gains, power, state, serving,
-    excl) for these same arguments, built once and reused by every solve
-    that shares them; None builds it here.
     """
-    if setup is None:
-        setup = load_setup(channel, gains, power, state, serving, excl)
+    setup = load_setup(channel, gains, power, state, serving, excl)
     # clamped as np.clip does it, -0.0 to +0.0 included
     x = np.zeros(gains.shape[0]) if init is None else np.minimum(np.maximum(init, 0.0), 1.0)
     return NetworkConfiguration(state.copy(), *_fixed_point(

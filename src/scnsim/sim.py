@@ -259,21 +259,6 @@ class World:
         self.cluster_events: list[clust.ClusterPartition] = []
         # serving station per UE after the last step
         self.last_serving = np.zeros(0, dtype=int)
-        # fixed-point solves actually run; a step whose solver inputs repeat
-        # those of a remembered solve bit for bit reuses its result instead
-        self.fp_solves = 0
-        # last association with delta = 0: (state bytes, serving)
-        self._assoc: tuple[bytes, np.ndarray] | None = None
-        # every solve of the run under the exclusion matrix object
-        # _solves_excl, so a steady run's cycle of solve inputs in the last
-        # bits is held whole, whatever its period: (state, serving,
-        # prev_load bytes) -> (net, per-BS cost the learners are charged
-        # or None without learners)
-        self._solves: dict[tuple[bytes, bytes, bytes], tuple] = {}
-        self._solves_excl: np.ndarray | None = None
-        # the last fixed-point set-up under _solves_excl: ((state, serving
-        # bytes), netmodel.LoadSetup)
-        self._setup: tuple[tuple[bytes, bytes], netmodel.LoadSetup] | None = None
         # one entry per step run: (net, cluster count, mean cluster size,
         # SBS flips); trace() stacks it
         self.history: list[tuple[netmodel.NetworkConfiguration, int, float, int]] = []
@@ -362,8 +347,8 @@ class World:
         A classical World stepped by hand solves each step from the previous
         step's loads; _static_solve returns the limit of those solves."""
         rc = self.cfg.run
-        # a solve's arrays are never written after it returns (the memo
-        # hands them out again), so the previous step's need no copy
+        # a solve's arrays are never written after it returns (the history
+        # holds them), so the previous step's need no copy
         prev_load = self.net.load
         prev_state = self.net.state
 
@@ -392,17 +377,9 @@ class World:
             for rows, members, actions in self.blocks:
                 state[members] = actions[played[rows]]
 
-        # (4) association against active stations only, the macro among
-        # them. With delta = 0 the score ignores rho_hat, so an unchanged
-        # state repeats the last pick
+        # (4) association against active stations only, the macro among them
         delta = 0.0 if self.mode == "classical" else self.cfg.association.delta
-        state_key = state.tobytes()
-        if delta == 0 and self._assoc is not None and self._assoc[0] == state_key:
-            serving = self._assoc[1]
-        else:
-            serving = assoc.associate_all(self.rx, state, self.rho_hat, delta)
-            if delta == 0:
-                self._assoc = (state_key, serving)
+        serving = assoc.associate_all(self.rx, state, self.rho_hat, delta)
 
         # (5) each cluster head rebalances the UEs attached to its members,
         # with interference frozen at the previous step's loads; a UE
@@ -424,49 +401,29 @@ class World:
         else:
             excl = None
 
-        # (6) realized loads from the coupled fixed point, warm-started, and
-        # (7) the running cost per BS that the learners are charged. Both
-        # are pure functions of self.excl, state, serving and prev_load
-        # (power, traffic, gains and the solver settings are fixed per
-        # World), so a step whose inputs equal those of a remembered solve
-        # under the same self.excl reuses its results, and a solve whose
-        # state and serving equal the last solve's reuses its loop
-        # invariants. Rebalanced UEs stay in their clusters, so state and
-        # serving also fix whether the step solves with excl or None, and
-        # a set-up built for one is never reused for the other. Where
-        # stage (5) ran, its costs at the serving entries are the per-UE
-        # airtimes of the fixed point's first iteration from prev_load, so
-        # the solve starts from them
-        if self.excl is not self._solves_excl:
-            self._solves, self._solves_excl, self._setup = {}, self.excl, None
-        inputs = (state_key, serving.tobytes())
-        key = (*inputs, prev_load.tobytes())
-        entry = self._solves.get(key)
-        if entry is None:
-            if self._setup is None or self._setup[0] != inputs:
-                self._setup = inputs, netmodel.load_setup(
-                    self.cfg.channel, self.gains, self.p_max, state, serving, excl)
-            net = netmodel.compute_loads(
-                self.cfg.channel, self.gains, self.p_max, state, serving, self.traffic,
-                excl=excl, tol=rc.load_tol, max_iter=rc.load_max_iter,
-                init=prev_load, airtime=costs, setup=self._setup[1],
-            )
-            self.fp_solves += 1
-            per_bs_cost = self._power_cost(net)[1] if self.blocks else None
-            entry = self._solves[key] = (net, per_bs_cost)
-        self.net, per_bs_cost = entry
+        # (6) realized loads from the coupled fixed point, warm-started from
+        # prev_load. Where stage (5) ran, its costs at the serving entries
+        # are the per-UE airtimes of the fixed point's first iteration from
+        # prev_load, so the solve starts from them
+        self.net = netmodel.compute_loads(
+            self.cfg.channel, self.gains, self.p_max, state, serving, self.traffic,
+            excl=excl, tol=rc.load_tol, max_iter=rc.load_max_iter,
+            init=prev_load, airtime=costs,
+        )
 
-        # (8) every learner observes the negated cost of its own members
+        # (7) the running cost per BS; (8) every learner observes the
+        # negated cost of its own members
         if self.blocks:
+            per_bs_cost = self._power_cost(self.net)[1]
             charged = np.empty(self.n_clusters)
             for rows, members, _ in self.blocks:
                 np.add.reduce(per_bs_cost[members], axis=1, out=charged[rows])
             self.table.update(played, np.negative(charged, out=charged))
 
         # (9) SBS-scope bookkeeping
-        self.last_serving = serving.copy()
+        self.last_serving = serving
         # the macro never sleeps, so every flip is an SBS flip
-        flips = int(state_key != prev_state.tobytes() and np.count_nonzero(state != prev_state))
+        flips = np.count_nonzero(state != prev_state)
         self.history.append((self.net, self.n_clusters, self.mean_cluster_size, flips))
 
     def _power_cost(self, net: netmodel.NetworkConfiguration) -> tuple[np.ndarray, np.ndarray]:
@@ -489,7 +446,8 @@ class World:
         State and serving never change, so each of step's solves is the fixed
         point from the previous loads alone. From the World's loads (zeros
         before a step) they run until those bytes repeat or `steps` solves
-        have run: the result is step's memo hit there (else the last solve)."""
+        have run: the result is the solve from the first previous-load bytes
+        to repeat (else the last solve)."""
         rc, state = self.cfg.run, self._all_on
         serving = assoc.associate_all(self.rx, state, self.rho_hat, 0.0)
         setup = netmodel.load_setup(self.cfg.channel, self.gains, self.p_max, state, serving)

@@ -585,7 +585,7 @@ _associate_all = association.associate_all  # unpatched, for fresh solves
 _SBS_FIELDS = ("sbs_state", "sbs_power", "sbs_load", "sbs_load_raw", "sbs_cost")
 
 
-def _fresh_step_inputs(world, prev_load, delta, associate=None):
+def _fresh_step_inputs(world, prev_load, delta):
     """Serving vector, solve and SBS record arrays (_SBS_FIELDS order) of
     the step just run, recomputed from scratch at its state."""
     state = world.net.state.copy()
@@ -593,7 +593,7 @@ def _fresh_step_inputs(world, prev_load, delta, associate=None):
     if not n_ue:
         serving = np.zeros(0, dtype=int)
     else:
-        serving = (associate or _associate_all)(
+        serving = _associate_all(
             world.p_max[:, None] * world.gains, state, world.rho_hat, delta)
         if world.excl is not None:
             rates = netmodel.rate_matrix(world.cfg.channel, world.gains, world.p_max,
@@ -613,10 +613,10 @@ def _fresh_step_inputs(world, prev_load, delta, associate=None):
     return serving, net, (state[s], totals[s], net.load[s], net.load_raw[s], cost[s])
 
 
-def _assert_step_equals_fresh(world, prev_load, delta, associate=None):
+def _assert_step_equals_fresh(world, prev_load, delta):
     """The step just run equals a fresh solve from its own inputs; returns
     the fresh SBS record arrays, for _assert_records_equal."""
-    serving, fresh, row = _fresh_step_inputs(world, prev_load, delta, associate)
+    serving, fresh, row = _fresh_step_inputs(world, prev_load, delta)
     assert serving.tobytes() == world.last_serving.tobytes()
     for name in ("state", "load", "load_raw"):
         assert getattr(fresh, name).tobytes() == getattr(world.net, name).tobytes()
@@ -641,18 +641,18 @@ def _assert_records_equal(records, rows):
     ("classical", 1.0),
     ("learning_no_clusters", 1.0),
     ("learning_clustered", 1.0),
-    ("learning_no_clusters", 0.0),  # RSSI association: stage (4) reuse too
+    ("learning_no_clusters", 0.0),  # RSSI association
 ])
-def test_reused_solves_equal_fresh_solves(mode, delta, scenario_seed, monkeypatch):
-    # World skips the fixed point (and, with delta = 0, the association)
-    # when its inputs repeat a remembered solve's bit for bit; every
-    # step must still equal a solve from that step's own inputs. In drop 0
-    # the macro serves every UE, so even learning-mode solves repeat; in
-    # drop 3 SBSs serve some UEs under RSSI, so the reused association
-    # matters
-    associations = []
+def test_every_step_equals_a_fresh_solve(mode, delta, scenario_seed, monkeypatch):
+    # a step associates once and solves once, from its own inputs, in every
+    # mode, so it equals an association and a compute_loads from scratch
+    # at that step's state, load estimates and previous loads. In drop 0
+    # the macro serves every UE; in drop 3 SBSs serve some UEs under RSSI
+    calls = []
     monkeypatch.setattr(association, "associate_all",
-                        lambda *args: associations.append(1) or _associate_all(*args))
+                        lambda *args: calls.append("associate_all") or _associate_all(*args))
+    monkeypatch.setattr(netmodel, "compute_loads", lambda *args, **kwargs: (
+        calls.append("compute_loads") or _compute_loads(*args, **kwargs)))
     cfg = small_cfg(mode, n_small=4, n_ues=24, steps=150)
     cfg.association.delta = delta
     cfg.clustering.eps_d_m = 400.0
@@ -664,56 +664,14 @@ def test_reused_solves_equal_fresh_solves(mode, delta, scenario_seed, monkeypatc
     rows = []
     for t in range(1, cfg.run.steps + 1):
         prev_load = world.net.load.copy()
+        calls.clear()
         world.step(t)
+        assert calls == ["associate_all", "compute_loads"], t
         rows.append(_assert_step_equals_fresh(world, prev_load, effective_delta))
         sbs_served += int(np.any(world.last_serving > 0))
     _assert_records_equal(world.trace(), rows)
-    assert 1 <= world.fp_solves <= cfg.run.steps
-    if mode == "classical" or scenario_seed == 0:
-        assert world.fp_solves < cfg.run.steps
     if effective_delta == 0:
-        assert len(associations) < cfg.run.steps
         assert (sbs_served > 0) == (scenario_seed == 3)
-    else:
-        assert len(associations) == cfg.run.steps
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_reused_step_records_are_read_only_solve_slices(mode):
-    # a reused step appends the remembered solve to the history again, and
-    # the trace computes its powers and costs once for the whole run; its
-    # record must still equal fresh slices of that step's own solve and
-    # refuse writes. At 12 Mbit/s per UE every mode reuses most solves; the
-    # first drop from 1 where some reused steps overload an SBS, so their
-    # clamped and raw loads differ, is searched for (drop 1 in the learning
-    # modes, drop 2 classical), and every drop tried is checked
-    cfg = small_cfg(mode, n_small=4, n_ues=24, steps=150)
-    cfg.traffic.mean_rate_bps = 12e6
-    cfg.clustering.eps_d_m = 400.0
-    cfg.clustering.recluster_every = 5
-    delta = 0.0 if mode == "classical" else cfg.association.delta
-    for seed in range(1, 21):
-        world = World(cfg, *generate_scenario(cfg, np.random.default_rng(seed)),
-                      np.random.default_rng(1), np.random.default_rng(2))
-        want = {}
-        for t in range(1, cfg.run.steps + 1):
-            prev_load = world.net.load.copy()
-            solves = world.fp_solves
-            world.step(t)
-            if world.fp_solves == solves:
-                want[t] = _fresh_step_inputs(world, prev_load, delta)[2]
-        trace = world.trace()
-        reused = [trace[t - 1] for t in want]
-        _assert_records_equal(reused, list(want.values()))
-        overloaded = 0
-        for rec in reused:
-            with pytest.raises(ValueError, match="read-only"):
-                rec.sbs_load[:] = 0.0
-            overloaded += bool(np.any(rec.sbs_load_raw > 1.0))
-        assert len(reused) > cfg.run.steps // 2
-        if overloaded > 0:
-            return
-    pytest.fail("no drop of 20 overloads an SBS on a reused step")
 
 
 def _load_orbit(world):
@@ -747,41 +705,16 @@ def _search_drop(cfgs, fits, start=0, runs=300):
     pytest.fail(f"none of {runs} drops has a load orbit of the period sought")
 
 
-def test_period_two_solve_keys_run_two_solves():
-    # a drop whose warm-started iterate ends in a period-2 cycle a -> b -> a
-    # in the last bits. A World started on a alternates its solve keys A, B,
-    # A, B, which a memo of only the last solve never matches; with two
-    # entries it solves exactly twice
-    cfg = small_cfg("classical", n_small=4, n_ues=24, steps=12)
-    cfg, run_index, loads, transient = _search_drop([cfg], lambda period: period == 2)
-    a, b = loads[transient:]
-    assert a.tobytes() != b.tobytes()
-
-    world = _classical_world(cfg, run_index)
-    world.net.load = a.copy()
-    keys, rows = [], []
-    for t in range(1, cfg.run.steps + 1):
-        prev_load = world.net.load.copy()
-        world.step(t)
-        keys.append(prev_load.tobytes())
-        rows.append(_assert_step_equals_fresh(world, prev_load, 0.0))
-    _assert_records_equal(world.trace(), rows)
-    assert keys == [a.tobytes(), b.tobytes()] * (cfg.run.steps // 2)
-    assert world.fp_solves == 2
-
-
 @pytest.mark.parametrize("start", [pytest.param(0, id="0-12"), pytest.param(2, id="2-16")])
-def test_long_solve_cycles_are_held_whole(start, monkeypatch):
+def test_long_load_cycles_replay_as_one_static_solve(start, monkeypatch):
     # a 75-UE drop whose warm-started iterate ends in a cycle of three or
-    # more distinct loads in the last bits, so a memo of the last two
-    # solves solves every step. The memo holds whole cycles: once the
-    # iterate is on its cycle no step is solved again, and every reused
-    # step equals a fresh solve. run_once gives every step the solve the
-    # memo hands out at the cycle's first repeat. The search starts at
-    # drop `start`, first at the default rate, where under OpenBLAS's
-    # SkylakeX kernel drops 0 and 2 cycle with periods 12 and 16 (the
-    # cases' names), then at 6 Mbit/s per UE, where more drops cycle at
-    # period 3 or more under other kernels
+    # more distinct loads in the last bits. Every step of a World stepped
+    # by hand through the cycle twice equals a fresh solve, and run_once
+    # gives every step the solve at the cycle's first repeated previous
+    # loads. The search starts at drop `start`, first at the default rate,
+    # where under OpenBLAS's SkylakeX kernel drops 0 and 2 cycle with
+    # periods 12 and 16 (the cases' names), then at 6 Mbit/s per UE, where
+    # more drops cycle at period 3 or more under other kernels
     cfg = default_config()
     cfg.run.mode = "classical"
     cfg.layout.n_ues = 75
@@ -799,121 +732,8 @@ def test_long_solve_cycles_are_held_whole(start, monkeypatch):
     _assert_records_equal(world.trace(), rows)
     # classical state and serving never change, so the loads are the key
     assert next(p for p in range(1, len(keys)) if keys[-1] == keys[-1 - p]) == period
-    assert world.fp_solves == transient + period < len(keys)
     cfg.run.steps = 120
     _assert_replay_equals_stepping(cfg, run_index, monkeypatch)
-
-
-def test_solve_cycles_longer_than_a_fifo_memo_are_held_whole(monkeypatch):
-    # a memo that evicted its oldest of 64 entries would miss every key of a
-    # cycle of 81 distinct loads and solve all 400 steps; the run-long memo
-    # solves each key of the cycle once. Real cycles that long come from
-    # some BLAS kernels' rounding and not from others', so a stand-in solver
-    # plays one on every host: it maps each load vector of the cycle to the
-    # next, and any other to the first
-    cfg = small_cfg("classical", n_small=4, n_ues=24, steps=400)
-    world = _classical_world(cfg, 0)
-    cycle = [np.full(world.n_bs, k / 128) for k in range(1, 82)]
-    after = {a.tobytes(): b for a, b in zip(cycle, cycle[1:] + cycle[:1])}
-
-    def solve(channel, gains, power, state, serving, traffic, init=None, **kwargs):
-        load = after.get(init.tobytes(), cycle[0])
-        return netmodel.NetworkConfiguration(state.copy(), load, load, True, 1)
-
-    monkeypatch.setattr(netmodel, "compute_loads", solve)
-    keys = []
-    for t in range(1, cfg.run.steps + 1):
-        keys.append(world.net.load.tobytes())
-        world.step(t)
-        assert world.net.load is after.get(keys[-1], cycle[0])
-    assert next(p for p in range(1, len(keys)) if keys[-1] == keys[-1 - p]) == 81
-    assert world.fp_solves == 1 + 81
-
-
-def test_memo_stays_bounded_in_learning_mode():
-    # learning-mode loads rarely repeat, so nearly every step adds a solve;
-    # the memo holds at most one entry per solve of the run
-    cfg = small_cfg("learning_clustered", n_small=6, n_ues=30, steps=200)
-    cfg.clustering.eps_d_m = 400.0
-    cfg.clustering.recluster_every = 500  # one partition, one memo
-    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(4)),
-                  np.random.default_rng(1), np.random.default_rng(2))
-    for t in range(1, cfg.run.steps + 1):
-        world.step(t)
-        assert len(world._solves) <= world.fp_solves <= t
-    assert world.fp_solves > 64
-
-
-@pytest.mark.parametrize("change", ["serving", "excl"])
-def test_new_serving_or_exclusion_forces_a_solve(change, monkeypatch):
-    # serving and the exclusion matrix object are part of the reuse key:
-    # a step that repeats a remembered solve's other inputs is solved again
-    cfg = small_cfg("classical", n_small=4, n_ues=24)
-    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(3)),
-                  np.random.default_rng(1), np.random.default_rng(2))
-    for t in range(1, 101):
-        world.step(t)
-    solves = world.fp_solves
-    world.step(101)
-    assert world.fp_solves == solves  # a repeat
-
-    def to_macro(*args):  # the first SBS-served UE moves to the macro
-        serving = _associate_all(*args)
-        serving[np.flatnonzero(serving > 0)[0]] = 0
-        return serving
-
-    if change == "serving":
-        monkeypatch.setattr(association, "associate_all", to_macro)
-        world._assoc = None  # drop the cached association
-    else:
-        clusters = [(1, 2), (3, 4)]
-        world.excl = netmodel.exclusion_matrix(world.n_bs, clusters)
-        world.label = netmodel.cluster_labels(world.n_bs, clusters)
-    prev_load = world.net.load.copy()
-    world.step(102)
-    assert world.fp_solves == solves + 1
-    row = _assert_step_equals_fresh(world, prev_load, 0.0,
-                                    associate=to_macro if change == "serving" else None)
-    _assert_records_equal(world.trace()[-1:], [row])
-
-
-def test_new_exclusion_matrix_rebuilds_the_load_setup():
-    # a solve's set-up holds the float exclusion matrix, so a set-up kept
-    # across a new excl would iterate with the old interference sets. That
-    # shows where the first solve after the change iterates past the
-    # handed-over first sweep: at 12 Mbit/s per UE the first such drop from
-    # 0 is searched for (drop 1), and every drop tried is checked
-    cfg = small_cfg("classical", n_small=4, n_ues=24)
-    cfg.traffic.mean_rate_bps = 12e6
-    clusters = [(1, 2), (3, 4)]
-    for seed in range(20):
-        world = World(cfg, *generate_scenario(cfg, np.random.default_rng(seed)),
-                      np.random.default_rng(1), np.random.default_rng(2))
-        for t in range(1, 21):
-            world.step(t)
-        world.excl = netmodel.exclusion_matrix(world.n_bs, clusters).astype(float)
-        world.label = netmodel.cluster_labels(world.n_bs, clusters)
-        rows, iterations = [], []
-        for t in range(21, 31):
-            prev_load = world.net.load.copy()
-            world.step(t)
-            rows.append(_assert_step_equals_fresh(world, prev_load, 0.0))
-            iterations.append(world.net.iterations)
-        _assert_records_equal(world.trace()[20:], rows)
-        if max(iterations) > 1:
-            return
-    pytest.fail("no drop of 20 iterates past one after the new exclusion matrix")
-
-
-def test_classical_world_reuses_most_solves():
-    # the warm-started iteration reaches an exact fixed point and classical
-    # states never change, so most steps repeat the last solve's inputs
-    cfg = small_cfg("classical", n_small=10, n_ues=54, steps=200)
-    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(5)),
-                  np.random.default_rng(1), np.random.default_rng(2))
-    for t in range(1, cfg.run.steps + 1):
-        world.step(t)
-    assert world.fp_solves < cfg.run.steps / 2
 
 
 @pytest.mark.parametrize("seed", [1, 3])
@@ -1234,47 +1054,6 @@ def test_rebalance_costs_are_the_fixed_points_first_sweep(cfg):
         _assert_airtimes_are_the_first_sweep(args, kwargs)
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
-@given(cfg=_scenario_configs(valid=True))
-# planted: at 12 Mbit/s per UE, load-aware association moves a UE between
-# two solves of this clustered drop with the same state
-@example(cfg=_edge_cfg("learning_clustered", **{
-    "layout.n_small": 4, "layout.n_ues": 24, "traffic.mean_rate_bps": 12e6,
-    "run.seed": 2}))
-def test_reused_load_setups_give_fresh_fixed_points(cfg):
-    # a solve whose state and serving equal the last solve's (under the
-    # same exclusion matrix) reuses its loop invariants; its fixed point
-    # must equal, bit for bit, a compute_loads that builds its own. Every
-    # classical solve after the first has the same state and serving
-    assume(_valid(cfg))
-    scen, kmeans_seed, learner_seed = np.random.SeedSequence([cfg.run.seed, 0]).spawn(3)
-    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
-                  np.random.default_rng(kmeans_seed), np.random.default_rng(learner_seed))
-    calls = []
-
-    def spy(*args, **kwargs):
-        net = _compute_loads(*args, **kwargs)
-        calls.append((args, kwargs, net))
-        return net
-
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(netmodel, "compute_loads", spy)
-        for t in range(1, 5 * cfg.run.steps + 1):
-            world.step(t)
-    reused, last = 0, None
-    for args, kwargs, got in calls:
-        setup = kwargs["setup"]
-        assert (setup.excl_w is None) == (kwargs["excl"] is None)
-        reused += setup is last
-        last = setup
-        fresh = _compute_loads(*args, **{**kwargs, "setup": None})
-        for name in ("state", "load", "load_raw"):
-            assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes()
-        assert (got.converged, got.iterations) == (fresh.converged, fresh.iterations)
-    if cfg.run.mode == "classical":
-        assert reused == max(len(calls) - 1, 0)
-
-
 _rate_matrix = netmodel.rate_matrix  # unpatched
 
 
@@ -1582,9 +1361,9 @@ def _hand_stepped(cfg, run_index):
 
 
 def _static_step(keys):
-    """The step whose solve a classical run gives every step: the one a
-    hand-stepped World's memo hands out at the first step whose previous
-    loads repeat an earlier step's, else the last step."""
+    """The step whose solve a classical run gives every step: in a
+    hand-stepped World, the first step to solve from the previous loads
+    that recur first, else the last step."""
     return next((keys.index(k) + 1 for t, k in enumerate(keys) if k in keys[:t]), len(keys))
 
 
@@ -1683,7 +1462,7 @@ def _assert_replay_equals_stepping(cfg, run_index, monkeypatch):
     classical = cfg.run.mode == "classical"
     assert len(worlds) == (0 if classical else cfg.run.steps)
     assert len(set(map(id, worlds))) <= 1
-    assert len(solves) == oracle.fp_solves <= cfg.run.steps
+    assert len(solves) == (len(set(keys)) if classical else cfg.run.steps)
 
     # records are built only when asked for, and the summary is the same
     plain = run_once(cfg, run_index)
@@ -1798,8 +1577,7 @@ def test_trace_before_any_step_raises():
 
 def _literal_classical_rows(cfg, run_index):
     """A classical run's SBS record arrays (_SBS_FIELDS order), converged
-    flags and previous-load keys by a literal per-step compute_loads: a
-    fresh set-up every step and no memo."""
+    flags and previous-load keys by a literal per-step compute_loads."""
     world = _classical_world(cfg, run_index)
     state = np.ones(world.n_bs, dtype=np.int64)
     serving = _associate_all(world.rx, state, np.zeros(world.n_bs), 0.0)
