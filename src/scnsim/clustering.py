@@ -27,7 +27,6 @@ import numpy as np
 from .coordination import elect_head
 
 LOAD_SIGN_MODES = ("gaussian", "reciprocal")
-LAPLACIAN_MODES = ("standard", "rowsum")
 
 
 @dataclass(frozen=True)
@@ -106,22 +105,11 @@ def joint_similarity(s_dist: np.ndarray, s_load: np.ndarray, theta: float) -> np
     return s
 
 
-def laplacian_matrix(similarity: np.ndarray, variant: str = "standard") -> np.ndarray:
-    """Graph Laplacian of a symmetric similarity matrix.
-
-    standard: L = D - S with D = diag(row sums).
-    rowsum:   l_bb' = sum_k (s_bk - s_bb') = d_b - n * s_bb', symmetrized as
-              (L + L^T)/2 since the row form is asymmetric for uneven degrees.
-    """
+def laplacian_matrix(similarity: np.ndarray) -> np.ndarray:
+    """Graph Laplacian L = D - S of a symmetric similarity matrix, with
+    D = diag(row sums)."""
     s = np.asarray(similarity, dtype=float)
-    deg = s.sum(axis=1)
-    if variant == "standard":
-        return np.diag(deg) - s
-    if variant == "rowsum":
-        n = s.shape[0]
-        l_row = deg[:, None] - n * s
-        return (l_row + l_row.T) / 2.0
-    raise ValueError(f"laplacian variant must be one of {LAPLACIAN_MODES}")
+    return np.diag(s.sum(axis=1)) - s
 
 
 def select_k(eigenvalues: Sequence[float]) -> int:
@@ -143,7 +131,7 @@ def _block_tol(eigenvalues: Sequence[float]) -> float:
 
 def zero_eigenvalue_count(eigenvalues: Sequence[float], tol: float = 1e-8) -> int:
     """Multiplicity of (numerically) zero eigenvalues: the number of connected
-    components for the standard Laplacian, not for the rowsum variant."""
+    components of the similarity graph."""
     return sum(1 for v in eigenvalues if abs(v) <= tol)
 
 
@@ -238,7 +226,6 @@ def _bisect(
     similarity: np.ndarray,
     members: list[int],
     ids: np.ndarray,
-    laplacian: str,
     max_size: int | None,
 ) -> list[list[int]]:
     """Recursive spectral bisection of one cluster (indices into similarity).
@@ -255,7 +242,7 @@ def _bisect(
     if max_size is None or len(members) <= max_size:
         return [members]
     idx = np.asarray(members)
-    vals, vecs = np.linalg.eigh(laplacian_matrix(similarity[np.ix_(idx, idx)], laplacian))
+    vals, vecs = np.linalg.eigh(laplacian_matrix(similarity[np.ix_(idx, idx)]))
     fiedler = np.round(vecs[:, 1], 9)
     if np.any(np.diff(vals[:3]) <= _block_tol(vals.tolist())):
         fiedler = np.zeros(len(idx))
@@ -263,8 +250,8 @@ def _bisect(
         fiedler = -fiedler
     order = idx[np.lexsort((ids[idx], fiedler))].tolist()
     half = len(order) // 2
-    return _bisect(similarity, order[:half], ids, laplacian, max_size) + _bisect(
-        similarity, order[half:], ids, laplacian, max_size
+    return _bisect(similarity, order[:half], ids, max_size) + _bisect(
+        similarity, order[half:], ids, max_size
     )
 
 
@@ -297,7 +284,6 @@ def spectral_cluster(
     rng: np.random.Generator,
     k: int | None = None,
     loads: np.ndarray | None = None,
-    laplacian: str = "standard",
     epoch: int = 0,
     init_labels: np.ndarray | None = None,
     max_iter: int = 100,
@@ -308,19 +294,18 @@ def spectral_cluster(
     """Partition BSs by unnormalized spectral clustering on `similarity`.
 
     When k is not given it comes from the eigengap heuristic, floored by the
-    zero-eigenvalue multiplicity. With the standard Laplacian that floor is
-    the component count, so k is never below it; k-means may still put BSs of
-    two components into one cluster, and with the rowsum Laplacian k may fall
-    below the component count. k-means looks for k clusters in an embedding of
-    at least k eigenvectors: it runs on through the block of eigenvalues equal
-    to the k-th, so the partition does not depend on the basis the eigensolver
-    picks inside that block. Heads are elected by estimated load (`loads`,
-    default all-zero, which degrades to lowest-id heads). init_labels (aligned
-    with ids) warm-starts k-means from a previous partition when its group
-    count still matches the selected k. max_iter caps the k-means Lloyd
-    iterations. max_size (None: unbounded) caps the members per cluster: a
-    larger k-means cluster is split by recursive spectral bisection
-    (`_bisect`) before heads are elected.
+    zero-eigenvalue multiplicity, which is the component count, so k is never
+    below it; k-means may still put BSs of two components into one cluster.
+    k-means looks for k clusters in an embedding of at least k eigenvectors:
+    it runs on through the block of eigenvalues equal to the k-th, so the
+    partition does not depend on the basis the eigensolver picks inside that
+    block. Heads are elected by estimated load (`loads`, default all-zero,
+    which degrades to lowest-id heads). init_labels (aligned with ids)
+    warm-starts k-means from a previous partition when its group count still
+    matches the selected k. max_iter caps the k-means Lloyd iterations.
+    max_size (None: unbounded) caps the members per cluster: a larger k-means
+    cluster is split by recursive spectral bisection (`_bisect`) before heads
+    are elected.
 
     hold (keyword; () on a first call, then the hold the previous call
     returned) makes the call return (partition, hold). A call the hold
@@ -351,7 +336,7 @@ def spectral_cluster(
     if n < 2:
         part = ClusterPartition(tuple((b,) for b in id_list), tuple(id_list), epoch)
     else:
-        lap = laplacian_matrix(s, laplacian)
+        lap = laplacian_matrix(s)
         if hold and hold.covers(lap, k, id_list, max_size, init_labels):
             heads = _elect_heads(hold.clusters, id_list, loads)
             return ClusterPartition(hold.clusters, heads, epoch), hold
@@ -374,7 +359,7 @@ def spectral_cluster(
         parts = [
             part
             for members in groups.values()
-            for part in _bisect(s, members, id_arr, laplacian, max_size)
+            for part in _bisect(s, members, id_arr, max_size)
         ]
         # deterministic ordering: clusters sorted by their smallest member id,
         # which is their first, and no two share it

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import LAPLACIAN_MODES, LOAD_SIGN_MODES
+from .clustering import LOAD_SIGN_MODES
 from .netmodel import MACRO, SMALL, dbm_to_watt, gain, noise_w
 
 MODES = ("classical", "learning_no_clusters", "learning_clustered")
@@ -67,9 +67,7 @@ class ClusteringConfig:
     sigma_l: float = 1.0  # load similarity scale
     theta: float = 0.5  # distance weight in the joint similarity
     load_sign: str = "gaussian"
-    laplacian: str = "standard"
     recluster_every: int = 50  # steps between partition refreshes
-    kmeans_iters: int = 100
 
 
 @dataclass
@@ -80,8 +78,7 @@ class AssociationConfig:
 
 @dataclass
 class LearningConfig:
-    alpha: float = 0.5  # cost weight on power
-    beta: float = 0.5  # cost weight on load
+    alpha: float = 0.5  # cost weight on power; load weighs 1 - alpha
     kappa: float = 10.0  # Boltzmann-Gibbs temperature
     utility_exp: float = 0.6
     regret_exp: float = 0.7
@@ -208,7 +205,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
         ),
         (cfg.traffic.mean_rate_bps > 0, "traffic.mean_rate_bps must be positive"),
         (cfg.clustering.recluster_every >= 1, "clustering.recluster_every must be >= 1"),
-        (cfg.clustering.kmeans_iters >= 1, "clustering.kmeans_iters must be >= 1"),
         (cfg.clustering.sigma_d_m > 0, "clustering.sigma_d_m must be positive"),
         (cfg.clustering.sigma_l > 0, "clustering.sigma_l must be positive"),
         (
@@ -223,12 +219,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
             cfg.clustering.load_sign in LOAD_SIGN_MODES,
             f"clustering.load_sign must be one of {LOAD_SIGN_MODES}",
         ),
-        (
-            cfg.clustering.laplacian in LAPLACIAN_MODES,
-            f"clustering.laplacian must be one of {LAPLACIAN_MODES}",
-        ),
-        (cfg.learning.alpha >= 0, "learning.alpha must be >= 0"),
-        (cfg.learning.beta >= 0, "learning.beta must be >= 0"),
+        (0.0 <= cfg.learning.alpha <= 1.0, "learning.alpha must be in [0, 1]"),
         (cfg.learning.kappa >= 0, "learning.kappa must be >= 0"),
         # gains 1 / t^exp decrease only for exp > 0, and their sum diverges
         # (the stochastic-approximation condition) only for exp <= 1

@@ -123,7 +123,7 @@ class StepRecord:
     sbs_power: np.ndarray  # consumed watts per SBS
     sbs_load: np.ndarray  # clamped duty cycles
     sbs_load_raw: np.ndarray
-    sbs_cost: np.ndarray  # alpha * power + beta * raw load
+    sbs_cost: np.ndarray  # alpha * power + (1 - alpha) * raw load
 
 
 @dataclass(eq=False)
@@ -320,10 +320,8 @@ class World:
             ids,
             self.kmeans_rng,
             loads=loads,
-            laplacian=cc.laplacian,
             epoch=t,
             init_labels=init_labels,
-            max_iter=cc.kmeans_iters,
             max_size=self.max_cluster_size,
             hold=self._hold,
         )
@@ -427,12 +425,12 @@ class World:
         self.history.append((self.net, self.n_clusters, self.mean_cluster_size, flips))
 
     def _power_cost(self, net: netmodel.NetworkConfiguration) -> tuple[np.ndarray, np.ndarray]:
-        """Each BS's total power and its cost alpha * power + beta * raw load
-        in `net`, one step's or a stacked trace's: elementwise, so the two
+        """Each BS's total power and its cost alpha * power + (1 - alpha) * raw
+        load in `net`, one step's or a stacked trace's: elementwise, so the two
         round alike."""
         power = netmodel.total_powers(self.p_max, self.p_idle, self.idle_scale, net)
-        lcfg = self.cfg.learning
-        return power, lcfg.alpha * power + lcfg.beta * net.load_raw
+        alpha = self.cfg.learning.alpha
+        return power, alpha * power + (1.0 - alpha) * net.load_raw
 
     def _sbs_fields(self, net: netmodel.NetworkConfiguration) -> list[np.ndarray]:
         """The sbs_* StepRecord fields of `net`, one step's or a stacked trace's."""

@@ -210,10 +210,7 @@ def test_criterion_5_spectral_oracle():
             block = weight * (1.0 + rng.uniform(-0.02, 0.02, size=(size, size)))
             sim[a:b, a:b] = (block + block.T) / 2.0
         np.fill_diagonal(sim, 0.0)
-        part = spectral_cluster(
-            sim, list(range(n)), np.random.default_rng(graph),
-            laplacian="standard",
-        )
+        part = spectral_cluster(sim, list(range(n)), np.random.default_rng(graph))
         planted = {frozenset(range(j * size, (j + 1) * size)) for j in range(k)}
         got = {frozenset(c) for c in part.clusters}
         recovered += part.n_clusters == k and got == planted

@@ -31,7 +31,7 @@ def test_settable_values_are_the_ini_keys():
     # INI section
     cfg = scnsim.default_config()
     sections = dataclasses.fields(cfg)
-    assert sum(len(dataclasses.fields(getattr(cfg, s.name))) for s in sections) == 41
+    assert sum(len(dataclasses.fields(getattr(cfg, s.name))) for s in sections) == 38
     # every section is defined beside the tree that holds it
     for s in sections:
         assert type(getattr(cfg, s.name)).__module__ == config.__name__
@@ -42,6 +42,7 @@ def test_settable_values_are_the_ini_keys():
     (config.ScenarioConfig, "channel_model"),
     (clustering, "SimilarityGraph"),
     (clustering, "build_similarity"),
+    (clustering, "LAPLACIAN_MODES"),
     (association, "LoadEstimate"),
     (association, "NoCoverageError"),
     (association, "AssociationConfig"),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from scnsim import clustering
 from scnsim.clustering import (
-    LAPLACIAN_MODES,
+    LOAD_SIGN_MODES,
     _bisect,
     _centroids,
     ClusterPartition,
@@ -99,16 +99,12 @@ def test_joint_similarity_mask_all_theta():
 
 
 def test_laplacian_variants():
+    # the one Laplacian, D - S
     s = np.array([[0.0, 0.5, 0.2], [0.5, 0.0, 0.1], [0.2, 0.1, 0.0]])
-    lap = laplacian_matrix(s, "standard")
+    lap = laplacian_matrix(s)
     assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-15)
     assert np.allclose(lap, lap.T)
     assert lap[0, 0] == pytest.approx(0.7) and lap[0, 1] == pytest.approx(-0.5)
-    row = laplacian_matrix(s, "rowsum")
-    assert np.allclose(row, row.T)
-    assert row[0, 0] == pytest.approx(0.7)  # zero self-similarity keeps degrees
-    with pytest.raises(ValueError):
-        laplacian_matrix(s, "normalized")
 
 
 def reference_jacobi_eigh(a, tol=1e-12, max_sweeps=60):
@@ -150,9 +146,9 @@ def reference_jacobi_eigh(a, tol=1e-12, max_sweeps=60):
 
 
 def _oracle_matrices():
-    """(name, matrix, similarity, laplacian): Laplacians of default drops,
-    with the similarity and variant they come from, then random symmetric
-    matrices and edge cases, which have neither."""
+    """(name, matrix, similarity): Laplacians of default drops, with the
+    similarity they come from, then random symmetric matrices and edge
+    cases, which have none."""
     from scnsim.sim import generate_scenario
 
     cfg = default_config()
@@ -161,29 +157,27 @@ def _oracle_matrices():
         pos = generate_scenario(cfg, rng)[0][1:]
         loads = rng.uniform(0, 1, size=len(pos))
         for eps_d in (150.0, 250.0, 400.0):
-            for variant in ("standard", "rowsum"):
-                s_joint = joint_of(pos, loads, ClusteringConfig(eps_d_m=eps_d))
-                yield (f"drop{seed}-{eps_d}-{variant}",
-                       laplacian_matrix(s_joint, variant), s_joint, variant)
+            s_joint = joint_of(pos, loads, ClusteringConfig(eps_d_m=eps_d))
+            yield f"drop{seed}-{eps_d}-standard", laplacian_matrix(s_joint), s_joint
     rng = np.random.default_rng(53)
     for n in range(1, 21):
         for rep in range(2):
             m = rng.normal(size=(n, n))
-            yield f"random{n}-{rep}", (m + m.T) / 2.0, None, None
+            yield f"random{n}-{rep}", (m + m.T) / 2.0, None
     m = rng.normal(size=(7, 7))
     m = (m + m.T) / 2.0
     m[2, 5] += 5e-9  # asymmetric, inside the symmetry tolerance
-    yield "near-symmetric", m, None, None
+    yield "near-symmetric", m, None
     # equal diagonal entries: the first rotation takes the theta == 0 branch
-    yield "theta0-2x2", np.array([[2.0, 1.0], [1.0, 2.0]]), None, None
-    yield "theta0-4x4", np.full((4, 4), 0.5) + np.eye(4), None, None
-    yield "zero", np.zeros((5, 5)), None, None
+    yield "theta0-2x2", np.array([[2.0, 1.0], [1.0, 2.0]]), None
+    yield "theta0-4x4", np.full((4, 4), 0.5) + np.eye(4), None
+    yield "zero", np.zeros((5, 5)), None
 
 
-@pytest.mark.parametrize("a, similarity, laplacian", [
-    pytest.param(a, s, lap, id=name) for name, a, s, lap in _oracle_matrices()
+@pytest.mark.parametrize("a, similarity", [
+    pytest.param(a, s, id=name) for name, a, s in _oracle_matrices()
 ])
-def test_jacobi_bitwise_equals_numpy_rotations(monkeypatch, a, similarity, laplacian):
+def test_jacobi_bitwise_equals_numpy_rotations(monkeypatch, a, similarity):
     """np.linalg.eigh, the solver clustering calls, against the Jacobi
     oracle: the spectra and each eigenvalue block's projector agree to
     rounding, and every choice made from the spectrum (block cuts, eigengap
@@ -204,8 +198,7 @@ def test_jacobi_bitwise_equals_numpy_rotations(monkeypatch, a, similarity, lapla
     ids = list(range(1, len(similarity) + 1))
 
     def partition():
-        return spectral_cluster(similarity, ids, np.random.default_rng(0),
-                                laplacian=laplacian, max_size=4)
+        return spectral_cluster(similarity, ids, np.random.default_rng(0), max_size=4)
 
     base = partition()
     monkeypatch.setattr(np.linalg, "eigh", reference_jacobi_eigh)
@@ -482,16 +475,6 @@ def test_spectral_determinism():
     assert p1.clusters == p2.clusters and p1.heads == p2.heads
 
 
-def test_spectral_rowsum_variant_runs():
-    pos = np.array([[0, 0], [30, 0], [0, 30], [800, 800], [830, 800], [800, 830]],
-                   dtype=float)
-    ids = [1, 2, 3, 4, 5, 6]
-    s_joint = joint_of(pos, np.zeros(6), ClusteringConfig(theta=1.0))
-    part = spectral_cluster(s_joint, ids, np.random.default_rng(0),
-                            laplacian="rowsum")
-    assert sorted(b for c in part.clusters for b in c) == ids
-
-
 def _line_similarity(n, spacing=100.0):
     """Path graph: n SBSs on a line, each adjacent to its neighbours only."""
     pos = np.column_stack([np.arange(n) * spacing, np.zeros(n)])
@@ -538,12 +521,44 @@ def test_bisection_bounds_random_partitions():
         ids = list(range(1, n + 1))
         s_joint = joint_of(pos, loads, ClusteringConfig(eps_d_m=600.0))
         part = spectral_cluster(s_joint, ids, np.random.default_rng(trial),
-                                loads=loads, max_size=max_size,
-                                laplacian="rowsum" if trial % 2 else "standard")
+                                loads=loads, max_size=max_size)
         assert sorted(b for c in part.clusters for b in c) == ids
         assert all(1 <= len(c) <= max_size for c in part.clusters)
         for head, cluster in zip(part.heads, part.clusters):
             assert loads[head - 1] == max(loads[b - 1] for b in cluster)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    n_small=st.integers(1, 12),
+    eps_d=st.floats(50.0, 600.0),
+    theta=st.floats(0.0, 1.0),
+    sigma_l=st.floats(0.03, 3.0),
+    load_sign=st.sampled_from(LOAD_SIGN_MODES),
+    max_size=st.none() | st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_clusters_are_at_least_the_adjacency_components(n_small, eps_d, theta, sigma_l,
+                                                        load_sign, max_size, seed):
+    # the Laplacian's zero count is the component count of the similarity
+    # graph, whose edges lie inside those of s_dist > 0, and floors k;
+    # bisection only adds clusters. (A cluster may still span components.)
+    from scipy.sparse.csgraph import connected_components
+
+    from scnsim.sim import generate_scenario
+
+    cfg = default_config()
+    cfg.layout.n_small = n_small
+    cc = cfg.clustering
+    cc.eps_d_m, cc.theta, cc.sigma_l, cc.load_sign = eps_d, theta, sigma_l, load_sign
+    rng = np.random.default_rng(seed)
+    pos = generate_scenario(cfg, rng)[0][1:]
+    loads = rng.uniform(0, 1, size=n_small)
+    s_dist = distance_similarity(pos, build_adjacency(pos, eps_d), cc.sigma_d_m)
+    s = joint_similarity(s_dist, load_similarity(loads, sigma_l, load_sign), theta)
+    part = spectral_cluster(s, list(range(1, n_small + 1)), rng, loads=loads,
+                            max_size=max_size)
+    assert part.n_clusters >= connected_components(s_dist > 0, directed=False)[0]
 
 
 def _tol(vals):
@@ -593,40 +608,22 @@ def _components_similarity(sizes, rng):
     return s[np.ix_(perm, perm)]
 
 
-def _sparse_drop_similarity():
-    """SBSs of a default drop at eps_d = 150 m (seed 1, run 6) at zero
-    load: the rowsum Laplacian's spectrum is two negative eigenvalues, a
-    zero of multiplicity 4, then positive ones."""
-    from scnsim.sim import generate_scenario
-
-    cfg = default_config()
-    cfg.clustering.eps_d_m = 150.0
-    scen, _, _ = np.random.SeedSequence([1, 6]).spawn(3)
-    pos = generate_scenario(cfg, np.random.default_rng(scen))[0][1:]
-    return joint_of(pos, np.zeros(len(pos)), cfg.clustering)
-
-
-@pytest.mark.parametrize("laplacian, k, similarity", [
-    # the eigengap and zero-count rules pick k = 4, inside the zero block
-    pytest.param("rowsum", None, _sparse_drop_similarity, id="rowsum-drop"),
+@pytest.mark.parametrize("k, similarity", [
     # a caller's k below the component count cuts the zero block
-    pytest.param("standard", 2,
-                 lambda: _components_similarity((1, 2, 3, 4), np.random.default_rng(7)),
+    pytest.param(2, lambda: _components_similarity((1, 2, 3, 4), np.random.default_rng(7)),
                  id="standard-k2"),
-    pytest.param("standard", 3,
-                 lambda: _components_similarity((1, 2, 3, 5), np.random.default_rng(8)),
+    pytest.param(3, lambda: _components_similarity((1, 2, 3, 5), np.random.default_rng(8)),
                  id="standard-k3"),
 ])
-def test_partition_is_invariant_to_the_eigenbasis(monkeypatch, laplacian, k, similarity):
+def test_partition_is_invariant_to_the_eigenbasis(monkeypatch, k, similarity):
     s = similarity()
     ids = list(range(1, len(s) + 1))
-    vals = np.linalg.eigvalsh(laplacian_matrix(s, laplacian))
+    vals = np.linalg.eigvalsh(laplacian_matrix(s))
     used_k = k or max(select_k(vals), zero_eigenvalue_count(vals))
     assert vals[used_k] - vals[used_k - 1] <= _tol(vals)  # k ends inside a block
 
     def partition():
-        return spectral_cluster(s, ids, np.random.default_rng(0), k=k,
-                                laplacian=laplacian)
+        return spectral_cluster(s, ids, np.random.default_rng(0), k=k)
 
     base = _partition_under_rotations(monkeypatch, partition, range(20))
     assert base.n_clusters == used_k  # k itself is not raised
@@ -636,10 +633,9 @@ def test_partition_is_invariant_to_the_eigenbasis(monkeypatch, laplacian, k, sim
 @given(
     sizes=st.sets(st.integers(1, 5), min_size=1, max_size=4),
     k=st.none() | st.integers(1, 15),
-    laplacian=st.sampled_from(LAPLACIAN_MODES),
     seed=st.integers(0, 2**16),
 )
-def test_random_partitions_are_invariant_to_the_eigenbasis(sizes, k, laplacian, seed):
+def test_random_partitions_are_invariant_to_the_eigenbasis(sizes, k, seed):
     # components of distinct sizes keep the embedded points free of exact
     # distance ties, which rounding alone would break
     rng = np.random.default_rng(seed)
@@ -648,8 +644,7 @@ def test_random_partitions_are_invariant_to_the_eigenbasis(sizes, k, laplacian, 
     k = None if k is None else min(k, len(s))
 
     def partition():
-        return spectral_cluster(s, ids, np.random.default_rng(seed), k=k,
-                                laplacian=laplacian)
+        return spectral_cluster(s, ids, np.random.default_rng(seed), k=k)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         _partition_under_rotations(monkeypatch, partition, range(3))
@@ -657,34 +652,30 @@ def test_random_partitions_are_invariant_to_the_eigenbasis(sizes, k, laplacian, 
 
 def _cycle_similarity(n):
     """Uniform ring: each SBS similar (weight 1) to its two neighbours. Its
-    eigenvalues come in pairs, so the Fiedler value is repeated under
-    either Laplacian."""
+    eigenvalues come in pairs, so the Fiedler value is repeated."""
     s = np.zeros((n, n))
     for i in range(n):
         s[i, (i + 1) % n] = s[(i + 1) % n, i] = 1.0
     return s
 
 
-@pytest.mark.parametrize("laplacian, similarity", [
+@pytest.mark.parametrize("similarity", [
     # lambda_2 = lambda_3
-    pytest.param("standard", lambda: _cycle_similarity(6), id="standard-ring"),
-    # lambda_1 = lambda_2
-    pytest.param("rowsum", lambda: _cycle_similarity(6), id="rowsum-ring"),
+    pytest.param(lambda: _cycle_similarity(6), id="standard-ring"),
     # lambda_1 = lambda_2 = 0
-    pytest.param("standard",
-                 lambda: _components_similarity((3, 4), np.random.default_rng(3)),
+    pytest.param(lambda: _components_similarity((3, 4), np.random.default_rng(3)),
                  id="standard-two-components"),
 ])
-def test_bisection_of_a_repeated_fiedler_value_is_by_id(monkeypatch, laplacian, similarity):
+def test_bisection_of_a_repeated_fiedler_value_is_by_id(monkeypatch, similarity):
     s = similarity()
     n = len(s)
     ids = [int(b) for b in np.random.default_rng(5).permutation(n) + 1]
-    vals = np.linalg.eigvalsh(laplacian_matrix(s, laplacian))
+    vals = np.linalg.eigvalsh(laplacian_matrix(s))
     assert np.min(np.diff(vals[:3])) <= _tol(vals)
 
     def partition():
         return spectral_cluster(s, ids, np.random.default_rng(0), k=1,
-                                laplacian=laplacian, max_size=(n + 1) // 2)
+                                max_size=(n + 1) // 2)
 
     base = _partition_under_rotations(monkeypatch, partition, range(20))
     half = n // 2
@@ -715,8 +706,8 @@ def test_joint_similarity_composition():
     assert np.array_equal(joint_of(pos, loads, cc), s_joint)
 
 
-def reference_spectral_cluster(similarity, ids, rng, loads=None, laplacian="standard",
-                               epoch=0, init_labels=None, max_iter=100, max_size=None):
+def reference_spectral_cluster(similarity, ids, rng, loads=None, epoch=0,
+                               init_labels=None, max_iter=100, max_size=None):
     """spectral_cluster with k from the eigengap and zero-count rules, written
     out step by step: reference_kmeans on the embedding through k's
     eigenvalue block, _bisect on every k-means group, and per cluster the
@@ -727,7 +718,7 @@ def reference_spectral_cluster(similarity, ids, rng, loads=None, laplacian="stan
     loads = [0.0] * n if loads is None else [float(x) for x in loads]
     if n < 2:
         return ClusterPartition(tuple((b,) for b in ids), tuple(ids), epoch)
-    vals, vecs = np.linalg.eigh(laplacian_matrix(s, laplacian))
+    vals, vecs = np.linalg.eigh(laplacian_matrix(s))
     values = vals.tolist()
     gaps = [abs(b - a) for a, b in zip(values, values[1:])]
     k = gaps.index(max(gaps)) + 1  # the first largest gap
@@ -739,7 +730,7 @@ def reference_spectral_cluster(similarity, ids, rng, loads=None, laplacian="stan
     for i, lab in enumerate(labels.tolist()):
         groups.setdefault(lab, []).append(i)
     parts = [part for g in groups.values()
-             for part in _bisect(s, g, np.asarray(ids), laplacian, max_size)]
+             for part in _bisect(s, g, np.asarray(ids), max_size)]
     clusters = tuple(sorted((tuple(sorted(ids[i] for i in g)) for g in parts), key=min))
     load_of = dict(zip(ids, loads))
     heads = tuple(min(c, key=lambda b: (-load_of[b], b)) for c in clusters)
@@ -750,13 +741,12 @@ def reference_spectral_cluster(similarity, ids, rng, loads=None, laplacian="stan
 @given(
     sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
     bridges=st.integers(0, 3),
-    laplacian=st.sampled_from(LAPLACIAN_MODES),
     max_size=st.none() | st.integers(1, 4),
     warm=st.sampled_from(["none", "groups", "random"]),
     seed=st.integers(0, 2**16),
 )
-def test_spectral_cluster_equals_the_stepwise_reference(sizes, bridges, laplacian,
-                                                        max_size, warm, seed):
+def test_spectral_cluster_equals_the_stepwise_reference(sizes, bridges, max_size, warm,
+                                                        seed):
     # components joined by a few random bridges, loads with ties, shuffled
     # ids and warm starts that fit, miss or miscount
     rng = np.random.default_rng(seed)
@@ -771,11 +761,10 @@ def test_spectral_cluster_equals_the_stepwise_reference(sizes, bridges, laplacia
     init = {"none": None, "groups": rng.permutation(np.arange(n) % len(sizes)),
             "random": rng.integers(0, n, size=n)}[warm]
     got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    got = spectral_cluster(s, ids, got_rng, loads=loads, laplacian=laplacian, epoch=7,
-                           init_labels=init, max_iter=5, max_size=max_size)
-    want = reference_spectral_cluster(s, ids, want_rng, loads=loads, laplacian=laplacian,
-                                      epoch=7, init_labels=init, max_iter=5,
-                                      max_size=max_size)
+    got = spectral_cluster(s, ids, got_rng, loads=loads, epoch=7, init_labels=init,
+                           max_iter=5, max_size=max_size)
+    want = reference_spectral_cluster(s, ids, want_rng, loads=loads, epoch=7,
+                                      init_labels=init, max_iter=5, max_size=max_size)
     assert got == want
     assert got_rng.random() == want_rng.random()
 
@@ -840,13 +829,12 @@ def test_a_laplacian_within_the_hold_radius_keeps_the_partition():
         source=st.sampled_from(["similarity", "spectrum"]),
         sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
         bridges=st.integers(0, 3),
-        laplacian=st.sampled_from(LAPLACIAN_MODES),
         aim=st.booleans(),
         frac=st.floats(0.5, 0.999),
         max_iter=st.sampled_from([1, 2, 100]),
         seed=st.integers(0, 2**16),
     )
-    def check(source, sizes, bridges, laplacian, aim, frac, max_iter, seed):
+    def check(source, sizes, bridges, aim, frac, max_iter, seed):
         rng = np.random.default_rng(seed)
         if source == "similarity":
             s = _components_similarity(sizes, rng)
@@ -855,7 +843,7 @@ def test_a_laplacian_within_the_hold_radius_keeps_the_partition():
                 i, j = rng.integers(0, n, size=2)
                 if i != j:
                     s[i, j] = s[j, i] = rng.uniform(0.01, 1.0)
-            lap = laplacian_matrix(s, laplacian)
+            lap = laplacian_matrix(s)
         else:
             lap = _near_threshold_laplacian(rng)
             n = len(lap)
@@ -884,11 +872,10 @@ def test_a_laplacian_within_the_hold_radius_keeps_the_partition():
         state = draws.bit_generator.state
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(clustering, "laplacian_matrix", lambda *_: moved)
-            got = spectral_cluster(s, ids, draws, loads=loads, laplacian=laplacian, epoch=3,
+            got = spectral_cluster(s, ids, draws, loads=loads, epoch=3,
                                    init_labels=init, max_iter=max_iter)
-            held, same = spectral_cluster(s, ids, draws, loads=loads, laplacian=laplacian,
-                                          epoch=3, init_labels=init, max_iter=max_iter,
-                                          hold=hold)
+            held, same = spectral_cluster(s, ids, draws, loads=loads, epoch=3,
+                                          init_labels=init, max_iter=max_iter, hold=hold)
         assert got == part
         assert held == part and same is hold
         assert draws.bit_generator.state == state

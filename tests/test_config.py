@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -48,9 +49,15 @@ def test_load_ini(tmp_path):
     assert cfg.power.small_p_idle_w == 0.1
 
 
-def test_example_config_loads():
-    cfg = load_config("configs/example.ini")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    cfg = load_config(str(path))
     validate_config(cfg)
+    if path.name == "example.ini":  # its header: every key at its default
+        assert cfg == default_config()
 
 
 def test_missing_file():
@@ -65,10 +72,18 @@ def test_unknown_section(tmp_path):
         load_config(str(path))
 
 
-def test_unknown_key(tmp_path):
+@pytest.mark.parametrize("section, key", [
+    ("layout", "n_giant"),
+    # deleted keys: the one Laplacian is D - S, load weighs 1 - alpha, and
+    # k-means runs to its fixed point under the default cap
+    ("clustering", "laplacian"),
+    ("learning", "beta"),
+    ("clustering", "kmeans_iters"),
+])
+def test_unknown_key(tmp_path, section, key):
     path = tmp_path / "bad.ini"
-    path.write_text("[layout]\nn_giant = 3\n")
-    with pytest.raises(ConfigError, match="unknown key"):
+    path.write_text(f"[{section}]\n{key} = 1\n")
+    with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
         load_config(str(path))
 
 
@@ -107,7 +122,6 @@ def _set(group, **values):
         (lambda c: setattr(c.clustering, "recluster_every", 0), "recluster"),
         (lambda c: setattr(c.clustering, "theta", 1.5), "theta"),
         (lambda c: setattr(c.clustering, "load_sign", "odd"), "load"),
-        (lambda c: setattr(c.clustering, "laplacian", "magic"), "laplacian"),
         (lambda c: setattr(c.association, "delta", -0.5), "delta"),
         (lambda c: setattr(c.learning, "max_actions", 1), "max_actions"),
         (lambda c: setattr(c.clustering, "sigma_l", 0.0), "sigma_l"),
@@ -115,7 +129,6 @@ def _set(group, **values):
         (lambda c: setattr(c.run, "load_max_iter", 0), "load_max_iter"),
         (lambda c: setattr(c.run, "load_tol", 0.0), "load_tol"),
         (lambda c: setattr(c.learning, "kappa", -1.0), "kappa"),
-        (lambda c: setattr(c.clustering, "kmeans_iters", 0), "kmeans_iters"),
         # each BS kind needs 0 < p_idle < p_max; the small-cell p_max is 1 W
         (lambda c: setattr(c.power, "small_p_idle_w", 1.0), "small_p_idle_w"),
         (lambda c: setattr(c.power, "small_p_idle_w", 2.0), "small_p_idle_w"),
@@ -171,7 +184,12 @@ def _set(group, **values):
                      r"clustering\.sigma_l is too small for load_sign = reciprocal",
                      id="reciprocal,sigma_l=0.026"),
         (lambda c: setattr(c.learning, "alpha", -5.0), "learning.alpha"),
-        (lambda c: setattr(c.learning, "beta", -0.5), "learning.beta"),
+        # alpha weighs power and 1 - alpha load, so both stay non-negative
+        *(
+            pytest.param(lambda c, v=value: setattr(c.learning, "alpha", v),
+                         r"learning\.alpha must be in \[0, 1\]", id=f"learning.alpha={value:g}")
+            for value in (1.5, -0.1)
+        ),
         (lambda c: setattr(c.clustering, "eps_d_m", -1.0), "clustering.eps_d_m"),
         (lambda c: setattr(c.layout, "min_dist_macro_small_m", -1.0),
          "layout.min_dist_macro_small_m"),

@@ -79,8 +79,7 @@ class ReferenceWorld:
             max_size = int(self.cfg.learning.max_actions).bit_length() - 1
             part = reference_spectral_cluster(
                 clust.joint_similarity(s_dist, s_load, cc.theta), ids, self.kmeans_rng,
-                loads=loads, laplacian=cc.laplacian, epoch=t, init_labels=init,
-                max_iter=cc.kmeans_iters, max_size=max_size)
+                loads=loads, epoch=t, init_labels=init, max_size=max_size)
         else:
             return
         self.events.append(part)
@@ -132,7 +131,8 @@ class ReferenceWorld:
         power = np.where(state == 1,
                          net.load * self.p_max + cfg.power.idle_scale_active * self.p_idle,
                          self.p_idle)
-        cost = cfg.learning.alpha * power + cfg.learning.beta * net.load_raw
+        alpha = cfg.learning.alpha
+        cost = alpha * power + (1 - alpha) * net.load_raw
         for c, a in zip(clusters, played):
             self.learners[c].update(a, -np.sum(cost[list(c)]))
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from scnsim import association, clustering, netmodel, sim
 from scnsim.cli import _fmt
-from scnsim.clustering import LAPLACIAN_MODES, LOAD_SIGN_MODES, ClusterPartition
+from scnsim.clustering import LOAD_SIGN_MODES, ClusterPartition
 from scnsim.config import (
     MODES,
     TRAFFIC_DISTRIBUTIONS,
@@ -498,27 +498,6 @@ def test_rebalance_matches_per_cluster_schedules():
         assert np.array_equal(got, want)
 
 
-def test_kmeans_iters_reaches_kmeans(monkeypatch):
-    seen = []
-    real = clustering.kmeans
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs["max_iter"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(clustering, "kmeans", spy)
-    cfg = small_cfg(steps=6)
-    cfg.clustering.kmeans_iters = 7
-    cfg.clustering.recluster_every = 5
-    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(3)),
-                  np.random.default_rng(1), np.random.default_rng(2))
-    for t in range(1, cfg.run.steps + 1):
-        world.step(t)
-    # reclusters at steps 1 and 5; a held one runs no k-means
-    assert world.full_reclusters + world.held_reclusters == 2
-    assert seen == [7] * world.full_reclusters
-
-
 def test_held_reclusters_equal_the_full_pipeline():
     # every held recluster installs the clusters and heads spectral_cluster
     # returns on the same inputs, which draws nothing there either
@@ -528,16 +507,15 @@ def test_held_reclusters_equal_the_full_pipeline():
     @given(theta=st.floats(0.0, 1.0),
            sigma_l=st.sampled_from([0.003, 0.01, 0.03, 0.1, 0.3, 1.0]),
            load_sign=st.sampled_from(LOAD_SIGN_MODES),
-           laplacian=st.sampled_from(LAPLACIAN_MODES),
            eps_d_m=st.sampled_from([0.0, 150.0, 400.0]), max_actions=st.integers(2, 16),
            rate=st.floats(0.18e6, 12e6), recluster_every=st.integers(1, 3),
            n_small=st.sampled_from([4, 7, 10]), seed=st.integers(0, 2**16))
-    def check(theta, sigma_l, load_sign, laplacian, eps_d_m, max_actions, rate,
-              recluster_every, n_small, seed):
+    def check(theta, sigma_l, load_sign, eps_d_m, max_actions, rate, recluster_every,
+              n_small, seed):
         steps = 40
         cfg = small_cfg(n_small=n_small, n_ues=30, steps=steps)
         cc = cfg.clustering
-        cc.theta, cc.sigma_l, cc.load_sign, cc.laplacian = theta, sigma_l, load_sign, laplacian
+        cc.theta, cc.sigma_l, cc.load_sign = theta, sigma_l, load_sign
         cc.eps_d_m, cc.recluster_every = eps_d_m, recluster_every
         cfg.learning.max_actions, cfg.traffic.mean_rate_bps, cfg.run.seed = (
             max_actions, rate, seed)
@@ -557,8 +535,7 @@ def test_held_reclusters_equal_the_full_pipeline():
                     theta)
                 rng = copy.deepcopy(world.kmeans_rng)
                 want = clustering.spectral_cluster(
-                    s, ids, rng, loads=loads, laplacian=laplacian, epoch=t,
-                    init_labels=init, max_iter=cc.kmeans_iters,
+                    s, ids, rng, loads=loads, epoch=t, init_labels=init,
                     max_size=world.max_cluster_size)
                 assert world.partition == want, t
                 assert rng.bit_generator.state == world.kmeans_rng.bit_generator.state
@@ -608,7 +585,7 @@ def _fresh_step_inputs(world, prev_load, delta):
         init=prev_load)
     totals = netmodel.total_powers(world.p_max, world.p_idle, world.idle_scale, net)
     lcfg = world.cfg.learning
-    cost = lcfg.alpha * totals + lcfg.beta * net.load_raw
+    cost = lcfg.alpha * totals + (1 - lcfg.alpha) * net.load_raw
     s = world.sbs_idx
     return serving, net, (state[s], totals[s], net.load[s], net.load_raw[s], cost[s])
 
@@ -906,7 +883,6 @@ def _scenario_configs(draw, valid=False):
     cfg.run.mode = draw(st.sampled_from(MODES))
     cfg.traffic.distribution = draw(st.sampled_from(TRAFFIC_DISTRIBUTIONS))
     cfg.clustering.load_sign = draw(st.sampled_from(LOAD_SIGN_MODES))
-    cfg.clustering.laplacian = draw(st.sampled_from(LAPLACIAN_MODES))
     for (section, key), cap in _COUNT_CAPS.items():
         low = _VALID_COUNT_LOW[(section, key)] if valid else -1
         setattr(getattr(cfg, section), key, draw(st.integers(low, cap)))
@@ -1590,7 +1566,7 @@ def _literal_classical_rows(cfg, run_index):
             tol=rc.load_tol, max_iter=rc.load_max_iter, init=load)
         load = net.load
         power = netmodel.total_powers(world.p_max, world.p_idle, world.idle_scale, net)
-        cost = lcfg.alpha * power + lcfg.beta * net.load_raw
+        cost = lcfg.alpha * power + (1 - lcfg.alpha) * net.load_raw
         rows.append((net.state[s], power[s], net.load[s], net.load_raw[s], cost[s]))
         converged.append(net.converged)
     return rows, converged, keys
