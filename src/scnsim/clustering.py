@@ -99,8 +99,8 @@ def joint_similarity(s_dist: np.ndarray, s_load: np.ndarray, theta: float) -> np
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     mask = s_dist > 0.0
-    with np.errstate(divide="ignore"):
-        s = np.where(mask, s_dist**theta * s_load ** (1.0 - theta), 0.0)
+    # both exponents lie in [0, 1], so a zero entry never divides
+    s = np.where(mask, s_dist**theta * s_load ** (1.0 - theta), 0.0)
     np.fill_diagonal(s, 0.0)
     return s
 

@@ -7,7 +7,8 @@ inside a cluster minimizes the summed member load
 
 subject to each UE's assignment fractions summing to 1. The relaxation has
 no coupling constraint, so it decouples into a per-UE argmin over c_bm; the
-tests check that against a generic LP solver.
+tests check that against a generic LP solver. Members share one exclusion
+set, so a UE's cheapest awake member is the one it receives most strongly.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ def rebalance(
 ) -> np.ndarray:
     """Assign every cluster's UEs at once: new serving BS per UE.
 
-    costs is (n_bs, n_ue), the load coefficient c_bm with interference
-    frozen; label[b] is BS b's cluster index (-1: none). A UE served by a
-    clustered BS moves to the cheapest active member of that cluster (the
-    relaxation's optimum is already integral), ties to the lowest id; other
-    UEs keep their station.
+    costs is (n_bs, n_ue): the load coefficient c_bm with interference
+    frozen, or any price that orders each UE's co-members as c_bm does
+    (the negated received power, say). label[b] is BS b's cluster index
+    (-1: none). A UE served by a clustered BS moves to the cheapest active
+    member of that cluster (the relaxation's optimum is already integral),
+    ties to the lowest id; other UEs keep their station.
     """
     lab = label[serving]
     members = (label[:, None] == lab[None, :]) & active[:, None]

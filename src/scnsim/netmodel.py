@@ -165,11 +165,13 @@ class LoadSetup(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def _constants(n_ue: int, n_bs: int, noise: float, bandwidth: float) -> tuple[np.ndarray, ...]:
-    """LoadSetup.consts, read-only, so all set-ups of a shape and channel share one."""
+def _constants(n_ue: int, n_bs: int, noise: float, bandwidth: float) -> tuple:
+    """The UE index and LoadSetup.consts, read-only, so all set-ups of a
+    shape and channel share them."""
+    ue = np.arange(n_ue)
     per_ue, per_bs = np.full((3, n_ue), [[noise], [bandwidth], [1.0]]), np.ones(n_bs)
-    per_ue.flags.writeable = per_bs.flags.writeable = False
-    return (*per_ue, per_bs)
+    ue.flags.writeable = per_ue.flags.writeable = per_bs.flags.writeable = False
+    return ue, (*per_ue, per_bs)
 
 
 def load_setup(
@@ -189,13 +191,13 @@ def load_setup(
             raise ValueError(f"UEs {negative} have negative serving entries")
         bad = np.flatnonzero(state[srv] == 0).tolist()
         raise InactiveServerError(f"UEs {bad} assigned to sleeping BSs")
+    ue, consts = _constants(n_ue, state.size, noise_w(channel), channel.bandwidth_hz)
     # state is 0/1, so x * (power * state) rounds as (x * power) * state does
     tx = power * state
-    flat = srv * n_ue + np.arange(n_ue)
+    flat = srv * n_ue + ue
     own_gain = gains.ravel()[flat]
     excl_w = None if excl is None else np.asarray(excl, dtype=float)
-    return LoadSetup(srv, flat, own_gain, tx, tx[srv] * own_gain, excl_w,
-                     _constants(n_ue, state.size, noise_w(channel), channel.bandwidth_hz))
+    return LoadSetup(srv, flat, own_gain, tx, tx[srv] * own_gain, excl_w, consts)
 
 
 def compute_loads(
@@ -209,7 +211,6 @@ def compute_loads(
     tol: float = 1e-6,
     max_iter: int = 200,
     init: np.ndarray | None = None,
-    airtime: np.ndarray | None = None,
 ) -> NetworkConfiguration:
     """Solve the load-coupled fixed point rho_b = sum_{m -> b} traffic_m / R_b(x_m).
 
@@ -230,46 +231,37 @@ def compute_loads(
     full-size products, so the rounding is rate_matrix's bit for bit.
     Without excl the excluded term is the serving BS's own power times its
     gain, the single nonzero product of rate_matrix's identity-matrix sum.
-
-    airtime, when given, is traffic / rate_matrix(channel, gains, power,
-    state, init, excl) for an init in [0, 1]: the first iteration's per-UE
-    airtimes sit at its serving entries, so that iteration reads them
-    instead of sweeping. It still counts as iteration 1.
     """
     setup = load_setup(channel, gains, power, state, serving, excl)
     # clamped as np.clip does it, -0.0 to +0.0 included
     x = np.zeros(gains.shape[0]) if init is None else np.minimum(np.maximum(init, 0.0), 1.0)
     return NetworkConfiguration(state.copy(), *_fixed_point(
-        setup, gains, traffic, x, tol, max_iter, airtime))
+        setup, gains, traffic, x, tol, max_iter))
 
 
 def _fixed_point(setup: LoadSetup, gains: np.ndarray, traffic: np.ndarray, x: np.ndarray,
-                 tol: float, max_iter: int,
-                 airtime: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, bool, int]:
+                 tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, bool, int]:
     """compute_loads's iteration from loads x in [0, 1], with no -0.0, as a
     solve returns them: (load, raw load, converged, iterations)."""
     srv, flat, own_gain, tx, signal, excl_w, (noise, bandwidth, one, cap) = setup
     rate = np.empty(srv.size)
     converged, iterations = False, 0
     for iterations in range(1, max_iter + 1):
-        if airtime is not None:
-            rate, airtime = airtime.ravel()[flat], None
+        # full-size matmuls keep rate_matrix's rounding bit for bit
+        w = x * tx
+        denom = w @ gains
+        if excl_w is None:
+            excluded = w[srv]
+            excluded *= own_gain
         else:
-            # full-size matmuls keep rate_matrix's rounding bit for bit
-            w = x * tx
-            denom = w @ gains
-            if excl_w is None:
-                excluded = w[srv]
-                excluded *= own_gain
-            else:
-                excluded = ((excl_w * w) @ gains).ravel()[flat]
-            denom -= excluded
-            denom += noise
-            np.divide(signal, denom, out=rate)
-            rate += one
-            np.log2(rate, out=rate)
-            rate *= bandwidth
-            np.divide(traffic, rate, out=rate)  # per-UE airtime
+            excluded = ((excl_w * w) @ gains).ravel()[flat]
+        denom -= excluded
+        denom += noise
+        np.divide(signal, denom, out=rate)
+        rate += one
+        np.log2(rate, out=rate)
+        rate *= bandwidth
+        np.divide(traffic, rate, out=rate)  # per-UE airtime
         raw = np.bincount(srv, weights=rate, minlength=cap.size)
         x_new = np.minimum(raw, cap)
         # one Python pass over the few BSs; like numpy's max, NaN never converges

@@ -44,22 +44,35 @@ def _place(rng: np.random.Generator, lay: LayoutConfig, pos: np.ndarray, anchors
     distances from anchors[:m + 1] only. A pass speculates that every
     remaining row's next candidate fits, drawn in one call and checked in
     one broadcast; at the first misfit it rewinds the stream to just after
-    that candidate and passes again from its row."""
-    m = tries = 0
+    that candidate and passes again from its row. From a row's third
+    misfit on, a batch of as many of its candidates as it has misfit
+    replaces the pass, rewound to just after the first that fits."""
+    bits = rng.bit_generator
+    m = tries = 0  # tries: row m's misfits so far
     while m < len(pos):
-        start = rng.bit_generator.state
-        rest = pos[m:]
-        rng.random(out=rest)
-        rest *= lay.side_m
-        d = np.hypot(anchors[:, 0] - rest[:, :1], anchors[:, 1] - rest[:, 1:])
+        start, batch = bits.state, tries > 2
+        if batch:  # row m's next candidates
+            cand = rng.random((min(tries, MAX_PLACEMENT_TRIES - tries), 2))
+        else:  # every remaining row's next candidate
+            cand = rng.random(out=pos[m:])
+        cand *= lay.side_m
+        d = np.hypot(anchors[:, 0] - cand[:, :1], anchors[:, 1] - cand[:, 1:])
         fits = d >= dmin
         if nested:  # a row's own anchor and the later ones are not placed yet
-            fits |= np.arange(len(anchors)) > np.arange(m, len(pos))[:, None]
+            fits |= np.arange(len(anchors)) > (m if batch else np.arange(m, len(pos))[:, None])
         fits = fits.all(axis=1)
-        if fits.all():
-            return
-        k = m + int(fits.argmin())
-        tries = tries + 1 if k == m else 1  # row k's misfits so far
+        if not batch:
+            if fits.all():
+                return
+            k = m + int(fits.argmin())
+            tries = tries + 1 if k == m else 1
+            skip, m = k + 1 - m, k  # rows m to k - 1 keep their candidates
+        elif fits.any():
+            skip = int(fits.argmax()) + 1
+            pos[m] = cand[skip - 1]
+            m, tries = m + 1, 0
+        else:  # every candidate misfit, and the stream is past them
+            skip, tries = 0, tries + len(cand)
         if tries == MAX_PLACEMENT_TRIES:
             raise ConfigError(
                 f"infeasible density: could not place a node after {MAX_PLACEMENT_TRIES} "
@@ -70,9 +83,9 @@ def _place(rng: np.random.Generator, lay: LayoutConfig, pos: np.ndarray, anchors
                 f"{lay.min_dist_macro_ue_m:g}, min_dist_small_ue_m = "
                 f"{lay.min_dist_small_ue_m:g}"
             )
-        rng.bit_generator.state = start
-        rng.random(2 * (k + 1 - m))  # rows m to k - 1 keep their candidates
-        m = k
+        if skip:
+            bits.state = start
+            rng.random(2 * skip)
 
 
 def generate_scenario(
@@ -223,6 +236,8 @@ class World:
         )
         # every station transmits at its p_max, so received powers are fixed
         self.rx = self.p_max[:, None] * self.gains
+        self._neg_rx = np.negative(self.rx)  # stage (5)'s ranking of co-members
+        self._neg_rx.flags.writeable = False
         self.net = netmodel.NetworkConfiguration(
             np.ones(self.n_bs, dtype=np.int64), np.zeros(self.n_bs), np.zeros(self.n_bs)
         )
@@ -379,35 +394,25 @@ class World:
         delta = 0.0 if self.mode == "classical" else self.cfg.association.delta
         serving = assoc.associate_all(self.rx, state, self.rho_hat, delta)
 
-        # (5) each cluster head rebalances the UEs attached to its members,
-        # with interference frozen at the previous step's loads; a UE
-        # enters only when attached to an active member, so it stays served.
-        # A head coordinates only where a UE's station has an awake
-        # co-member (excl.dot(state) counts the awake stations of each
-        # BS's exclusion set, itself included). Elsewhere it can only keep its
-        # UEs where they are, and a sleeping co-member's interference is
-        # +0.0, so the exclusion product is each BS's own term: excl None
-        # solves the step bit for bit
-        excl, costs = self.excl, None
+        # (5) each cluster head moves the UEs attached to its members to its
+        # strongest awake member, ties to the lowest id: members share one
+        # exclusion row, so with interference frozen at the previous loads
+        # that member's load coefficient is least. A head coordinates only
+        # where a UE's station has an awake co-member (excl.dot(state)
+        # counts the awake stations of each BS's exclusion set, itself
+        # included); elsewhere it keeps every UE, and a sleeping co-member's
+        # interference is +0.0, so excl None solves the step bit for bit
+        excl = self.excl
         if excl is not None and np.count_nonzero(excl.dot(state)[serving] > 1):
-            rates = netmodel.rate_matrix(
-                self.cfg.channel, self.gains, self.p_max, state, prev_load, excl
-            )
-            with np.errstate(divide="ignore"):
-                costs = self.traffic[None, :] / rates
-            serving = coord.rebalance(costs, self.label, serving, state == 1)
+            serving = coord.rebalance(self._neg_rx, self.label, serving, state == 1)
         else:
             excl = None
 
         # (6) realized loads from the coupled fixed point, warm-started from
-        # prev_load. Where stage (5) ran, its costs at the serving entries
-        # are the per-UE airtimes of the fixed point's first iteration from
-        # prev_load, so the solve starts from them
-        self.net = netmodel.compute_loads(
-            self.cfg.channel, self.gains, self.p_max, state, serving, self.traffic,
-            excl=excl, tol=rc.load_tol, max_iter=rc.load_max_iter,
-            init=prev_load, airtime=costs,
-        )
+        # prev_load, a solve's clamped loads; the net keeps this step's state
+        setup = netmodel.load_setup(self.cfg.channel, self.gains, self.p_max, state, serving, excl)
+        self.net = netmodel.NetworkConfiguration(state, *netmodel._fixed_point(
+            setup, self.gains, self.traffic, prev_load, rc.load_tol, rc.load_max_iter))
 
         # (7) the running cost per BS; (8) every learner observes the
         # negated cost of its own members

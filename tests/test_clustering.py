@@ -98,6 +98,19 @@ def test_joint_similarity_mask_all_theta():
         assert np.all(np.diag(s) == 0.0)
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_joint_similarity_never_warns_on_zero_entries(theta):
+    # zeros in either factor, on and off the adjacency support: both
+    # exponents lie in [0, 1], so no power divides by zero
+    s_d = np.array([[0.0, 0.36, 0.0], [0.36, 0.0, 0.5], [0.0, 0.5, 0.0]])
+    s_l = np.array([[0.0, 0.0, 0.64], [0.0, 0.0, 0.25], [0.64, 0.25, 0.0]])
+    with np.errstate(all="raise"):
+        s = joint_similarity(s_d, s_l, theta)
+    want = np.where(s_d > 0.0, s_d**theta * s_l ** (1.0 - theta), 0.0)
+    assert s.tobytes() == want.tobytes()
+    assert s[0, 2] == 0.0 and s[1, 2] > 0.0
+
+
 def test_laplacian_variants():
     # the one Laplacian, D - S
     s = np.array([[0.0, 0.5, 0.2], [0.5, 0.0, 0.1], [0.2, 0.1, 0.0]])

@@ -29,8 +29,10 @@ class ReferenceWorld:
 
     A lone ReferenceLearner per cluster with its own scalar draw, the
     scalar associate and solve_cluster_schedule oracles per UE and per
-    cluster, and a fresh compute_loads every step, as World runs one, but
-    with no handed-over airtimes and no skipped coordination. The RNG
+    cluster, and a fresh compute_loads every step, as World runs one. It
+    prices each cluster's UEs by their load coefficients from rate_matrix,
+    where World ranks co-members by received power, and never skips
+    coordination. The RNG
     streams are SeedSequence([seed, run]).spawn(3), drawn in order: the
     drop, then per recluster k-means, then one uniform per cluster in
     partition order at every step.

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from scnsim import association, clustering, netmodel, sim
+from scnsim import association, clustering, coordination, netmodel, sim
 from scnsim.cli import _fmt
 from scnsim.clustering import LOAD_SIGN_MODES, ClusterPartition
 from scnsim.config import (
@@ -172,6 +172,8 @@ def _assert_drop_matches_reference(cfg, seed):
         with pytest.raises(ConfigError) as got_err:
             generate_scenario(cfg, got_rng)
         assert str(got_err.value) == str(err)
+        # the misfit node's last batch ends at its last candidate
+        assert got_rng.random() == want_rng.random()
         return
     got = generate_scenario(cfg, got_rng)
     for g, w in zip(got, want):
@@ -557,6 +559,7 @@ def test_step_exposes_fixed_point_iterations():
 
 
 _associate_all = association.associate_all  # unpatched, for fresh solves
+_load_setup = netmodel.load_setup
 
 
 _SBS_FIELDS = ("sbs_state", "sbs_power", "sbs_load", "sbs_load_raw", "sbs_cost")
@@ -621,15 +624,16 @@ def _assert_records_equal(records, rows):
     ("learning_no_clusters", 0.0),  # RSSI association
 ])
 def test_every_step_equals_a_fresh_solve(mode, delta, scenario_seed, monkeypatch):
-    # a step associates once and solves once, from its own inputs, in every
-    # mode, so it equals an association and a compute_loads from scratch
-    # at that step's state, load estimates and previous loads. In drop 0
-    # the macro serves every UE; in drop 3 SBSs serve some UEs under RSSI
+    # a step associates once, builds one fixed-point set-up and solves once,
+    # from its own inputs, in every mode, so it equals an association and a
+    # compute_loads from scratch at that step's state, load estimates and
+    # previous loads. In drop 0 the macro serves every UE; in drop 3 SBSs
+    # serve some UEs under RSSI
     calls = []
     monkeypatch.setattr(association, "associate_all",
                         lambda *args: calls.append("associate_all") or _associate_all(*args))
-    monkeypatch.setattr(netmodel, "compute_loads", lambda *args, **kwargs: (
-        calls.append("compute_loads") or _compute_loads(*args, **kwargs)))
+    monkeypatch.setattr(netmodel, "load_setup", lambda *args: (
+        calls.append("load_setup") or _load_setup(*args)))
     cfg = small_cfg(mode, n_small=4, n_ues=24, steps=150)
     cfg.association.delta = delta
     cfg.clustering.eps_d_m = 400.0
@@ -643,7 +647,7 @@ def test_every_step_equals_a_fresh_solve(mode, delta, scenario_seed, monkeypatch
         prev_load = world.net.load.copy()
         calls.clear()
         world.step(t)
-        assert calls == ["associate_all", "compute_loads"], t
+        assert calls == ["associate_all", "load_setup"], t
         rows.append(_assert_step_equals_fresh(world, prev_load, effective_delta))
         sbs_served += int(np.any(world.last_serving > 0))
     _assert_records_equal(world.trace(), rows)
@@ -979,58 +983,13 @@ def _clustered(cfg):
 
 
 _compute_loads = netmodel.compute_loads  # unpatched
-
-
-def _assert_airtimes_are_the_first_sweep(args, kwargs):
-    """A solve's handed-over airtimes equal, UE by UE, those its own first
-    iteration computes; the solve's result is the same either way."""
-    channel, gains, power, state, serving, traffic = args
-    kw = {key: kwargs[key] for key in ("excl", "tol", "max_iter", "init")}
-    airtime = kwargs["airtime"]
-    n_ue = traffic.size
-    handed = airtime[serving, np.arange(n_ue)]
-    for m in np.flatnonzero(serving >= 0).tolist():
-        # with every other UE's traffic at 0, the sum of BS serving[m]'s
-        # airtimes is UE m's alone, exactly
-        alone = np.where(np.arange(n_ue) == m, traffic, 0.0)
-        swept = _compute_loads(channel, gains, power, state, serving, alone,
-                               **{**kw, "max_iter": 1})
-        assert swept.load_raw[serving[m]].tobytes() == handed[m].tobytes()
-    for max_iter in (1, kw["max_iter"]):
-        a = _compute_loads(*args, **{**kw, "max_iter": max_iter})
-        b = _compute_loads(*args, **{**kw, "max_iter": max_iter}, airtime=airtime)
-        for name in ("state", "load", "load_raw"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        assert (a.converged, a.iterations) == (b.converged, b.iterations)
-
-
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(cfg=_scenario_configs(valid=True).map(_clustered))
-def test_rebalance_costs_are_the_fixed_points_first_sweep(cfg):
-    # stage (5) prices every UE at every station with the previous loads;
-    # at the rebalanced serving entries those prices are the per-UE airtimes
-    # of the fixed point's first iteration from the same loads, which the
-    # solve reads instead of sweeping again
-    assume(_valid(cfg))
-    scen, kmeans_seed, learner_seed = np.random.SeedSequence([cfg.run.seed, 0]).spawn(3)
-    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
-                  np.random.default_rng(kmeans_seed), np.random.default_rng(learner_seed))
-    calls = []
-
-    def spy(*args, **kwargs):
-        if kwargs.get("airtime") is not None:
-            calls.append((args, kwargs))
-        return _compute_loads(*args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(netmodel, "compute_loads", spy)
-        for t in range(1, cfg.run.steps + 1):
-            world.step(t)
-    for args, kwargs in calls:
-        _assert_airtimes_are_the_first_sweep(args, kwargs)
-
-
-_rate_matrix = netmodel.rate_matrix  # unpatched
+def _load_coefficients(world, state, prev_load, excl):
+    """Stage (5)'s load coefficients c_bm = traffic_m / R_b(x_m) at every
+    station, with interference frozen at prev_load; sleepers cost inf."""
+    rates = netmodel.rate_matrix(world.cfg.channel, world.gains, world.p_max, state,
+                                 prev_load, excl)
+    with np.errstate(divide="ignore"):
+        return world.traffic[None, :] / rates
 
 
 def _coordinated_step(world, prev_load):
@@ -1043,17 +1002,13 @@ def _coordinated_step(world, prev_load):
     lab = world.label[serving]
     awake = (world.label[:, None] == lab[None, :]) & (state == 1)[:, None]
     coordinated = bool(((lab >= 0) & (awake.sum(axis=0) > 1)).any())
-    rc, costs = world.cfg.run, None
+    rc = world.cfg.run
     if world.excl is not None:
-        rates = _rate_matrix(world.cfg.channel, world.gains, world.p_max,
-                             state, prev_load, world.excl)
-        with np.errstate(divide="ignore"):
-            costs = world.traffic[None, :] / rates
+        costs = _load_coefficients(world, state, prev_load, world.excl)
         serving = rebalance(costs, world.label, serving, state == 1)
     net = _compute_loads(
         world.cfg.channel, world.gains, world.p_max, state, serving, world.traffic,
-        excl=world.excl, tol=rc.load_tol, max_iter=rc.load_max_iter, init=prev_load,
-        airtime=costs)
+        excl=world.excl, tol=rc.load_tol, max_iter=rc.load_max_iter, init=prev_load)
     return serving, net, coordinated
 
 
@@ -1095,20 +1050,71 @@ def test_skipped_coordination_equals_the_full_path(cfg, eps_d_m, recluster_every
 def test_one_run_takes_both_coordination_paths(monkeypatch):
     # planted: in this dense clustered drop some steps' UEs all sit at
     # stations whose co-members sleep, and others have a co-member awake;
-    # World prices the rates of stage (5) in exactly the latter
+    # World rebalances in stage (5) in exactly the latter
     cfg = small_cfg(n_small=10, n_ues=32, steps=40)
     cfg.clustering.eps_d_m = 400.0
     cfg.clustering.recluster_every = 2
-    priced = []
+    rebalanced = []
 
     def spy(*args):
-        priced.append(args)
-        return _rate_matrix(*args)
+        rebalanced.append(args)
+        return rebalance(*args)
 
-    monkeypatch.setattr(netmodel, "rate_matrix", spy)
+    monkeypatch.setattr(coordination, "rebalance", spy)
     coordinated, skipped = _assert_steps_match_full_coordination(cfg, cfg.run.steps)
     assert coordinated > 0 and skipped > 0
-    assert len(priced) == coordinated
+    assert len(rebalanced) == coordinated
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(cfg=_scenario_configs(valid=True), data=st.data())
+def test_rebalance_by_received_power_equals_rebalance_by_load_coefficient(cfg, data):
+    # co-members share one exclusion row, so every member prices a UE over
+    # the same SINR denominator, and the cheapest awake member is the one
+    # the UE receives most strongly: World ranks by -rx, bit for bit
+    cfg.run.mode = "learning_clustered"
+    cfg.learning.max_actions = 1 << cfg.layout.n_small  # room for any partition
+    assume(_valid(cfg))
+    scen = np.random.SeedSequence([cfg.run.seed, 0]).spawn(3)[0]
+    world = World(cfg, *generate_scenario(cfg, np.random.default_rng(scen)),
+                  np.random.default_rng(1), np.random.default_rng(2))
+    n_bs = world.n_bs
+    sbs = st.lists(st.integers(0, n_bs - 1), min_size=n_bs - 1, max_size=n_bs - 1)
+    labels = np.array(data.draw(sbs))
+    clusters = tuple(tuple((np.flatnonzero(labels == j) + 1).tolist())
+                     for j in np.unique(labels).tolist())
+    world._set_partition(ClusterPartition(clusters, (), epoch=1))
+    # the macro never sleeps
+    awake = data.draw(st.lists(st.booleans(), min_size=n_bs - 1, max_size=n_bs - 1))
+    state = np.array([1] + awake, dtype=np.int64)
+    unit = st.lists(st.floats(0.0, 1.0), min_size=n_bs, max_size=n_bs)
+    prev_load, rho_hat = np.array(data.draw(unit)), np.array(data.draw(unit))
+    if data.draw(st.booleans()):
+        rho_hat[0] = 1.0  # a full macro scores 0: the SBSs serve where one is awake
+    serving = association.associate_all(world.rx, state, rho_hat, cfg.association.delta)
+    excl = netmodel.exclusion_matrix(n_bs, clusters).astype(float)
+    costs = _load_coefficients(world, state, prev_load, excl)
+    active = state == 1
+    want = rebalance(costs, world.label, serving, active)
+    got = rebalance(-world.rx, world.label, serving, active)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_rebalance_ties_go_to_the_lowest_id_under_both_prices():
+    # planted: UE 0 sits 50 m from co-members 1 and 2 alike, so it receives
+    # them equally and they price it equally; UE 1 sits nearer member 2
+    cfg = small_cfg(n_small=3, n_ues=2)
+    bs = np.array([[250.0, 250.0], [100.0, 100.0], [100.0, 200.0], [400.0, 400.0]])
+    ues = np.array([[100.0, 150.0], [100.0, 190.0]])
+    world = World(cfg, bs, np.arange(4) == 0, ues, np.full(2, 1e5),
+                  np.random.default_rng(1), np.random.default_rng(2))
+    world._set_partition(ClusterPartition(((1, 2), (3,)), (), epoch=1))
+    state = np.ones(4, dtype=np.int64)
+    costs = _load_coefficients(world, state, np.full(4, 0.5), world.excl)
+    assert world.rx[1, 0] == world.rx[2, 0] and costs[1, 0] == costs[2, 0]
+    serving = np.array([2, 1])
+    for price in (-world.rx, costs):
+        assert rebalance(price, world.label, serving, state == 1).tolist() == [1, 2]
 
 
 def test_burn_in_steps():
